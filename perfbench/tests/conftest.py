@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402,F401  pins the BLAS threads before numpy loads
