@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .identities import (conformal_stretch_residual, identity_suite,
                          second_form_transform_residual)
 from .mesh import load_off, save_off
 from .moebius import ConformalChain, MoebiusParam, hyperboloid_to_ball
-from .reports import (OperatorSpec, check_inequality, mean_tensor_report,
-                      mesh_for, reports_json, write_report_csv)
+from .reports import (check_inequality, mesh_for, operator_from_label,
+                      reports_json, write_report_csv)
 from .svgplot import fit_loglog_slope, line_plot
 
 DEFAULT_LEVELS = (3, 4, 5)
@@ -42,32 +42,48 @@ def default_seed(explicit=None) -> int:
     return int(env) if env else 0
 
 
+def _field(cfg, key, default, convert, where):
+    """cfg[key] through convert, or default when it is absent or null."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s: malformed %r: %r" % (where, key, value))
+
+
 def _potential_from_config(cfg, where):
+    if not isinstance(cfg, dict):
+        raise ConfigError("%s: potential must be an object" % where)
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        value = float(cfg.get("value", 0.0))
+        value = _field(cfg, "value", 0.0, float, where)
         return lambda fr: value
     if kind == "coordinate":
-        axis = int(cfg.get("axis", 0))
-        scale = float(cfg.get("scale", 1.0))
+        axis = _field(cfg, "axis", 0, int, where)
+        scale = _field(cfg, "scale", 1.0, float, where)
         return lambda fr: scale * float(fr.point[axis])
     raise ConfigError("%s: unknown potential kind %r" % (where, kind))
 
 
 def _operator_from_config(cfg, where):
+    """A label string, or an object with kind, degree and potential."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
-    kind = cfg.get("kind", "identity")
-    if isinstance(kind, str) and kind.startswith("newton:"):
-        cfg = dict(cfg, kind="newton", degree=int(kind.split(":", 1)[1]))
-        kind = "newton"
-    if kind not in ("identity", "newton", "mean_curvature"):
-        raise ConfigError("%s: unknown operator kind %r" % (where, kind))
-    potential = None
+    if not isinstance(cfg, dict):
+        raise ConfigError("%s: operator must be a label or an object" % where)
+    label = cfg.get("kind", "identity")
+    if label == "newton":
+        label = "newton:%d" % _field(cfg, "degree", 2, int, where)
+    try:
+        spec = operator_from_label(label)
+    except ValueError as exc:
+        raise ConfigError("%s: operator rejected: %s" % (where, exc))
     if "potential" in cfg:
-        potential = _potential_from_config(cfg["potential"], where)
-    return OperatorSpec(kind=kind, degree=int(cfg.get("degree", 2)),
-                        potential=potential)
+        spec = replace(spec, potential=_potential_from_config(cfg["potential"],
+                                                              where))
+    return spec
 
 
 def load_scenarios(path) -> list:
@@ -112,10 +128,10 @@ def load_scenarios(path) -> list:
             raise ConfigError("%s: geometry parameters rejected: %s"
                               % (where, exc))
         spec = _operator_from_config(sc.get("operator", "identity"), where)
-        level = int(sc.get("level", 4))
-        levels = sc.get("levels")
+        level = _field(sc, "level", 4, int, where)
+        levels = _field(sc, "levels", None, lambda v: [int(x) for x in v],
+                        where)
         if levels is not None:
-            levels = [int(v) for v in levels]
             if any(b <= a for a, b in zip(levels, levels[1:])) or not levels:
                 raise ConfigError("%s: levels must be strictly increasing"
                                   % where)
@@ -127,20 +143,10 @@ def load_scenarios(path) -> list:
         out.append({
             "name": name, "immersion": imm, "spec": spec, "level": level,
             "levels": levels, "outputs": list(outputs),
-            "tol": sc.get("tol"), "count": int(sc.get("count", 100)),
+            "tol": _field(sc, "tol", None, float, where),
+            "count": _field(sc, "count", 100, int, where),
         })
     return out
-
-
-def _scenario_report(sc, tol_override):
-    imm = sc["immersion"]
-    spec = sc["spec"]
-    tol = sc["tol"] if tol_override is None else tol_override
-    if spec.kind == "mean_curvature" and imm.n >= 4 and imm.p >= 2:
-        kw = {} if tol is None else {"tol": float(tol)}
-        return mean_tensor_report(imm, **kw)
-    kw = {} if tol is None else {"tol": float(tol)}
-    return check_inequality(imm, spec, level=sc["level"], **kw)
 
 
 def convergence_rows(immersion, spec, levels, tol=None):
@@ -151,9 +157,9 @@ def convergence_rows(immersion, spec, levels, tol=None):
     from .reports import fem_report
     rows = []
     for lvl in levels:
-        rep = fem_report(immersion, spec, level=lvl,
-                         tol=1.0 if tol is None else tol)
         mesh = mesh_for(immersion, lvl)
+        rep = fem_report(immersion, spec, mesh=mesh,
+                         tol=1.0 if tol is None else tol)
         rows.append((lvl, mesh.vertex_count, rep.lambda2, rep.rhs, rep.gap))
     return rows
 
@@ -165,6 +171,21 @@ def write_convergence_csv(rows, path):
         for lvl, nv, lam, rhs, gap in rows:
             writer.writerow((lvl, nv, "%.17g" % lam, "%.17g" % rhs,
                              "%.17g" % gap))
+
+
+def _convergence_artifact(sc, levels, outdir):
+    """Write convergence.csv and, when the scenario's operator has a
+    reference eigenvalue and there are two or more levels, plot.svg.
+    Returns (rows, fitted slope or None)."""
+    rows = convergence_rows(sc["immersion"], sc["spec"], levels)
+    write_convergence_csv(rows, os.path.join(outdir, "convergence.csv"))
+    record = sc["immersion"].reference.get(sc["spec"].label)
+    if len(rows) < 2 or record is None or not record.lambda2:
+        return rows, None
+    svg, slope = convergence_plot(rows, record.lambda2, sc["name"])
+    with open(os.path.join(outdir, "plot.svg"), "w") as fh:
+        fh.write(svg)
+    return rows, slope
 
 
 def convergence_plot(rows, reference, title):
@@ -218,8 +239,10 @@ def run_scenario(sc, out_root, seed, tol_override):
     reports = []
 
     if "report" in sc["outputs"]:
+        tol = sc["tol"] if tol_override is None else tol_override
         try:
-            rep = _scenario_report(sc, tol_override)
+            rep = check_inequality(sc["immersion"], sc["spec"],
+                                   level=sc["level"], tol=tol)
             reports.append(rep)
             if not rep.asserted:
                 summary["failures"].append(
@@ -238,13 +261,8 @@ def run_scenario(sc, out_root, seed, tol_override):
     if "convergence" in sc["outputs"]:
         levels = sc["levels"] or list(DEFAULT_LEVELS)
         try:
-            rows = convergence_rows(sc["immersion"], sc["spec"], levels)
-            write_convergence_csv(rows, os.path.join(outdir, "convergence.csv"))
-            record = sc["immersion"].reference.get(sc["spec"].label)
-            if len(rows) >= 2 and record is not None and record.lambda2:
-                svg, slope = convergence_plot(rows, record.lambda2, sc["name"])
-                with open(os.path.join(outdir, "plot.svg"), "w") as fh:
-                    fh.write(svg)
+            _, slope = _convergence_artifact(sc, levels, outdir)
+            if slope is not None:
                 summary["slope"] = slope
         except ReillyLabError as exc:
             summary["ok"] = False
@@ -279,14 +297,8 @@ def run_scenario(sc, out_root, seed, tol_override):
 def cmd_run(args) -> int:
     scenarios = load_scenarios(args.config)
     seed = default_seed(args.seed)
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(run_scenario, sc, args.out, seed, args.tol)
-                       for sc in scenarios]
-            summaries = [f.result() for f in futures]
-    else:
-        summaries = [run_scenario(sc, args.out, seed, args.tol)
-                     for sc in scenarios]
+    summaries = [run_scenario(sc, args.out, seed, args.tol)
+                 for sc in scenarios]
     ok = True
     for sm in summaries:
         status = "ok" if sm["ok"] else "FAIL"
@@ -372,17 +384,12 @@ def cmd_convergence(args) -> int:
         outdir = os.path.join(args.out, sc["name"])
         os.makedirs(outdir, exist_ok=True)
         try:
-            rows = convergence_rows(sc["immersion"], sc["spec"], levels)
+            rows, slope = _convergence_artifact(sc, levels, outdir)
         except UnsupportedConfiguration as exc:
             raise ConfigError("scenario %s: %s" % (sc["name"], exc))
-        write_convergence_csv(rows, os.path.join(outdir, "convergence.csv"))
         line = "%-40s levels %s lambda2 %.8g" % (
             sc["name"], levels, rows[-1][2])
-        record = sc["immersion"].reference.get(sc["spec"].label)
-        if len(rows) >= 2 and record is not None and record.lambda2:
-            svg, slope = convergence_plot(rows, record.lambda2, sc["name"])
-            with open(os.path.join(outdir, "plot.svg"), "w") as fh:
-                fh.write(svg)
+        if slope is not None:
             line += " slope %.2f" % slope
         print(line)
     return code
@@ -453,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--parallel", action="store_true")
     p_run.add_argument("--tol", type=float, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(fn=cmd_run)

@@ -96,17 +96,6 @@ def random_curvature(n: int, rng, c: float = 0.0) -> CurvatureData:
     return curvature_from_tensor(A, c=c)
 
 
-@dataclass(frozen=True)
-class LovelockData:
-    """Lovelock scalar, Einstein-type tensor and the four-index curvature
-    polynomial of a fixed order k."""
-
-    k: int
-    L: float
-    E2: np.ndarray  # None when 2k + 1 > n (no index assignment exists)
-    P4: np.ndarray
-
-
 def _r_product(R4, up, lo, sg, pairs: int) -> np.ndarray:
     prod = sg.copy()
     for s in range(pairs):
@@ -146,11 +135,6 @@ def lovelock_p4(curv: CurvatureData, k: int) -> np.ndarray:
     out = np.zeros((n, n, n, n))
     np.add.at(out, (up[:, 2 * k - 2], up[:, 2 * k - 1], lo[:, 2 * k - 2], lo[:, 2 * k - 1]), prod)
     return out / 2 ** k
-
-
-def lovelock(curv: CurvatureData, k: int) -> LovelockData:
-    return LovelockData(k=k, L=lovelock_scalar(curv, k),
-                        E2=lovelock_einstein(curv, k), P4=lovelock_p4(curv, k))
 
 
 def contraction_rhs(curv: CurvatureData, k: int) -> np.ndarray:

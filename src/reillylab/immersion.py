@@ -139,15 +139,6 @@ class SphereProduct(ParamDomain):
             w[sl] = v / np.linalg.norm(v)
         return w
 
-    def factor_index(self, axis: int) -> int:
-        """Factor owning chart axis `axis`."""
-        total = 0
-        for f, d in enumerate(self.dims):
-            total += d
-            if axis < total:
-                return f
-        raise ArgumentError("chart axis out of range")
-
     def chart(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         tau = np.zeros((self.dim, self.embed_dim))
@@ -368,10 +359,6 @@ class PointFrame:
     @property
     def p(self) -> int:
         return self.normal.shape[0]
-
-    def mean_vector_ambient(self) -> np.ndarray:
-        """Mean curvature vector in ambient coordinates."""
-        return self.h.mean_vector() @ self.normal
 
     def weighted_normal(self, T: np.ndarray) -> np.ndarray:
         """Normal-frame components of H_T = sum_{ij,alpha} T_ij h^a_ij e_a."""

@@ -177,13 +177,6 @@ def ball_to_hyperboloid_hessian(w: np.ndarray) -> np.ndarray:
     return hess
 
 
-def ball_to_hyperboloid() -> CallableMap:
-    """Poincare ball onto the upper hyperboloid sheet."""
-    return CallableMap(ball_to_hyperboloid_value,
-                       jacobian_fn=ball_to_hyperboloid_jacobian,
-                       hessian_fn=ball_to_hyperboloid_hessian)
-
-
 def hyperboloid_to_ball(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     den = 1.0 + x[-1]

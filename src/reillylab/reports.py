@@ -162,7 +162,8 @@ def _integrand_at(frame, spec, c):
     if trT <= 0.0:
         raise EllipticityError("tr T must be positive, got %.3e" % trT)
     wn = frame.weighted_normal(T)
-    return c * trT + float(wn @ wn) / trT, T, trT, wn
+    ht2 = float(wn @ wn)
+    return c * trT + ht2 / trT, T, trT, ht2
 
 
 def _precondition_update(pre, T, trT):
@@ -171,6 +172,23 @@ def _precondition_update(pre, T, trT):
     pre["T_posdef_min"] = min(pre.get("T_posdef_min", math.inf), float(eig[0]))
     pre["Tprime_min"] = min(pre.get("Tprime_min", math.inf), float(eigp[0]))
     pre["trT_min"] = min(pre.get("trT_min", math.inf), trT)
+
+
+def _sample_pass(frames, spec, c):
+    """Per-frame integrand c trT + |H_T|^2/trT, tr T, T and |H_T|, plus
+    the positivity preconditions over all frames."""
+    count = len(frames)
+    integrand = np.empty(count)
+    trT = np.empty(count)
+    ht = np.empty(count)
+    tensors = []
+    pre = {}
+    for i, fr in enumerate(frames):
+        integrand[i], T, trT[i], ht2 = _integrand_at(fr, spec, c)
+        ht[i] = math.sqrt(ht2)
+        tensors.append(T)
+        _precondition_update(pre, T, trT[i])
+    return integrand, trT, tensors, ht, pre
 
 
 def _radius_estimate(trT_mean, lam2, c):
@@ -207,9 +225,8 @@ def _centroid(positions, areas, triangles):
     return m / float(np.sum(areas))
 
 
-def _sphere_center(positions, areas, triangles, c):
-    """Area-weighted ambient centroid, normalized back to the space form."""
-    m = _centroid(positions, areas, triangles)
+def _sphere_center(m, c):
+    """Ambient centroid m normalized back to the space form."""
     if c == 0.0:
         return m
     if c == 1.0:
@@ -267,15 +284,44 @@ def rhs_integral(geom_or_immersion, spec: OperatorSpec, samples: int = 32,
     """
     if isinstance(geom_or_immersion, DiscreteGeometry):
         geom = geom_or_immersion
-        c = geom.immersion.ambient.c
-        vals = np.array([_integrand_at(fr, spec, c)[0]
-                         for fr in geom.vertex_frames])
+        vals = _sample_pass(geom.vertex_frames, spec,
+                            geom.immersion.ambient.c)[0]
         return geom.integrate(vals) / geom.volume, float(np.std(vals))
     imm = geom_or_immersion
-    pts = imm.sample_points(samples, seed=seed)
-    vals = np.array([_integrand_at(imm.frame_at(w), spec, imm.ambient.c)[0]
-                     for w in pts])
+    vals = _sample_pass(_sample_frames(imm, samples, seed), spec,
+                        imm.ambient.c)[0]
     return float(np.mean(vals)), float(np.std(vals))
+
+
+def _sample_frames(immersion, samples, seed):
+    return [immersion.frame_at(w)
+            for w in immersion.sample_points(samples, seed=seed)]
+
+
+def _mesh_forms(immersion, spec, level, mesh, potential=None):
+    """Geometry and assembled stiffness and mass of a mesh report."""
+    if mesh is None:
+        mesh = mesh_for(immersion, level)
+    geom = DiscreteGeometry(immersion, mesh)
+    tensor_field = None if spec.kind == "identity" else spec.tensor_at
+    stiffness, mass = assemble_forms(geom, tensor_field, potential=potential)
+    return geom, stiffness, mass
+
+
+def _mesh_residuals(geom, stiffness, mass, tensors, trT_vertex, cprime):
+    """T-minimality residual about the estimated sphere center and, when
+    cprime is given, the weak residual of L_T x = c'(trT) x."""
+    space = geom.immersion.ambient
+    centroid = _centroid(geom.positions, geom.areas, geom.mesh.triangles)
+    out = {"Tminimal_residual": _t_minimal_residual(
+        geom.vertex_frames, tensors, _sphere_center(centroid, space.c),
+        space)}
+    if cprime is not None:
+        # positions relative to the raw centroid so constant coordinates
+        # of curved ambients drop out
+        out["takahashi_residual"] = takahashi_residual(
+            geom, stiffness, mass, trT_vertex, cprime, centroid)
+    return out
 
 
 def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
@@ -286,63 +332,36 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     fraction of H_T relative to the estimated sphere center, and the weak
     residual of L_T x = c'(trT) x.  When cprime is omitted it is estimated
     from the computed second eigenvalue via c' = lambda2 / mean(trT).
+    The potential of spec, if any, is not assembled.
     """
-    if mesh is None:
-        mesh = mesh_for(immersion, level)
-    geom = DiscreteGeometry(immersion, mesh)
-    space = immersion.ambient
-    tensor_field = None if spec.kind == "identity" else spec.tensor_at
-    stiffness, mass = assemble_forms(geom, tensor_field)
-
-    trT_vertex = np.empty(mesh.vertex_count)
-    tensors = []
-    ht_max = 0.0
-    for i, fr in enumerate(geom.vertex_frames):
-        T = spec.tensor_at(fr)
-        tensors.append(T)
-        trT_vertex[i] = float(np.trace(T))
-        wn = fr.weighted_normal(T)
-        ht_max = max(ht_max, float(np.linalg.norm(wn)))
-    trT_mean = geom.integrate(trT_vertex) / geom.volume
+    geom, stiffness, mass = _mesh_forms(immersion, spec, level, mesh)
+    _, trT_vertex, tensors, ht, _ = _sample_pass(
+        geom.vertex_frames, spec, immersion.ambient.c)
     if cprime is None:
+        trT_mean = geom.integrate(trT_vertex) / geom.volume
         cprime = solve_pencil(stiffness, mass, count=4).lambda2() / trT_mean
-
-    center = _sphere_center(geom.positions, geom.areas, mesh.triangles, space.c)
-    return {
-        "HT_max": ht_max,
-        "Tminimal_residual": _t_minimal_residual(geom.vertex_frames, tensors,
-                                                 center, space),
-        "takahashi_residual": takahashi_residual(
-            geom, stiffness, mass, trT_vertex, cprime,
-            _centroid(geom.positions, geom.areas, mesh.triangles)),
-        "cprime": float(cprime),
-    }
+    out = {"HT_max": float(np.max(ht))}
+    out.update(_mesh_residuals(geom, stiffness, mass, tensors, trT_vertex,
+                               cprime))
+    out["cprime"] = float(cprime)
+    return out
 
 
 def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
                tol: float = TOL_FEM, count: int = 12,
                chain=None) -> ReillyReport:
     """Assemble, solve, and diagnose the bound on a triangle mesh."""
-    if mesh is None:
-        mesh = mesh_for(immersion, level)
-    geom = DiscreteGeometry(immersion, mesh)
+    geom, stiffness, mass = _mesh_forms(immersion, spec, level, mesh,
+                                        spec.potential)
     space = immersion.ambient
     c = space.c
 
-    tensor_field = None if spec.kind == "identity" else spec.tensor_at
-    stiffness, mass = assemble_forms(geom, tensor_field, potential=spec.potential)
     spectrum = solve_pencil(stiffness, mass, count=count)
     has_q = spec.potential is not None
     lam2 = spectrum.lambda2(has_potential=has_q)
 
-    pre = {}
-    integrand = np.empty(mesh.vertex_count)
-    trT_vertex = np.empty(mesh.vertex_count)
-    tensors = []
-    for i, fr in enumerate(geom.vertex_frames):
-        integrand[i], T, trT_vertex[i], _ = _integrand_at(fr, spec, c)
-        tensors.append(T)
-        _precondition_update(pre, T, trT_vertex[i])
+    integrand, trT_vertex, tensors, _, pre = _sample_pass(
+        geom.vertex_frames, spec, c)
     rhs = geom.integrate(integrand) / geom.volume
 
     qbar = 0.0
@@ -354,24 +373,17 @@ def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
 
     trT_mean = geom.integrate(trT_vertex) / geom.volume
     radius, notes = _radius_estimate(trT_mean, lam2 - qbar, c)
-    center = _sphere_center(geom.positions, geom.areas, mesh.triangles, c)
+    cprime = (lam2 - qbar) / trT_mean
     equality = {
         "trT_mean": trT_mean,
         "trT_stddev": float(np.std(trT_vertex)),
-        "Tminimal_residual": _t_minimal_residual(geom.vertex_frames, tensors,
-                                                 center, space),
         "radius_estimate": radius,
     }
-    cprime = (lam2 - qbar) / trT_mean
+    equality.update(_mesh_residuals(geom, stiffness, mass, tensors,
+                                    trT_vertex, None if has_q else cprime))
     if has_q:
         field_vals = cprime * trT_vertex + qvals
         equality["potential_constancy_stddev"] = float(np.std(field_vals))
-    else:
-        # weak residual of L_T x = c'(trT) x; positions relative to the raw
-        # centroid so constant coordinates of curved ambients drop out
-        equality["takahashi_residual"] = takahashi_residual(
-            geom, stiffness, mass, trT_vertex, cprime,
-            _centroid(geom.positions, geom.areas, mesh.triangles))
     if chain is not None:
         equality["HT_alignment_residual"] = ht_alignment_residual(
             geom.vertex_frames, tensors, chain, space)
@@ -399,6 +411,28 @@ def ht_alignment_residual(frames, tensors, chain, space):
     return worst
 
 
+def _exact_record(immersion, label):
+    """Reference record of `label` carrying a sphere or product backend."""
+    record = immersion.reference.get(label)
+    if record is None or record.backend.get("kind") not in ("sphere", "product"):
+        raise UnsupportedConfiguration(
+            "no closed-form spectral backend for %s on %s"
+            % (label, immersion.name))
+    return record
+
+
+def _exact_lambda2(record, count):
+    """(lambda2, backend) from a record's weighted sphere or product data."""
+    back = record.backend
+    if back["kind"] == "sphere":
+        spectrum = sphere_spectrum(back["dim"], back["radius"], count=count)
+        return back.get("scale", 1.0) * spectrum.lambda2(), spectrum.backend
+    spectrum = product_spectrum(
+        [(f["dim"], f["radius"]) for f in back["factors"]],
+        weights=[f["t"] for f in back["factors"]], count=count)
+    return spectrum.lambda2(), spectrum.backend
+
+
 def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
                        seed: int = 0, tol: float = TOL_EXACT,
                        count: int = 12) -> ReillyReport:
@@ -408,51 +442,29 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
     weighted sphere backend or per-factor product data.  The right side is
     still evaluated independently from sampled frames.
     """
-    record = immersion.reference.get(spec.label)
-    if record is None or record.backend.get("kind") not in ("sphere", "product"):
-        raise UnsupportedConfiguration(
-            "no closed-form spectral backend for %s on %s"
-            % (spec.label, immersion.name))
+    record = _exact_record(immersion, spec.label)
     space = immersion.ambient
     c = space.c
 
-    pts = immersion.sample_points(samples, seed=seed)
-    frames = [immersion.frame_at(w) for w in pts]
-    pre = {}
-    vals = np.empty(samples)
-    trs = np.empty(samples)
-    tensors = []
-    for i, fr in enumerate(frames):
-        vals[i], T, trs[i], _ = _integrand_at(fr, spec, c)
-        tensors.append(T)
-        _precondition_update(pre, T, trs[i])
+    frames = _sample_frames(immersion, samples, seed)
+    vals, trs, tensors, _, pre = _sample_pass(frames, spec, c)
     rhs = float(np.mean(vals))
-
-    back = record.backend
-    if back["kind"] == "sphere":
-        spectrum = sphere_spectrum(back["dim"], back["radius"], count=count)
-        lam2 = back.get("scale", 1.0) * spectrum.lambda2()
-    else:
-        spectrum = product_spectrum(
-            [(f["dim"], f["radius"]) for f in back["factors"]],
-            weights=[f["t"] for f in back["factors"]], count=count)
-        lam2 = spectrum.lambda2()
+    lam2, backend = _exact_lambda2(record, count)
 
     trT_mean = float(np.mean(trs))
     radius, notes = _radius_estimate(trT_mean, lam2, c)
-    center = record.center if record.center is not None else None
     equality = {
         "trT_mean": trT_mean,
         "trT_stddev": float(np.std(trs)),
         "radius_estimate": radius,
     }
-    if center is not None:
+    if record.center is not None:
         equality["Tminimal_residual"] = _t_minimal_residual(
-            frames, tensors, np.asarray(center, dtype=float), space)
+            frames, tensors, np.asarray(record.center, dtype=float), space)
 
     report = ReillyReport(
         name=immersion.name, c=c, operator=spec.label, lambda2=lam2, rhs=rhs,
-        volume=math.nan, backend=spectrum.backend, tolerance=tol,
+        volume=math.nan, backend=backend, tolerance=tol,
         preconditions=pre, equality=equality, notes=notes)
     _assert_bound(report, tol)
     return report
@@ -460,12 +472,16 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
 
 def check_inequality(immersion, spec: OperatorSpec, level: int = 4,
                      tol: float = None, **kw) -> ReillyReport:
-    """Dispatch to the mesh solver (surfaces) or exact spectra (n >= 3)."""
+    """Dispatch to the mesh solver (surfaces), to the mean-tensor report
+    (the mean_curvature operator with n >= 4 and p >= 2, where `level`
+    is unused), or to exact spectra (n >= 3)."""
     if immersion.n == 2:
         return fem_report(immersion, spec, level=level,
                           tol=TOL_FEM if tol is None else tol, **kw)
-    return closed_form_report(immersion, spec,
-                              tol=TOL_EXACT if tol is None else tol, **kw)
+    tol = TOL_EXACT if tol is None else tol
+    if spec.kind == "mean_curvature" and immersion.n >= 4 and immersion.p >= 2:
+        return mean_tensor_report(immersion, tol=tol, **kw)
+    return closed_form_report(immersion, spec, tol=tol, **kw)
 
 
 def _assert_bound(report: ReillyReport, tol: float):
@@ -512,21 +528,15 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
     spec = OperatorSpec(kind="mean_curvature")
     c = immersion.ambient.c
 
-    pts = immersion.sample_points(samples, seed=seed)
-    pre = {}
-    general = np.empty(samples)
-    split = np.empty(samples)
-    trs = np.empty(samples)
+    frames = _sample_frames(immersion, samples, seed)
+    split = np.empty(len(frames))
     h2min = math.inf
-    for i, w in enumerate(pts):
-        fr = immersion.frame_at(w)
+    for i, fr in enumerate(frames):
         data = mean_curvature_tensor(fr.h)
         if data.H2 <= 0.0:
             raise EllipticityError(
                 "second mean curvature must be positive, got %.3e" % data.H2)
         h2min = min(h2min, data.H2)
-        general[i], T, trs[i], _ = _integrand_at(fr, spec, c)
-        _precondition_update(pre, T, trs[i])
 
         hmat = fr.h.h  # (p, n, n)
         unit = fr.h.mean_vector() / (data.H * 1.0)
@@ -539,28 +549,16 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
             c * H
             + (data.H2 + tau2 / (n * (n - 1))) ** 2 / H
             + cross / (n ** 2 * (n - 1) ** 2 * H))
+    # tr T = n(n-1)|H| > 0 here, so the pass cannot fail on tr T
+    general, trs, _, _, pre = _sample_pass(frames, spec, c)
 
     agree = float(np.max(np.abs(general - split)))
     if agree > 1e-10 * max(1.0, float(np.max(np.abs(general)))):
         raise InequalityViolation(
             "decomposed and general right sides disagree by %.3e" % agree)
 
-    record = immersion.reference.get("mean_curvature")
-    if record is None or record.backend.get("kind") not in ("sphere", "product"):
-        raise UnsupportedConfiguration(
-            "no closed-form spectral backend for the mean tensor on %s"
-            % immersion.name)
-    back = record.backend
-    if back["kind"] == "sphere":
-        lam2 = back.get("scale", 1.0) * sphere_spectrum(
-            back["dim"], back["radius"], count=count).lambda2()
-        backend = "sphere-exact"
-    else:
-        lam2 = product_spectrum(
-            [(f["dim"], f["radius"]) for f in back["factors"]],
-            weights=[f["t"] for f in back["factors"]], count=count).lambda2()
-        backend = "product-exact"
-
+    lam2, backend = _exact_lambda2(_exact_record(immersion, "mean_curvature"),
+                                   count)
     rhs = float(np.mean(general))
     trT_mean = float(np.mean(trs))
     radius, notes = _radius_estimate(trT_mean, lam2, c)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateNormalError, ShapeError
+from .errors import ShapeError
 
 _SYM_TOL = 1e-12
 
@@ -59,19 +59,6 @@ class SecondFundamentalForm:
         """Squared length of the full form, sum over all components."""
         return float(np.sum(self.h * self.h))
 
-    def principal_direction_form(self) -> np.ndarray:
-        """Component of h along the unit mean curvature vector.
-
-        Raises if |H| vanishes; callers that tolerate minimal points must
-        check mean_vector first.
-        """
-        hvec = self.mean_vector()
-        hlen = float(np.linalg.norm(hvec))
-        if hlen < 1e-14:
-            raise DegenerateNormalError("mean curvature vector vanishes")
-        return np.einsum("x,xij->ij", hvec / hlen, self.h)
-
-
 @dataclass(frozen=True)
 class MeanCurvatureProfile:
     """Symmetric-function data of a second fundamental form.
@@ -92,6 +79,3 @@ class MeanCurvatureProfile:
 
     def mean(self, r: int) -> float:
         return self.scalars[r] / math.comb(self.n, r)
-
-    def mean_vector_r(self, r: int) -> np.ndarray:
-        return self.vectors[r] / math.comb(self.n, r)

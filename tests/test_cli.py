@@ -86,6 +86,21 @@ class TestLoadScenarios:
         with pytest.raises(ConfigError, match="potential"):
             load_scenarios(cfg)
 
+    @pytest.mark.parametrize("extra", [
+        {"operator": "newton:x"},
+        {"operator": {"kind": "newton", "degree": "two"}},
+        {"operator": {"kind": "newton", "degree": -1}},
+        {"operator": ["identity"]},
+        {"operator": {"kind": "identity", "potential": 3}},
+        {"level": "four"},
+        {"count": "x"},
+    ])
+    def test_malformed_field_is_config_error(self, tmp_path, extra):
+        cfg = write_config(tmp_path, {"scenarios": [sphere_scenario(**extra)]})
+        with pytest.raises(ConfigError, match="round_sphere"):
+            load_scenarios(cfg)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+
     def test_empty_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"scenarios": []})
         with pytest.raises(ConfigError, match="nonempty"):
@@ -113,17 +128,6 @@ class TestRunCommand:
         for fname in ("report.csv", "report.json"):
             a = open(os.path.join(out1, "round_sphere", fname), "rb").read()
             b = open(os.path.join(out2, "round_sphere", fname), "rb").read()
-            assert a == b
-
-    def test_parallel_matches_serial(self, tmp_path):
-        out1, out2 = str(tmp_path / "ser"), str(tmp_path / "par")
-        assert main(["run", BUNDLED, "--out", out1]) == 0
-        assert main(["run", BUNDLED, "--out", out2, "--parallel"]) == 0
-        for sc in load_scenarios(BUNDLED):
-            a = open(os.path.join(out1, sc["name"], "report.csv"),
-                     "rb").read()
-            b = open(os.path.join(out2, sc["name"], "report.csv"),
-                     "rb").read()
             assert a == b
 
     def test_malformed_json_exit_one(self, tmp_path):

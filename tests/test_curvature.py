@@ -9,7 +9,7 @@ import pytest
 
 from reillylab.curvature import (contraction_residual, contraction_lhs,
                                  contraction_rhs, curvature_from_tensor,
-                                 gauss_curvature, lovelock, lovelock_einstein,
+                                 gauss_curvature, lovelock_einstein,
                                  lovelock_p4, lovelock_scalar,
                                  random_curvature)
 from reillylab.secondform import SecondFundamentalForm

@@ -145,6 +145,16 @@ class TestTMinimality:
         assert coarse["Tminimal_residual"] < 1e-10
         assert coarse["takahashi_residual"] / fine["takahashi_residual"] >= 3.0
 
+    def test_matches_fem_report(self):
+        imm = ellipsoid()
+        spec = OperatorSpec(kind="newton", degree=0)
+        mesh = mesh_for(imm, 2)
+        rep = fem_report(imm, spec, mesh=mesh)
+        diag = t_minimality(imm, spec, mesh=mesh,
+                            cprime=rep.lambda2 / rep.equality["trT_mean"])
+        for key in ("Tminimal_residual", "takahashi_residual"):
+            assert diag[key] == rep.equality[key]
+
 
 class TestClosedFormReports:
     def test_clifford_newton2_equality(self):
@@ -175,6 +185,10 @@ class TestClosedFormReports:
         assert rep.backend == "product-exact"
         rep = check_inequality(sphere(2, 1.0, 1, 0.0), OperatorSpec(), level=2)
         assert rep.backend.startswith("fem")
+        rep = check_inequality(sphere(4, 0.8, 2, 0.0),
+                               OperatorSpec(kind="mean_curvature"))
+        assert rep.backend == "sphere-exact"
+        assert "decomposition_agreement" in rep.equality
 
 
 class TestMeanTensorReports:
