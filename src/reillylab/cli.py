@@ -8,8 +8,6 @@ gallery.  Exit codes: 0 all checks passed, 1 configuration problem,
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -28,7 +26,7 @@ from .identities import (conformal_stretch_residual, identity_suite,
 from .mesh import load_off, save_off
 from .moebius import ConformalChain, MoebiusParam, hyperboloid_to_ball
 from .reports import (check_inequality, mesh_for, operator_from_label,
-                      reports_json, write_report_csv)
+                      reports_json, write_csv, write_report_csv)
 from .svgplot import fit_loglog_slope, line_plot
 
 DEFAULT_LEVELS = (3, 4, 5)
@@ -53,7 +51,8 @@ def _field(cfg, key, default, convert, where):
         raise ConfigError("%s: malformed %r: %r" % (where, key, value))
 
 
-def _potential_from_config(cfg, where):
+def _potential_from_config(cfg, where, coords):
+    """A constant or a scaled ambient coordinate among `coords` of them."""
     if not isinstance(cfg, dict):
         raise ConfigError("%s: potential must be an object" % where)
     kind = cfg.get("kind", "constant")
@@ -62,12 +61,15 @@ def _potential_from_config(cfg, where):
         return lambda fr: value
     if kind == "coordinate":
         axis = _field(cfg, "axis", 0, int, where)
+        if not 0 <= axis < coords:
+            raise ConfigError("%s: potential axis %d outside 0..%d"
+                              % (where, axis, coords - 1))
         scale = _field(cfg, "scale", 1.0, float, where)
         return lambda fr: scale * float(fr.point[axis])
     raise ConfigError("%s: unknown potential kind %r" % (where, kind))
 
 
-def _operator_from_config(cfg, where):
+def _operator_from_config(cfg, where, coords):
     """A label string, or an object with kind, degree and potential."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
@@ -81,8 +83,8 @@ def _operator_from_config(cfg, where):
     except ValueError as exc:
         raise ConfigError("%s: operator rejected: %s" % (where, exc))
     if "potential" in cfg:
-        spec = replace(spec, potential=_potential_from_config(cfg["potential"],
-                                                              where))
+        spec = replace(spec, potential=_potential_from_config(
+            cfg["potential"], where, coords))
     return spec
 
 
@@ -127,7 +129,8 @@ def load_scenarios(path) -> list:
         except (ReillyLabError, TypeError) as exc:
             raise ConfigError("%s: geometry parameters rejected: %s"
                               % (where, exc))
-        spec = _operator_from_config(sc.get("operator", "identity"), where)
+        spec = _operator_from_config(sc.get("operator", "identity"), where,
+                                     imm.ambient.coords)
         level = _field(sc, "level", 4, int, where)
         levels = _field(sc, "levels", None, lambda v: [int(x) for x in v],
                         where)
@@ -165,12 +168,9 @@ def convergence_rows(immersion, spec, levels, tol=None):
 
 
 def write_convergence_csv(rows, path):
-    with open(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("level", "vertices", "lambda2", "rhs", "gap"))
-        for lvl, nv, lam, rhs, gap in rows:
-            writer.writerow((lvl, nv, "%.17g" % lam, "%.17g" % rhs,
-                             "%.17g" % gap))
+    write_csv(("level", "vertices", "lambda2", "rhs", "gap"),
+              [(lvl, nv, "%.17g" % lam, "%.17g" % rhs, "%.17g" % gap)
+               for lvl, nv, lam, rhs, gap in rows], path)
 
 
 def _convergence_artifact(sc, levels, outdir):
@@ -217,18 +217,10 @@ def _balance_artifact(sc, outdir):
 
 
 def write_balance_csv(result, path_or_stream):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("iteration", "residual", "gnorm", "step"))
-    for it, res, gn, step in result.history_rows():
-        writer.writerow((it, "%.17g" % res, "%.17g" % gn, "%.17g" % step))
-    text = buf.getvalue()
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w") as fh:
-            fh.write(text)
-    return text
+    return write_csv(("iteration", "residual", "gnorm", "step"),
+                     [(it, "%.17g" % res, "%.17g" % gn, "%.17g" % step)
+                      for it, res, gn, step in result.history_rows()],
+                     path_or_stream)
 
 
 def run_scenario(sc, out_root, seed, tol_override):
@@ -281,11 +273,9 @@ def run_scenario(sc, out_root, seed, tol_override):
 
     if "identities" in sc["outputs"]:
         suite = identity_suite(instances=sc["count"], seed=seed)
-        with open(os.path.join(outdir, "identities.csv"), "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("identity", "max_residual"))
-            for key in sorted(suite):
-                writer.writerow((key, "%.17g" % suite[key]))
+        write_csv(("identity", "max_residual"),
+                  [(key, "%.17g" % suite[key]) for key in sorted(suite)],
+                  os.path.join(outdir, "identities.csv"))
         worst = max(suite.values()) if suite else 0.0
         if worst > 1e-10:
             summary["ok"] = False

@@ -1,10 +1,11 @@
 """Randomized verification suites for the algebraic and conformal identities.
 
-Every algebraic check draws a random second fundamental form, normalizes it
-to unit Frobenius norm, and reports the worst absolute residual, so the
-suite tolerances are scale free.  The geometric checks compare frame data
-of an immersion with the conformal transformation laws and with the weak
-form of the curvature identity satisfied by the conformal factor.
+The algebraic suite draws random second fundamental forms of unit Frobenius
+norm, evaluates each form's Newton, curvature and Lovelock families once,
+and reports the worst absolute residual of every identity over the forms,
+so the suite tolerances are scale free.  The geometric checks compare
+frame data of an immersion with the conformal transformation laws and with
+the weak form of the curvature identity satisfied by the conformal factor.
 """
 
 import numpy as np
@@ -23,70 +24,60 @@ def random_unit_form(rng, n: int, p: int) -> SecondFundamentalForm:
     return SecondFundamentalForm(h / np.linalg.norm(h))
 
 
-def _trace_residual(h) -> float:
+def _form_residuals(h, c: float) -> dict:
+    """Every algebraic residual of one form, from one recursion chain, one
+    oracle list T_0..T_n, one curvature and one list E_0..E_{n//2}."""
     n = h.n
     tensors, scalars, vectors = newton_chain(h, n)
-    worst = 0.0
+    oracle = [newton_kronecker(h, r) for r in range(n + 1)]
+    curv = gauss_curvature(h, c)
+    einstein = [lovelock_einstein(curv, k) for k in range(n // 2 + 1)]
+    out = {"newton_trace": 0.0, "newton_recursion": 0.0,
+           "weighted_mean": 0.0, "lovelock_trace": 0.0,
+           "lovelock_pairing": 0.0, "lovelock_partial": 0.0}
     for r in range(n + 1):
         tr = tensors[r].trace()
         if tensors[r].vector_valued:
-            worst = max(worst, float(np.max(np.abs(tr - (n - r) * vectors[r]))))
+            err = float(np.max(np.abs(tr - (n - r) * vectors[r])))
         else:
             want = (n - r) * scalars[r] if r in scalars else (n - r) * vectors[r][0]
-            worst = max(worst, abs(tr - want))
-    return worst
+            err = abs(tr - want)
+        out["newton_trace"] = max(out["newton_trace"], err)
+        out["newton_recursion"] = max(
+            out["newton_recursion"],
+            float(np.max(np.abs(tensors[r].data - oracle[r].data))))
 
-
-def _recursion_residual(h) -> float:
-    n = h.n
-    tensors, _, _ = newton_chain(h, n)
-    worst = 0.0
-    for r in range(n + 1):
-        oracle = newton_kronecker(h, r)
-        worst = max(worst, float(np.max(np.abs(tensors[r].data - oracle.data))))
-    return worst
-
-
-def _weighted_mean_residual(h) -> float:
     # H_{T_r} = (r + 1) S_{r+1}, with S_{r+1} recovered from the trace of
     # the independently evaluated next transformation
-    n = h.n
-    worst = 0.0
     for r in range(0, n - 1, 2):
-        t_r = newton_kronecker(h, r)
-        h_t = weighted_mean_curvature(t_r, h)
-        t_next = newton_kronecker(h, r + 1)
-        s_next = np.atleast_1d(t_next.trace()) / (n - r - 1)
-        worst = max(worst, float(np.max(np.abs(h_t - (r + 1) * s_next))))
-    return worst
+        h_t = weighted_mean_curvature(oracle[r], h)
+        s_next = np.atleast_1d(oracle[r + 1].trace()) / (n - r - 1)
+        out["weighted_mean"] = max(
+            out["weighted_mean"], float(np.max(np.abs(h_t - (r + 1) * s_next))))
 
-
-def _gauss_scalar_residual(h, c: float) -> float:
-    curv = gauss_curvature(h, c)
-    n = h.n
     mean2 = float(np.sum(h.mean_vector() ** 2))
-    return abs(curv.scalar - (n * (n - 1) * c + n * n * mean2 - h.norm2()))
+    out["gauss_scalar"] = abs(curv.scalar - (n * (n - 1) * c + n * n * mean2
+                                             - h.norm2()))
 
-
-def _lovelock_residuals(h, c: float) -> dict:
-    n = h.n
-    curv = gauss_curvature(h, c)
     eye = np.eye(n)
-    out = {"lovelock_trace": 0.0, "lovelock_pairing": 0.0, "lovelock_partial": 0.0}
     for k in range(1, n // 2 + 1):
         L = lovelock_scalar(curv, k)
         P = lovelock_p4(curv, k)
-        E = lovelock_einstein(curv, k)
+        E = einstein[k]
         if E is not None:
             out["lovelock_trace"] = max(
                 out["lovelock_trace"], abs(np.trace(E) + 0.5 * (n - 2 * k) * L))
             Wk = np.einsum("stlj,stli->ij", P, curv.R4)
             out["lovelock_pairing"] = max(
                 out["lovelock_pairing"], float(np.max(np.abs(E - k * Wk + 0.5 * L * eye))))
-        prev = lovelock_einstein(curv, k - 1)
         ptrace = np.einsum("sisj->ij", P)
         out["lovelock_partial"] = max(
-            out["lovelock_partial"], float(np.max(np.abs(ptrace + (n - 2 * k + 1) * prev))))
+            out["lovelock_partial"],
+            float(np.max(np.abs(ptrace + (n - 2 * k + 1) * einstein[k - 1]))))
+
+    out["contraction_k1"] = contraction_residual(h, c, 1)
+    if n >= 4:
+        out["contraction_k2"] = contraction_residual(h, c, 2)
     return out
 
 
@@ -95,7 +86,8 @@ def identity_suite(instances: int = 100, seed: int = 0) -> dict:
 
     Dimensions cycle through 2..6 and codimensions through 1..3; the
     contraction checks run at first order everywhere and at second order
-    for n in {4, 5, 6}.
+    for n in {4, 5, 6}.  Each form's Newton, curvature and Lovelock
+    families are evaluated once and shared by all of its checks.
     """
     rng = np.random.default_rng(seed)
     worst = {"newton_trace": 0.0, "newton_recursion": 0.0,
@@ -108,20 +100,8 @@ def identity_suite(instances: int = 100, seed: int = 0) -> dict:
         p = 1 + i % 3
         c = float([-1.0, 0.0, 1.0][i % 3])
         h = random_unit_form(rng, n, p)
-        worst["newton_trace"] = max(worst["newton_trace"], _trace_residual(h))
-        worst["newton_recursion"] = max(worst["newton_recursion"],
-                                        _recursion_residual(h))
-        worst["weighted_mean"] = max(worst["weighted_mean"],
-                                     _weighted_mean_residual(h))
-        worst["gauss_scalar"] = max(worst["gauss_scalar"],
-                                    _gauss_scalar_residual(h, c))
-        for key, val in _lovelock_residuals(h, c).items():
+        for key, val in _form_residuals(h, c).items():
             worst[key] = max(worst[key], val)
-        worst["contraction_k1"] = max(worst["contraction_k1"],
-                                      contraction_residual(h, c, 1))
-        if n >= 4:
-            worst["contraction_k2"] = max(worst["contraction_k2"],
-                                          contraction_residual(h, c, 2))
     return worst
 
 

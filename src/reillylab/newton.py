@@ -135,14 +135,10 @@ def newton_chain(h, rmax: int):
     return tensors, scalars, vectors
 
 
-def newton_tensor(h, r: int, method: str = "recursion") -> NewtonTensor:
-    """Newton transformation of rank r by the requested evaluation path."""
-    if method == "recursion":
-        tensors, _, _ = newton_chain(h, r)
-        return tensors[r]
-    if method == "kronecker":
-        return newton_kronecker(h, r)
-    raise ArgumentError("method must be 'recursion' or 'kronecker'")
+def newton_tensor(h, r: int) -> NewtonTensor:
+    """Newton transformation of rank r, through the recursion path."""
+    tensors, _, _ = newton_chain(h, r)
+    return tensors[r]
 
 
 def weighted_mean_curvature(T, h) -> np.ndarray:

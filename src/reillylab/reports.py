@@ -136,17 +136,15 @@ class ReillyReport:
                 self.backend]
 
 
-def write_report_csv(reports, stream_or_path):
-    """One header line and one row per report, stable formatting.
-
-    Gallery names contain commas, so rows go through the csv module's
-    minimal quoting.
+def write_csv(header, rows, stream_or_path):
+    """Write a header line and the rows to a stream or a path; returns
+    the text.  Cells go through the csv module's minimal quoting (gallery
+    names contain commas) and every line ends in a bare newline.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rep in reports:
-        writer.writerow(rep.csv_cells())
+    writer.writerow(header)
+    writer.writerows(rows)
     text = buf.getvalue()
     if hasattr(stream_or_path, "write"):
         stream_or_path.write(text)
@@ -156,14 +154,10 @@ def write_report_csv(reports, stream_or_path):
     return text
 
 
-def _integrand_at(frame, spec, c):
-    T = spec.tensor_at(frame)
-    trT = float(np.trace(T))
-    if trT <= 0.0:
-        raise EllipticityError("tr T must be positive, got %.3e" % trT)
-    wn = frame.weighted_normal(T)
-    ht2 = float(wn @ wn)
-    return c * trT + ht2 / trT, T, trT, ht2
+def write_report_csv(reports, stream_or_path):
+    """One header line and one row per report, stable formatting."""
+    return write_csv(CSV_COLUMNS, [rep.csv_cells() for rep in reports],
+                     stream_or_path)
 
 
 def _precondition_update(pre, T, trT):
@@ -174,21 +168,31 @@ def _precondition_update(pre, T, trT):
     pre["trT_min"] = min(pre.get("trT_min", math.inf), trT)
 
 
-def _sample_pass(frames, spec, c):
-    """Per-frame integrand c trT + |H_T|^2/trT, tr T, T and |H_T|, plus
-    the positivity preconditions over all frames."""
+def _sample_pass(frames, tensors, c):
+    """Per-frame integrand c trT + |H_T|^2/trT, tr T, the ambient vector
+    H_T and |H_T|, plus the positivity preconditions over all frames.
+
+    `tensors` yields the weight tensor of each frame in frame order; a
+    lazy map(spec.tensor_at, frames) builds each one just before its
+    sample is checked.
+    """
     count = len(frames)
     integrand = np.empty(count)
     trT = np.empty(count)
     ht = np.empty(count)
-    tensors = []
+    ht_ambient = []
     pre = {}
-    for i, fr in enumerate(frames):
-        integrand[i], T, trT[i], ht2 = _integrand_at(fr, spec, c)
+    for i, (fr, T) in enumerate(zip(frames, tensors)):
+        trT[i] = tr = float(np.trace(T))
+        if tr <= 0.0:
+            raise EllipticityError("tr T must be positive, got %.3e" % tr)
+        wn = fr.weighted_normal(T)
+        ht2 = float(wn @ wn)
+        integrand[i] = c * tr + ht2 / tr
         ht[i] = math.sqrt(ht2)
-        tensors.append(T)
+        ht_ambient.append(wn @ fr.normal)
         _precondition_update(pre, T, trT[i])
-    return integrand, trT, tensors, ht, pre
+    return integrand, trT, ht_ambient, ht, pre
 
 
 def _radius_estimate(trT_mean, lam2, c):
@@ -236,7 +240,7 @@ def _sphere_center(m, c):
     return m / math.sqrt(q) if q > 1e-12 else m
 
 
-def _t_minimal_residual(frames, tensors, center, space):
+def _t_minimal_residual(frames, ht_ambient, center, space):
     """Largest non-radial part of H_T relative to the estimated center.
 
     A T-minimal submanifold of a geodesic sphere has H_T parallel to the
@@ -244,9 +248,7 @@ def _t_minimal_residual(frames, tensors, center, space):
     """
     worst = 0.0
     scale = 1e-30
-    for fr, T in zip(frames, tensors):
-        wn = fr.weighted_normal(T)
-        ht = wn @ fr.normal
+    for fr, ht in zip(frames, ht_ambient):
         scale = max(scale, float(np.sqrt(abs(space.inner(ht, ht)))))
         if space.c == 0.0:
             rad = fr.point - center
@@ -284,12 +286,13 @@ def rhs_integral(geom_or_immersion, spec: OperatorSpec, samples: int = 32,
     """
     if isinstance(geom_or_immersion, DiscreteGeometry):
         geom = geom_or_immersion
-        vals = _sample_pass(geom.vertex_frames, spec,
+        frames = geom.vertex_frames
+        vals = _sample_pass(frames, map(spec.tensor_at, frames),
                             geom.immersion.ambient.c)[0]
         return geom.integrate(vals) / geom.volume, float(np.std(vals))
     imm = geom_or_immersion
-    vals = _sample_pass(_sample_frames(imm, samples, seed), spec,
-                        imm.ambient.c)[0]
+    frames = _sample_frames(imm, samples, seed)
+    vals = _sample_pass(frames, map(spec.tensor_at, frames), imm.ambient.c)[0]
     return float(np.mean(vals)), float(np.std(vals))
 
 
@@ -308,13 +311,13 @@ def _mesh_forms(immersion, spec, level, mesh, potential=None):
     return geom, stiffness, mass
 
 
-def _mesh_residuals(geom, stiffness, mass, tensors, trT_vertex, cprime):
+def _mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex, cprime):
     """T-minimality residual about the estimated sphere center and, when
     cprime is given, the weak residual of L_T x = c'(trT) x."""
     space = geom.immersion.ambient
     centroid = _centroid(geom.positions, geom.areas, geom.mesh.triangles)
     out = {"Tminimal_residual": _t_minimal_residual(
-        geom.vertex_frames, tensors, _sphere_center(centroid, space.c),
+        geom.vertex_frames, ht_ambient, _sphere_center(centroid, space.c),
         space)}
     if cprime is not None:
         # positions relative to the raw centroid so constant coordinates
@@ -335,33 +338,34 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     The potential of spec, if any, is not assembled.
     """
     geom, stiffness, mass = _mesh_forms(immersion, spec, level, mesh)
-    _, trT_vertex, tensors, ht, _ = _sample_pass(
-        geom.vertex_frames, spec, immersion.ambient.c)
+    frames = geom.vertex_frames
+    _, trT_vertex, ht_ambient, ht, _ = _sample_pass(
+        frames, map(spec.tensor_at, frames), immersion.ambient.c)
     if cprime is None:
         trT_mean = geom.integrate(trT_vertex) / geom.volume
         cprime = solve_pencil(stiffness, mass, count=4).lambda2() / trT_mean
     out = {"HT_max": float(np.max(ht))}
-    out.update(_mesh_residuals(geom, stiffness, mass, tensors, trT_vertex,
+    out.update(_mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex,
                                cprime))
     out["cprime"] = float(cprime)
     return out
 
 
 def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
-               tol: float = TOL_FEM, count: int = 12,
-               chain=None) -> ReillyReport:
+               tol: float = TOL_FEM, chain=None) -> ReillyReport:
     """Assemble, solve, and diagnose the bound on a triangle mesh."""
     geom, stiffness, mass = _mesh_forms(immersion, spec, level, mesh,
                                         spec.potential)
     space = immersion.ambient
     c = space.c
 
-    spectrum = solve_pencil(stiffness, mass, count=count)
+    spectrum = solve_pencil(stiffness, mass)
     has_q = spec.potential is not None
     lam2 = spectrum.lambda2(has_potential=has_q)
 
-    integrand, trT_vertex, tensors, _, pre = _sample_pass(
-        geom.vertex_frames, spec, c)
+    frames = geom.vertex_frames
+    integrand, trT_vertex, ht_ambient, _, pre = _sample_pass(
+        frames, map(spec.tensor_at, frames), c)
     rhs = geom.integrate(integrand) / geom.volume
 
     qbar = 0.0
@@ -379,33 +383,35 @@ def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
         "trT_stddev": float(np.std(trT_vertex)),
         "radius_estimate": radius,
     }
-    equality.update(_mesh_residuals(geom, stiffness, mass, tensors,
+    equality.update(_mesh_residuals(geom, stiffness, mass, ht_ambient,
                                     trT_vertex, None if has_q else cprime))
     if has_q:
         field_vals = cprime * trT_vertex + qvals
         equality["potential_constancy_stddev"] = float(np.std(field_vals))
     if chain is not None:
         equality["HT_alignment_residual"] = ht_alignment_residual(
-            geom.vertex_frames, tensors, chain, space)
+            frames, ht_ambient, trT_vertex, chain, space)
 
     report = ReillyReport(
         name=immersion.name, c=c, operator=spec.label, lambda2=lam2, rhs=rhs,
         volume=geom.volume, backend=spectrum.backend, tolerance=tol,
-        preconditions=pre, equality=equality, qbar=qbar)
+        preconditions=pre, equality=equality, qbar=qbar, notes=notes)
     _assert_bound(report, tol)
     return report
 
 
-def ht_alignment_residual(frames, tensors, chain, space):
+def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
     """Deviation of H_T from (tr T) times the normal gradient of the
-    conformal factor; vanishes exactly on balanced equality cases."""
+    conformal factor; vanishes exactly on balanced equality cases.
+
+    ht_ambient and trT hold the ambient H_T and tr T of each frame.
+    """
     worst = 0.0
-    for fr, T in zip(frames, tensors):
-        ht = fr.weighted_normal(T) @ fr.normal
+    for fr, ht, tr in zip(frames, ht_ambient, trT):
         grad = chain.grad_rho(fr.point)
         tang = np.array([space.inner(grad, e) for e in fr.tangent])
         perp = grad - tang @ fr.tangent
-        resid = ht - float(np.trace(T)) * perp
+        resid = ht - tr * perp
         mag = math.sqrt(abs(space.inner(resid, resid)))
         worst = max(worst, mag / max(1.0, math.sqrt(abs(space.inner(ht, ht)))))
     return worst
@@ -421,21 +427,20 @@ def _exact_record(immersion, label):
     return record
 
 
-def _exact_lambda2(record, count):
+def _exact_lambda2(record):
     """(lambda2, backend) from a record's weighted sphere or product data."""
     back = record.backend
     if back["kind"] == "sphere":
-        spectrum = sphere_spectrum(back["dim"], back["radius"], count=count)
+        spectrum = sphere_spectrum(back["dim"], back["radius"])
         return back.get("scale", 1.0) * spectrum.lambda2(), spectrum.backend
     spectrum = product_spectrum(
         [(f["dim"], f["radius"]) for f in back["factors"]],
-        weights=[f["t"] for f in back["factors"]], count=count)
+        weights=[f["t"] for f in back["factors"]])
     return spectrum.lambda2(), spectrum.backend
 
 
 def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
-                       seed: int = 0, tol: float = TOL_EXACT,
-                       count: int = 12) -> ReillyReport:
+                       seed: int = 0, tol: float = TOL_EXACT) -> ReillyReport:
     """Bound report through an exact spectral backend (no mesh).
 
     Requires a reference record for the operator label carrying either a
@@ -447,9 +452,10 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
     c = space.c
 
     frames = _sample_frames(immersion, samples, seed)
-    vals, trs, tensors, _, pre = _sample_pass(frames, spec, c)
+    vals, trs, ht_ambient, _, pre = _sample_pass(
+        frames, map(spec.tensor_at, frames), c)
     rhs = float(np.mean(vals))
-    lam2, backend = _exact_lambda2(record, count)
+    lam2, backend = _exact_lambda2(record)
 
     trT_mean = float(np.mean(trs))
     radius, notes = _radius_estimate(trT_mean, lam2, c)
@@ -460,7 +466,7 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
     }
     if record.center is not None:
         equality["Tminimal_residual"] = _t_minimal_residual(
-            frames, tensors, np.asarray(record.center, dtype=float), space)
+            frames, ht_ambient, np.asarray(record.center, dtype=float), space)
 
     report = ReillyReport(
         name=immersion.name, c=c, operator=spec.label, lambda2=lam2, rhs=rhs,
@@ -510,7 +516,7 @@ def schrodinger_report(immersion, spec: OperatorSpec, level: int = 4,
 
 
 def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
-                       tol: float = TOL_EXACT, count: int = 12) -> ReillyReport:
+                       tol: float = TOL_EXACT) -> ReillyReport:
     """Bound for the mean-curvature-direction operator on n >= 4 geometry.
 
     Checks H2 > 0 at every sample, evaluates the right side both through
@@ -525,11 +531,11 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
     if p < 2:
         raise UnsupportedConfiguration("mean tensor report covers p >= 2; "
                                        "use the newton operator for p = 1")
-    spec = OperatorSpec(kind="mean_curvature")
     c = immersion.ambient.c
 
     frames = _sample_frames(immersion, samples, seed)
     split = np.empty(len(frames))
+    tensors = []
     h2min = math.inf
     for i, fr in enumerate(frames):
         data = mean_curvature_tensor(fr.h)
@@ -537,6 +543,7 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
             raise EllipticityError(
                 "second mean curvature must be positive, got %.3e" % data.H2)
         h2min = min(h2min, data.H2)
+        tensors.append(data.T)
 
         hmat = fr.h.h  # (p, n, n)
         unit = fr.h.mean_vector() / (data.H * 1.0)
@@ -550,15 +557,14 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
             + (data.H2 + tau2 / (n * (n - 1))) ** 2 / H
             + cross / (n ** 2 * (n - 1) ** 2 * H))
     # tr T = n(n-1)|H| > 0 here, so the pass cannot fail on tr T
-    general, trs, _, _, pre = _sample_pass(frames, spec, c)
+    general, trs, _, _, pre = _sample_pass(frames, tensors, c)
 
     agree = float(np.max(np.abs(general - split)))
     if agree > 1e-10 * max(1.0, float(np.max(np.abs(general)))):
         raise InequalityViolation(
             "decomposed and general right sides disagree by %.3e" % agree)
 
-    lam2, backend = _exact_lambda2(_exact_record(immersion, "mean_curvature"),
-                                   count)
+    lam2, backend = _exact_lambda2(_exact_record(immersion, "mean_curvature"))
     rhs = float(np.mean(general))
     trT_mean = float(np.mean(trs))
     radius, notes = _radius_estimate(trT_mean, lam2, c)

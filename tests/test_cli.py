@@ -94,6 +94,8 @@ class TestLoadScenarios:
         {"operator": {"kind": "identity", "potential": 3}},
         {"level": "four"},
         {"count": "x"},
+        {"operator": {"kind": "identity",
+                      "potential": {"kind": "coordinate", "axis": 3}}},
     ])
     def test_malformed_field_is_config_error(self, tmp_path, extra):
         cfg = write_config(tmp_path, {"scenarios": [sphere_scenario(**extra)]})

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from reillylab import identities
 from reillylab.identities import identity_suite, random_unit_form
 
 
@@ -17,6 +18,19 @@ def test_suite_is_deterministic():
     a = identity_suite(instances=5, seed=42)
     b = identity_suite(instances=5, seed=42)
     assert a == b
+
+
+def test_each_family_evaluated_once_per_form(monkeypatch):
+    calls = {"newton_chain": 0, "newton_kronecker": 0, "gauss_curvature": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(identities, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(identities, name, counted)
+    identity_suite(instances=5, seed=0)
+    # n = 2..6: one chain, the oracle ranks 0..n and one curvature per form
+    assert calls == {"newton_chain": 5, "newton_kronecker": 25,
+                     "gauss_curvature": 5}
 
 
 def test_all_residuals_at_machine_scale():

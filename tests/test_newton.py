@@ -85,11 +85,9 @@ def test_recursion_matches_defining_sum(n, p):
 
 def test_methods_agree_and_validate():
     h = random_form(5, 2, 3)
-    a = newton_tensor(h, 3, method="recursion")
-    b = newton_tensor(h, 3, method="kronecker")
+    a = newton_tensor(h, 3)
+    b = newton_kronecker(h, 3)
     assert np.allclose(a.data, b.data, atol=1e-11)
-    with pytest.raises(Exception):
-        newton_tensor(h, 3, method="cofactor")
 
 
 def test_vector_valued_trace_identity():

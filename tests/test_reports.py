@@ -209,6 +209,18 @@ class TestMeanTensorReports:
         rep = mean_tensor_report(product_spheres(1.0, 1.0))
         assert abs(rep.gap) <= 1e-9 * rep.rhs
 
+    def test_one_tensor_per_sample(self, monkeypatch):
+        from reillylab import reports
+        calls = []
+        original = reports.mean_curvature_tensor
+
+        def counted(h):
+            calls.append(1)
+            return original(h)
+        monkeypatch.setattr(reports, "mean_curvature_tensor", counted)
+        mean_tensor_report(sphere(4, 0.8, 2, 0.0))
+        assert len(calls) == 64
+
     def test_dimension_guards(self):
         with pytest.raises(UnsupportedConfiguration):
             mean_tensor_report(sphere(2, 1.0, 2, 0.0))
@@ -246,6 +258,13 @@ class TestSchrodinger:
                                      level=3)
         assert shifted.lambda2 == pytest.approx(base.lambda2, rel=1e-12)
         assert shifted.rhs == pytest.approx(base.rhs, rel=1e-12)
+
+    def test_undefined_radius_is_noted(self):
+        rep = schrodinger_report(
+            sphere(2, 1.0, 1, 0.0),
+            OperatorSpec(potential=lambda fr: 40 * fr.point[2]), level=2)
+        assert rep.equality["radius_estimate"] is None
+        assert any("radius estimate undefined" in note for note in rep.notes)
 
     def test_potential_required(self):
         with pytest.raises(ArgumentError):
