@@ -209,8 +209,7 @@ def _balance_artifact(sc, outdir):
     mesh = mesh_for(imm, sc["level"])
     geom = DiscreteGeometry(imm, mesh)
     weights = np.zeros(mesh.vertex_count)
-    for f, tri in enumerate(mesh.triangles):
-        weights[tri] += geom.areas[f] / 3.0
+    np.add.at(weights, mesh.triangles, (geom.areas / 3.0)[:, None])
     res = balance_measure(mesh.points, weights)
     write_balance_csv(res, os.path.join(outdir, "balance.csv"))
     return res
@@ -355,13 +354,14 @@ def cmd_verify_identities(args) -> int:
 
 
 def _parse_levels(text):
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ConfigError("level range %s is empty" % text)
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    lo, ranged, hi = text.partition("..")
+    try:
+        levels = [int(v) for v in ((lo, hi) if ranged else text.split(","))]
+    except ValueError:
+        raise ConfigError("malformed levels %r" % text)
+    if ranged and levels[1] < levels[0]:
+        raise ConfigError("level range %s is empty" % text)
+    return list(range(levels[0], levels[1] + 1)) if ranged else levels
 
 
 def cmd_convergence(args) -> int:
@@ -386,8 +386,10 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    points, _ = load_off(args.mesh)
-    points = np.asarray(points, dtype=float)
+    try:
+        points, _ = load_off(args.mesh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read mesh %s: %s" % (args.mesh, exc))
     if args.ambient == "euclidean":
         norms = np.linalg.norm(points, axis=1)
         if np.min(norms) < 1e-12:
@@ -421,10 +423,9 @@ def cmd_gallery(args) -> int:
         for name in list_gallery():
             print(name)
         return 0
-    params = json.loads(args.params) if args.params else {}
     try:
-        imm = gallery(args.name, **params)
-    except (ReillyLabError, TypeError) as exc:
+        imm = gallery(args.name, **json.loads(args.params or "{}"))
+    except (ReillyLabError, TypeError, ValueError) as exc:
         raise ConfigError("gallery %s rejected: %s" % (args.name, exc))
     print(imm.name)
     for label, rec in sorted(imm.reference.items()):

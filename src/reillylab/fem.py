@@ -1,9 +1,10 @@
 """P1 finite elements for -div(T grad f) + q f on immersed surface meshes.
 
 Element geometry comes from ambient chordal edge lengths of the immersed
-vertices, measured with the ambient (possibly Lorentz) inner product.  The
-weight tensor T is evaluated at element centroids in the orthonormal
-surface frame and rotated into the element's local flat coordinates; the
+vertices, measured with the ambient (possibly Lorentz) inner product, as
+whole-mesh arrays.  The weight tensor T is evaluated at element centroids in
+the orthonormal surface frame and rotated into the element's local flat
+coordinates; centroid frames are built only for a tensor field.  The
 potential q is interpolated from vertex values.
 """
 
@@ -22,18 +23,13 @@ _QUAD_BARY = np.array([[2.0 / 3, 1.0 / 6, 1.0 / 6],
 _ELLIPTIC_REL_TOL = 1e-10
 
 
-def _aligned_corners(domain, pts, topology):
-    """Domain points of one triangle, sign-aligned for antipodal quotients."""
-    corners = [np.array(p, dtype=float) for p in pts]
-    if topology == "projective_plane":
-        for k in (1, 2):
-            if np.linalg.norm(corners[k] - corners[0]) > np.linalg.norm(corners[k] + corners[0]):
-                corners[k] = -corners[k]
-    return corners
-
-
 class DiscreteGeometry:
-    """Per-vertex frames and per-element P1 data for one immersed mesh."""
+    """Vertex frames and per-element P1 arrays for one immersed mesh.
+
+    Holds the vertex positions (V, C) and, per triangle, the area (F,), the
+    hat-function gradients in local flat coordinates (F, 2, 3) and the
+    orthonormal local axes in the ambient space (F, 2, C).
+    """
 
     def __init__(self, immersion, mesh):
         if immersion.n != 2:
@@ -47,53 +43,29 @@ class DiscreteGeometry:
         self.positions = np.array([fr.point for fr in self.vertex_frames])
 
         tri = mesh.triangles
-        nf = tri.shape[0]
-        self.areas = np.empty(nf)
-        self.grads = np.empty((nf, 2, 3))
-        self.centroids = np.empty((nf, mesh.points.shape[1]))
-        self._local_axes = np.empty((nf, 2, self.positions.shape[1]))
-        for f, (a, b, c) in enumerate(tri):
-            e1 = self.positions[b] - self.positions[a]
-            e2 = self.positions[c] - self.positions[a]
-            g11 = float(np.sum(e1 * e1 * diag))
-            g12 = float(np.sum(e1 * e2 * diag))
-            g22 = float(np.sum(e2 * e2 * diag))
-            det = g11 * g22 - g12 * g12
-            if g11 <= 0.0 or det <= 0.0:
-                raise TopologyError("triangle %d has degenerate geometry" % f)
-            sq = np.sqrt(g11)
-            p = np.array([[0.0, 0.0], [sq, 0.0], [g12 / sq, np.sqrt(det) / sq]])
-            area = 0.5 * np.sqrt(det)
-            self.areas[f] = area
-            # gradients of the barycentric hat functions in local coordinates
-            self.grads[f] = np.array([
-                [p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]],
-                [p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]],
-            ]) / (2.0 * area)
-            u1 = e1 / sq
-            u2 = (e2 - (g12 / g11) * e1) / (np.sqrt(det) / sq)
-            self._local_axes[f, 0] = u1
-            self._local_axes[f, 1] = u2
-            corners = _aligned_corners(immersion.domain, mesh.points[[a, b, c]],
-                                       mesh.topology)
-            self.centroids[f] = immersion.domain.centroid(corners)
+        e1 = self.positions[tri[:, 1]] - self.positions[tri[:, 0]]
+        e2 = self.positions[tri[:, 2]] - self.positions[tri[:, 0]]
+        g11 = np.sum(e1 * e1 * diag, axis=1)
+        g12 = np.sum(e1 * e2 * diag, axis=1)
+        g22 = np.sum(e2 * e2 * diag, axis=1)
+        det = g11 * g22 - g12 * g12
+        bad = np.flatnonzero((g11 <= 0.0) | (det <= 0.0))
+        if bad.size:
+            raise TopologyError("triangle %d has degenerate geometry" % bad[0])
+        sq = np.sqrt(g11)
+        height = np.sqrt(det) / sq
+        p = np.zeros((len(tri), 3, 2))  # corners in each flat chart
+        p[:, 1, 0], p[:, 2, 0], p[:, 2, 1] = sq, g12 / sq, height
+        self.areas = 0.5 * np.sqrt(det)
+        # gradients of the barycentric hat functions in local coordinates
+        nxt, prv = [1, 2, 0], [2, 0, 1]
+        self.grads = np.stack([p[:, nxt, 1] - p[:, prv, 1],
+                               p[:, prv, 0] - p[:, nxt, 0]], axis=1)
+        self.grads /= (2.0 * self.areas)[:, None, None]
+        self._local_axes = np.stack(
+            [e1 / sq[:, None],
+             (e2 - (g12 / g11)[:, None] * e1) / height[:, None]], axis=1)
         self.volume = float(np.sum(self.areas))
-        self._centroid_frames = None
-
-    @property
-    def centroid_frames(self):
-        if self._centroid_frames is None:
-            self._centroid_frames = [self.immersion.frame_at(w)
-                                     for w in self.centroids]
-        return self._centroid_frames
-
-    def frame_rotation(self, f: int) -> np.ndarray:
-        """Orthogonal map from centroid-frame components to local coordinates."""
-        fr = self.centroid_frames[f]
-        diag = self.immersion.ambient.metric_diag
-        raw = np.einsum("an,in,n->ai", self._local_axes[f], fr.tangent, diag)
-        u, _, vt = np.linalg.svd(raw)
-        return u @ vt
 
     def vertex_values(self, fn) -> np.ndarray:
         return np.array([float(fn(fr)) for fr in self.vertex_frames])
@@ -116,22 +88,38 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     mesh = geom.mesh
     tri = mesh.triangles
     nf = tri.shape[0]
-    t_local = np.empty((nf, 2, 2))
     if tensor_field is None:
-        t_local[:] = np.eye(2)
+        t_local = np.tile(np.eye(2), (nf, 1, 1))
     else:
-        scale = 0.0
-        for f in range(nf):
-            tmat = np.asarray(tensor_field(geom.centroid_frames[f]), dtype=float)
-            rot = geom.frame_rotation(f)
-            t_local[f] = rot @ tmat @ rot.T
-            eig = np.linalg.eigvalsh(t_local[f])
-            scale = max(scale, abs(eig[-1]))
-            if eig[0] <= _ELLIPTIC_REL_TOL * scale:
-                raise EllipticityError(
-                    "weight tensor not positive definite at element %d "
-                    "(domain point %s): eigenvalues %s"
-                    % (f, np.array_str(geom.centroids[f], precision=6), eig))
+        imm = geom.immersion
+        corners = mesh.points[tri]  # (F, 3, embed_dim)
+        if mesh.topology == "projective_plane":
+            # sign-align corners 1 and 2 with corner 0 across the quotient;
+            # norms as sqrt(dot) like the 1-D np.linalg.norm
+            dif = corners[:, 1:] - corners[:, :1]
+            tot = corners[:, 1:] + corners[:, :1]
+            flip = (np.sqrt(dif[..., None, :] @ dif[..., None])
+                    > np.sqrt(tot[..., None, :] @ tot[..., None]))[..., 0]
+            corners[:, 1:] = np.where(flip, -corners[:, 1:], corners[:, 1:])
+        centroids = imm.domain.centroid(corners)
+        frames = [imm.frame_at(w) for w in centroids]
+        # orthogonal maps from centroid-frame components to local coordinates
+        raw = np.einsum("fan,fin,n->fai", geom._local_axes,
+                        np.array([fr.tangent for fr in frames]),
+                        imm.ambient.metric_diag)
+        u, _, vt = np.linalg.svd(raw)
+        rot = u @ vt
+        tmats = np.array([tensor_field(fr) for fr in frames], dtype=float)
+        t_local = rot @ tmats @ np.swapaxes(rot, 1, 2)
+        eig = np.linalg.eigvalsh(t_local)
+        scale = np.maximum.accumulate(np.abs(eig[:, -1]))
+        bad = np.flatnonzero(eig[:, 0] <= _ELLIPTIC_REL_TOL * scale)
+        if bad.size:
+            f = bad[0]
+            raise EllipticityError(
+                "weight tensor not positive definite at element %d "
+                "(domain point %s): eigenvalues %s"
+                % (f, np.array_str(centroids[f], precision=6), eig[f]))
     k_loc = np.einsum("f,fai,fab,fbj->fij", geom.areas, geom.grads,
                       t_local, geom.grads)
     m_loc = np.einsum("f,ij->fij", geom.areas, _MASS_LOCAL)

@@ -87,7 +87,10 @@ def identity_suite(instances: int = 100, seed: int = 0) -> dict:
     Dimensions cycle through 2..6 and codimensions through 1..3; the
     contraction checks run at first order everywhere and at second order
     for n in {4, 5, 6}.  Each form's Newton, curvature and Lovelock
-    families are evaluated once and shared by all of its checks.
+    families are evaluated once and shared by all of its checks.  For
+    p > 1 the chain's odd ranks come from newton_kronecker, so
+    newton_recursion compares them with themselves; they are checked by
+    newton_trace and through the even ranks built from them.
     """
     rng = np.random.default_rng(seed)
     worst = {"newton_trace": 0.0, "newton_recursion": 0.0,

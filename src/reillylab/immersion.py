@@ -106,8 +106,9 @@ class ParamDomain:
         raise NotImplementedError
 
     def centroid(self, points) -> np.ndarray:
-        """Representative domain point for a small cluster of points."""
-        return np.mean(np.asarray(points, dtype=float), axis=0)
+        """Representative domain point of a small cluster (k, embed_dim) of
+        points, or one per cluster of a batch (..., k, embed_dim)."""
+        return np.mean(np.asarray(points, dtype=float), axis=-2)
 
 
 class SphereProduct(ParamDomain):
@@ -170,12 +171,14 @@ class SphereProduct(ParamDomain):
         return sec
 
     def centroid(self, points) -> np.ndarray:
-        mean = np.mean(np.asarray(points, dtype=float), axis=0)
+        mean = np.mean(np.asarray(points, dtype=float), axis=-2)
         for sl in self.slices:
-            norm = np.linalg.norm(mean[sl])
-            if norm < 1e-12:
+            part = mean[..., sl]
+            # sqrt(dot) per cluster, as the 1-D np.linalg.norm computes it
+            norm = np.sqrt(part[..., None, :] @ part[..., None])[..., 0]
+            if np.any(norm < 1e-12):
                 raise ArgumentError("point cluster spans a whole factor")
-            mean[sl] = mean[sl] / norm
+            mean[..., sl] = part / norm
         return mean
 
 

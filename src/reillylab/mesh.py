@@ -54,11 +54,6 @@ class Mesh:
     def triangle_count(self) -> int:
         return self.triangles.shape[0]
 
-    def edges(self) -> np.ndarray:
-        tri = self.triangles
-        e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        return np.unique(np.sort(e, axis=1), axis=0)
-
 
 def icosphere(level: int = 3) -> Mesh:
     """Subdivided icosahedron on the unit sphere, 10*4^level + 2 vertices."""
@@ -226,6 +221,9 @@ def load_off(path):
         pos += 1
     else:
         raise ArgumentError("not an OFF file: leading token %r" % magic)
+    if len(tokens) < pos + 3 or len(tokens) < pos + 3 + (
+            int(tokens[pos]) * dim + 4 * int(tokens[pos + 1])):
+        raise ArgumentError("truncated OFF file %s" % path)
     nv, nf = int(tokens[pos]), int(tokens[pos + 1])
     pos += 3
     points = np.array(tokens[pos:pos + nv * dim], dtype=float).reshape(nv, dim)

@@ -4,7 +4,10 @@ Two independent evaluation paths are provided.  The antisymmetrized-sum
 path spells out the defining generalized-Kronecker contraction and serves
 as the oracle; the recursion path builds the whole family iteratively from
 T_0 = I and is the production implementation.  Tests require the two to
-agree to machine precision.
+agree to machine precision.  For codimension p > 1 the recursion path takes
+its odd, vector-valued ranks from the oracle itself, so there the two agree
+by construction; those ranks are checked through the trace law and through
+the even rank that consumes them.
 
 For odd rank the transformation is vector valued (one matrix per normal
 direction); for hypersurfaces it collapses to the scalar-valued convention
@@ -102,7 +105,8 @@ def newton_chain(h, rmax: int):
     at every rank.  For p > 1 no one-step recursion exists for the odd,
     vector-valued ranks (the obvious candidate S^alpha_r I - h^alpha
     T_{r-1} reproduces the correct trace but not the tensor), so odd
-    intermediates are evaluated from the defining antisymmetrized sum.
+    intermediates are evaluated from the defining antisymmetrized sum
+    (newton_kronecker) and agree with the oracle by construction.
     """
     sff = _coerce(h)
     n, p = sff.n, sff.p

@@ -327,3 +327,16 @@ class TestGallery:
         assert main(["gallery", "clifford_torus"]) == 0
         out = capsys.readouterr().out
         assert "newton:2" in out and "equality=True" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", BUNDLED, "--levels", "2,x"],
+    ["gallery", "sphere", "--params", "{bad"],
+    ["balance", "TMP/missing.off"],
+    ["balance", "TMP/truncated.off"],
+])
+def test_bad_input_is_config_error(argv, tmp_path, capsys):
+    (tmp_path / "truncated.off").write_text("OFF\n4 2 0\n0 0 1\n1 0 0\n")
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    assert main(argv) == 1
+    assert "configuration error" in capsys.readouterr().err

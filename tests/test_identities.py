@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from reillylab import identities
+from reillylab import identities, newton
 from reillylab.identities import identity_suite, random_unit_form
 
 
@@ -41,3 +41,21 @@ def test_all_residuals_at_machine_scale():
     assert set(report) == expected
     for key, value in report.items():
         assert value <= 1e-10, f"{key} residual {value}"
+
+
+def test_odd_chain_ranks_are_checked(monkeypatch):
+    # for p > 1 newton_chain takes its odd, vector-valued ranks from the
+    # oracle; an error there must still show in the trace law and in the
+    # even ranks built from it
+    real = newton.newton_kronecker
+
+    def perturbed(h, r):
+        t = real(h, r)
+        if not t.vector_valued:
+            return t
+        return newton.NewtonTensor(r, t.data + 1e-6 * np.eye(t.n), True)
+
+    monkeypatch.setattr(newton, "newton_kronecker", perturbed)
+    report = identity_suite(10, seed=0)
+    assert report["newton_trace"] > 1e-10
+    assert report["newton_recursion"] > 1e-10

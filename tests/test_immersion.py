@@ -74,6 +74,23 @@ class TestDomains:
                        - dom.chart_point(w, -ea + eb) + dom.chart_point(w, -ea - eb)) / (4 * h**2)
                 assert np.max(np.abs(num - sec[a, b])) < 1e-6
 
+    def test_batched_centroid_matches_single_clusters(self):
+        dom = SphereProduct((2, 1))
+        rng = np.random.default_rng(3)
+        base = np.array([dom.random_point(rng) for _ in range(40)])
+        clusters = np.array([[dom.chart_point(w, rng.uniform(-0.2, 0.2, dom.dim))
+                              for _ in range(3)] for w in base])
+        batch = dom.centroid(clusters)
+        assert batch.shape == (40, dom.embed_dim)
+        assert np.array_equal(batch, [dom.centroid(cl) for cl in clusters])
+        assert np.array_equal(FlatPatch(5).centroid(clusters),
+                              [FlatPatch(5).centroid(cl) for cl in clusters])
+        # one pair of points antipodal on the circle factor
+        pairs = clusters[:, :2].copy()
+        pairs[17, 1, 3:] = -pairs[17, 0, 3:]
+        with pytest.raises(ArgumentError, match="spans a whole factor"):
+            dom.centroid(pairs)
+
     def test_flat_patch_trivial_chart(self):
         dom = FlatPatch(2)
         w = np.array([0.1, -0.2])

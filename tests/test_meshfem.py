@@ -120,6 +120,47 @@ class TestAssembly:
         with pytest.raises(EllipticityError, match="not positive definite"):
             assemble_forms(self.geom, tensor_field=lambda fr: np.diag([1.0, -1.0]))
 
+    def _first_failing(self, tensor_field, scale=0.0):
+        """First non-elliptic element and its centroid, one element at a time."""
+        for f, corners in enumerate(self.geom.mesh.points[self.geom.mesh.triangles]):
+            w = self.imm.domain.centroid(corners)
+            eig = np.linalg.eigvalsh(tensor_field(self.imm.frame_at(w)))
+            scale = max(scale, abs(eig[-1]))
+            if eig[0] <= 1e-10 * scale:
+                return f, w
+        return None, None
+
+    @pytest.mark.parametrize("case", ["sign", "running_scale"])
+    def test_ellipticity_error_names_first_element(self, case):
+        if case == "sign":
+            def field(fr):
+                return np.diag([1.0, fr.point[2] + 0.3])
+        else:
+            # an early cap element raises the running scale to 1e6, after
+            # which the weight 1e-5 of the other elements no longer passes
+            def field(fr):
+                return np.diag([1e6, 1.0] if fr.point[2] > 0.8 else [1.0, 1e-5])
+        f, w = self._first_failing(field)
+        assert f is not None and f > 0
+        if case == "running_scale":
+            # a scale taken over all elements would stop earlier
+            assert self._first_failing(field, scale=1e6)[0] < f
+        with pytest.raises(EllipticityError) as err:
+            assemble_forms(self.geom, tensor_field=field)
+        assert ("at element %d (domain point %s)"
+                % (f, np.array_str(w, precision=6))) in str(err.value)
+
+    def test_degenerate_triangle_names_first_index(self):
+        tris = self.geom.mesh.triangles.copy()
+        tris[7] = [tris[7, 0], tris[7, 1], tris[7, 1]]  # zero determinant
+        tris[12] = [tris[12, 0], tris[12, 0], tris[12, 2]]  # zero edge
+        mesh = Mesh(points=self.geom.mesh.points, triangles=tris)
+        with pytest.raises(TopologyError, match="triangle 7 has"):
+            DiscreteGeometry(self.imm, mesh)
+        tris[7] = self.geom.mesh.triangles[7]
+        with pytest.raises(TopologyError, match="triangle 12 has"):
+            DiscreteGeometry(self.imm, mesh)
+
     def test_integrate_constant(self):
         vals = np.ones(self.geom.mesh.vertex_count)
         assert abs(self.geom.integrate(vals) - self.geom.volume) < 1e-12 * self.geom.volume
