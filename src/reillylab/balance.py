@@ -4,7 +4,8 @@ Given points y_i on the unit sphere with positive weights w_i, find the
 parameter g so that the moved measure has vanishing first moment:
 sum_i w_i gamma_g(y_i) = 0.  Newton iteration on the square system with
 backtracking; the solution exists and is unique whenever the measure is
-not concentrated at a single point.
+not concentrated at a single point.  A moment or a Newton Jacobian is
+one batched gamma call over all points, summed in point order.
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +33,8 @@ class BalanceResult:
 
 
 def moment(param: MoebiusParam, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    moved = np.array([gamma_value(param, y) for y in points])
-    return weights @ moved
+    """sum_i w_i gamma_g(y_i) for points (m, N+1) and weights (m,)."""
+    return weights @ gamma_value(param, points)
 
 
 def balance_measure(points, weights=None, tol_rel: float = 1e-8,
@@ -77,9 +78,8 @@ def balance_measure(points, weights=None, tol_rel: float = 1e-8,
         if res <= tol:
             return BalanceResult(param=param, residual=res, iterations=it - 1,
                                  converged=True, history=history)
-        jac = np.zeros((dim, dim))
-        for y, w in zip(points, weights):
-            jac += w * gamma_parameter_jacobian(param, y)
+        jac = np.sum(weights[:, None, None]
+                     * gamma_parameter_jacobian(param, points), axis=0)
         try:
             delta = np.linalg.solve(jac, -res_vec)
         except np.linalg.LinAlgError as exc:

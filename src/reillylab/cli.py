@@ -390,6 +390,8 @@ def cmd_balance(args) -> int:
         points, _ = load_off(args.mesh)
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot read mesh %s: %s" % (args.mesh, exc))
+    if len(points) == 0:
+        raise ConfigError("mesh %s has no vertices to balance" % args.mesh)
     if args.ambient == "euclidean":
         norms = np.linalg.norm(points, axis=1)
         if np.min(norms) < 1e-12:
@@ -406,7 +408,7 @@ def cmd_balance(args) -> int:
         quad = points[:, -1] ** 2 - np.sum(points[:, :-1] ** 2, axis=1)
         if np.max(np.abs(quad - 1.0)) > 1e-6 or np.min(points[:, -1]) <= 0:
             raise ConfigError("mesh vertices do not lie on the hyperboloid")
-        points = np.array([hyperboloid_to_ball(x) for x in points])
+        points = hyperboloid_to_ball(points)
         support = "ball"
     result = balance_measure(points, tol_rel=args.tol, support=support)
     print("converged %s after %d iterations; residual %.3e; g = %s"
@@ -425,6 +427,7 @@ def cmd_gallery(args) -> int:
         return 0
     try:
         imm = gallery(args.name, **json.loads(args.params or "{}"))
+        mesh = mesh_for(imm, args.level) if args.off and imm.n == 2 else None
     except (ReillyLabError, TypeError, ValueError) as exc:
         raise ConfigError("gallery %s rejected: %s" % (args.name, exc))
     print(imm.name)
@@ -434,7 +437,6 @@ def cmd_gallery(args) -> int:
     if args.off:
         if imm.n != 2:
             raise ConfigError("OFF export needs a two-dimensional geometry")
-        mesh = mesh_for(imm, args.level)
         positions = np.array([imm.position(w) for w in mesh.points])
         save_off(args.off, positions, mesh.triangles)
         print("wrote %s (%d vertices, %d triangles)"

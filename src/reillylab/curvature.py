@@ -168,13 +168,17 @@ def contraction_rhs(curv: CurvatureData, k: int) -> np.ndarray:
     return acc / math.factorial(2 * k - 1)
 
 
+def newton_contraction(T, h: SecondFundamentalForm) -> np.ndarray:
+    """sum_{m,a} T^a_{mj} h^a_{mi} for a Newton tensor T of the form h."""
+    payload = T.data if T.data.ndim == 3 else T.data[None]
+    return np.einsum("xmj,xmi->ij", payload, h.h)
+
+
 def contraction_lhs(h, k: int) -> np.ndarray:
     """sum_{m,a} T^a_{2k-1, mj} h^a_{mi} from the defining sum."""
     if not isinstance(h, SecondFundamentalForm):
         h = SecondFundamentalForm(np.asarray(h, dtype=float))
-    T = newton_kronecker(h, 2 * k - 1)
-    payload = T.data if T.data.ndim == 3 else T.data[None]
-    return np.einsum("xmj,xmi->ij", payload, h.h)
+    return newton_contraction(newton_kronecker(h, 2 * k - 1), h)
 
 
 def contraction_residual(h, c: float, k: int) -> float:

@@ -10,8 +10,8 @@ the weak form of the curvature identity satisfied by the conformal factor.
 
 import numpy as np
 
-from .curvature import (contraction_residual, gauss_curvature, lovelock_einstein,
-                        lovelock_p4, lovelock_scalar)
+from .curvature import (contraction_rhs, gauss_curvature, lovelock_einstein,
+                        lovelock_p4, lovelock_scalar, newton_contraction)
 from .fem import DiscreteGeometry, assemble_forms
 from .immersion import pushforward_under_map, AmbientSpace
 from .newton import newton_chain, newton_kronecker, weighted_mean_curvature
@@ -26,7 +26,8 @@ def random_unit_form(rng, n: int, p: int) -> SecondFundamentalForm:
 
 def _form_residuals(h, c: float) -> dict:
     """Every algebraic residual of one form, from one recursion chain, one
-    oracle list T_0..T_n, one curvature and one list E_0..E_{n//2}."""
+    oracle list T_0..T_n, one curvature and one list E_0..E_{n//2}; the
+    contraction checks pair the oracle's T_1 and T_3 with the form."""
     n = h.n
     tensors, scalars, vectors = newton_chain(h, n)
     oracle = [newton_kronecker(h, r) for r in range(n + 1)]
@@ -75,9 +76,9 @@ def _form_residuals(h, c: float) -> dict:
             out["lovelock_partial"],
             float(np.max(np.abs(ptrace + (n - 2 * k + 1) * einstein[k - 1]))))
 
-    out["contraction_k1"] = contraction_residual(h, c, 1)
-    if n >= 4:
-        out["contraction_k2"] = contraction_residual(h, c, 2)
+    for k in (1, 2) if n >= 4 else (1,):
+        lhs = newton_contraction(oracle[2 * k - 1], h)
+        out["contraction_k%d" % k] = float(np.max(np.abs(lhs - contraction_rhs(curv, k))))
     return out
 
 

@@ -5,7 +5,8 @@ carried to the unit sphere (identity for curvature 1, inverse stereographic
 projection for curvature 0, Poincare-ball then inverse stereographic for
 curvature -1), then moved by the ball Moebius map gamma_g.  The conformal
 factor of the composite against the space-form metric has a closed form,
-as does its tangential gradient.
+as does its tangential gradient.  gamma_g and its derivatives take one
+point (N,) or a batch (..., N) and share one evaluation of gamma_g(x).
 """
 
 import math
@@ -48,54 +49,68 @@ class MoebiusParam:
         return lam * lam / (1.0 + lam)
 
 
-def gamma_value(param: MoebiusParam, x: np.ndarray) -> np.ndarray:
+def _moebius(param: MoebiusParam, x):
+    """x as an array, f = <x, g>, lam, mu and gamma_g(x) after the pole
+    check; f is a float for one point (N,) and (..., 1) for a batch."""
     g = param.g
     x = np.asarray(x, dtype=float)
-    f = float(x @ g)
-    if 1.0 + f <= _POLE_TOL:
-        raise PoleProximityError("point at the Moebius pole: 1 + <x, g> = %g" % (1.0 + f))
+    if x.ndim == 1:
+        f = low = float(x @ g)
+    else:
+        # one row dot per point, as the 1-D x @ g computes it; x @ g does not
+        f = (x[..., None, :] @ g[:, None])[..., 0]
+        low = float(np.min(f, initial=np.inf))
+    if 1.0 + low <= _POLE_TOL:
+        raise PoleProximityError("point at the Moebius pole: 1 + <x, g> = %g" % (1.0 + low))
     lam, mu = param.lam, param.mu
-    return (x + (mu * f + lam) * g) / (lam * (1.0 + f))
+    return x, f, lam, mu, (x + (mu * f + lam) * g) / (lam * (1.0 + f))
+
+
+def gamma_value(param: MoebiusParam, x: np.ndarray) -> np.ndarray:
+    """gamma_g(x): shape (N,) for one point, (..., N) for a batch."""
+    return _moebius(param, x)[-1]
 
 
 def gamma_jacobian(param: MoebiusParam, x: np.ndarray) -> np.ndarray:
-    """Derivative of gamma_g in x."""
+    """Derivative of gamma_g in x: (N, N) for one point, (..., N, N) for a batch."""
+    x, f, lam, mu, val = _moebius(param, x)
     g = param.g
-    x = np.asarray(x, dtype=float)
-    f = float(x @ g)
-    if 1.0 + f <= _POLE_TOL:
-        raise PoleProximityError("point at the Moebius pole")
-    lam, mu = param.lam, param.mu
-    n = x.size
-    val = (x + (mu * f + lam) * g) / (lam * (1.0 + f))
-    return ((np.eye(n) + mu * np.outer(g, g)) / (lam * (1.0 + f))
-            - np.outer(val, g) / (1.0 + f))
+    one_f = np.expand_dims(1.0 + f, -1)
+    return ((np.eye(g.size) + mu * np.outer(g, g)) / (lam * one_f)
+            - val[..., :, None] * g / one_f)
+
+
+def gamma_hessian(param: MoebiusParam, x: np.ndarray) -> np.ndarray:
+    """H[..., i, j, k] = d_j d_k gamma_g^i in x: (N, N, N) for one point,
+    (..., N, N, N) for a batch.  With A = I + mu g g^T, H_ijk =
+    (2 gamma_i g_j g_k - (A_ij g_k + A_ik g_j) / lam) / (1 + <x, g>)^2."""
+    x, f, lam, mu, val = _moebius(param, x)
+    g = param.g
+    one_f = np.expand_dims(1.0 + f, (-2, -1))
+    a = (np.eye(g.size) + mu * np.outer(g, g))[:, :, None] * g
+    return (2.0 * val[..., :, None, None] * np.outer(g, g)
+            - (a + np.swapaxes(a, 1, 2)) / lam) / one_f**2
 
 
 def gamma_parameter_jacobian(param: MoebiusParam, x: np.ndarray) -> np.ndarray:
-    """Derivative of gamma_g(x) in the parameter g, at fixed x."""
+    """Derivative in g at fixed x: (N, N) for one point, (..., N, N) for a batch."""
+    x, f, lam, mu, val = _moebius(param, x)
     g = param.g
-    x = np.asarray(x, dtype=float)
-    f = float(x @ g)
-    if 1.0 + f <= _POLE_TOL:
-        raise PoleProximityError("point at the Moebius pole")
-    lam, mu = param.lam, param.mu
-    n = x.size
     dlam = lam**3 * g
     dmu = lam**4 * (lam + 2.0) / (1.0 + lam) ** 2 * g
-    scalar = mu * f + lam
     dscalar = f * dmu + mu * x + dlam
-    dnum = np.outer(g, dscalar) + scalar * np.eye(n)
-    den = lam * (1.0 + f)
+    dnum = (g[:, None] * dscalar[..., None, :]
+            + np.expand_dims(mu * f + lam, -1) * np.eye(g.size))
+    den = np.expand_dims(lam * (1.0 + f), -1)
     dden = (1.0 + f) * dlam + lam * x
-    val = (x + scalar * g) / den
-    return dnum / den - np.outer(val, dden) / den
+    return dnum / den - val[..., :, None] * dden[..., None, :] / den
 
 
 def gamma_map(param: MoebiusParam) -> CallableMap:
-    """gamma_g as an ambient map with analytic first derivatives."""
+    """gamma_g as an ambient map with analytic first and second derivatives."""
     return CallableMap(lambda x: gamma_value(param, x),
-                       jacobian_fn=lambda x: gamma_jacobian(param, x))
+                       jacobian_fn=lambda x: gamma_jacobian(param, x),
+                       hessian_fn=lambda x: gamma_hessian(param, x))
 
 
 def plane_to_sphere_value(x: np.ndarray) -> np.ndarray:
@@ -178,11 +193,12 @@ def ball_to_hyperboloid_hessian(w: np.ndarray) -> np.ndarray:
 
 
 def hyperboloid_to_ball(x: np.ndarray) -> np.ndarray:
+    """Chart of one point (N+1,) or a batch (..., N+1) into the ball."""
     x = np.asarray(x, dtype=float)
-    den = 1.0 + x[-1]
-    if den <= _POLE_TOL:
+    den = 1.0 + x[..., -1:]
+    if np.min(den, initial=np.inf) <= _POLE_TOL:
         raise PoleProximityError("hyperboloid chart pole")
-    return x[:-1] / den
+    return x[..., :-1] / den
 
 
 def hyperboloid_to_ball_jacobian(x: np.ndarray) -> np.ndarray:
@@ -257,11 +273,8 @@ class ConformalChain:
 
     def rho(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        p = self.sphere_point(x)
-        f = float(p @ self.param.g)
-        if 1.0 + f <= _POLE_TOL:
-            raise PoleProximityError("point at the Moebius pole")
-        moeb = -math.log(self.param.lam) - math.log1p(f)
+        _, f, lam, _, _ = _moebius(self.param, self.sphere_point(x))
+        moeb = -math.log(lam) - math.log1p(f)
         if self.c == 1.0:
             return moeb
         if self.c == 0.0:

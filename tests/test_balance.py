@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reillylab import balance
 from reillylab.balance import balance_measure, moment
 from reillylab.errors import ArgumentError
 from reillylab.fem import DiscreteGeometry
@@ -50,6 +51,21 @@ class TestBalance:
         assert res.residual <= 1e-8 * float(np.sum(w))
         assert np.linalg.norm(res.param.g + h.g) < 1e-6
         assert np.linalg.norm(moment(res.param, pts, w)) <= 1e-8 * float(np.sum(w))
+
+    def test_one_gamma_call_per_moment(self, monkeypatch):
+        # each moment moves all points with one call through balance's own
+        # gamma_value binding, which the benchmark's trace counts
+        calls = {"gamma_value": 0, "moment": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(balance, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(balance, name, counted)
+        mesh = icosphere(2)
+        h = MoebiusParam(np.array([0.35, -0.2, 0.45]))
+        pts = np.array([gamma_value(h, y) for y in mesh.points])
+        assert balance_measure(pts, lumped_weights(mesh)).converged
+        assert 0 < calls["gamma_value"] <= calls["moment"]
 
     def test_rotation_equivariance(self):
         mesh = icosphere(1)

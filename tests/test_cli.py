@@ -334,9 +334,14 @@ class TestGallery:
     ["gallery", "sphere", "--params", "{bad"],
     ["balance", "TMP/missing.off"],
     ["balance", "TMP/truncated.off"],
+    ["gallery", "sphere", "--off", "TMP/x.off", "--level", "-1"],
+    ["balance", "TMP/empty.off", "--ambient", "euclidean"],
+    ["balance", "TMP/empty.off", "--ambient", "sphere"],
+    ["balance", "TMP/empty.off", "--ambient", "hyperbolic"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     (tmp_path / "truncated.off").write_text("OFF\n4 2 0\n0 0 1\n1 0 0\n")
+    (tmp_path / "empty.off").write_text("OFF\n0 0 0\n")
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     assert "configuration error" in capsys.readouterr().err

@@ -18,8 +18,9 @@ from reillylab.mesh import icosphere
 from reillylab.moebius import (ConformalChain, MoebiusParam,
                                ball_to_hyperboloid_hessian,
                                ball_to_hyperboloid_jacobian,
-                               ball_to_hyperboloid_value, gamma_jacobian,
-                               gamma_map, gamma_parameter_jacobian,
+                               ball_to_hyperboloid_value, gamma_hessian,
+                               gamma_jacobian, gamma_map,
+                               gamma_parameter_jacobian,
                                gamma_value, hyperboloid_to_ball,
                                hyperboloid_to_ball_jacobian, plane_to_sphere,
                                plane_to_sphere_hessian,
@@ -94,10 +95,34 @@ class TestGamma:
                              self.param.g.copy())
             assert np.max(np.abs(Ga - Gf)) < 1e-8
 
+    def test_hessian_symmetric_and_matches_differences(self):
+        for _ in range(5):
+            x = self.rng.uniform(-0.5, 0.5, 3)
+            hess = gamma_hessian(self.param, x)
+            assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+            for j in range(3):
+                col = fd_jacobian(lambda t: gamma_jacobian(self.param, t)[:, j], x)
+                assert np.max(np.abs(hess[:, j, :] - col)) < 1e-8
+
+    @pytest.mark.parametrize("fn", [gamma_value, gamma_jacobian, gamma_hessian,
+                                    gamma_parameter_jacobian],
+                             ids=lambda fn: fn.__name__)
+    def test_batch_matches_points(self, fn):
+        y = self.rng.standard_normal((2, 40, 3))
+        y /= np.linalg.norm(y, axis=-1, keepdims=True)
+        batch = fn(self.param, y)
+        assert np.array_equal(batch, [[fn(self.param, p) for p in row] for row in y])
+
     def test_pole_guard(self):
         g = (1.0 - 5e-15) * np.array([1.0, 0.0, 0.0])
+        pole = np.array([-1.0, 0.0, 0.0])
         with pytest.raises(PoleProximityError):
-            gamma_value(MoebiusParam(g), np.array([-1.0, 0.0, 0.0]))
+            gamma_value(MoebiusParam(g), pole)
+        batch = np.array([[0.0, 1.0, 0.0], pole, [0.0, 0.0, 1.0]])
+        for fn in (gamma_value, gamma_jacobian, gamma_hessian,
+                   gamma_parameter_jacobian):
+            with pytest.raises(PoleProximityError):
+                fn(MoebiusParam(g), batch)
 
 
 class TestProjectionCharts:
@@ -147,6 +172,13 @@ class TestProjectionCharts:
     def test_ball_boundary_guard(self):
         with pytest.raises(PoleProximityError):
             ball_to_hyperboloid_value(np.array([1.0, 0.0]))
+
+    def test_hyperboloid_batch_matches_points(self):
+        rng = np.random.default_rng(3)
+        x = np.array([ball_to_hyperboloid_value(w)
+                      for w in rng.uniform(-0.6, 0.6, (30, 2))])
+        assert np.array_equal(hyperboloid_to_ball(x),
+                              [hyperboloid_to_ball(p) for p in x])
 
     def test_geodesic_radius_correspondence(self):
         # hyperboloid height cosh(r) maps to ball radius tanh(r/2)
@@ -277,7 +309,7 @@ class TestChainOnImmersions:
     def test_second_form_transformation(self, imm):
         rng = np.random.default_rng(13)
         res = second_form_transform_residual(imm, chain_for(imm, rng))
-        assert res < 1e-4
+        assert res < 1e-12
 
     @pytest.mark.parametrize("imm,c", [
         (sphere(2, 1.0, 1, 0.0), 0.0),

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from reillylab import identities, newton
+from reillylab import curvature, identities, newton
 from reillylab.identities import identity_suite, random_unit_form
 
 
@@ -21,16 +21,26 @@ def test_suite_is_deterministic():
 
 
 def test_each_family_evaluated_once_per_form(monkeypatch):
-    calls = {"newton_chain": 0, "newton_kronecker": 0, "gauss_curvature": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(identities, name)):
-            calls[_name] += 1
+    modules = {"identities": identities, "curvature": curvature}
+    calls = dict.fromkeys(["identities.newton_chain",
+                           "identities.newton_kronecker",
+                           "identities.gauss_curvature",
+                           "curvature.newton_kronecker",
+                           "curvature.gauss_curvature"], 0)
+    for key in calls:
+        module, name = modules[key.split(".")[0]], key.split(".")[1]
+        def counted(*args, _key=key, _fn=getattr(module, name)):
+            calls[_key] += 1
             return _fn(*args)
-        monkeypatch.setattr(identities, name, counted)
+        monkeypatch.setattr(module, name, counted)
     identity_suite(instances=5, seed=0)
-    # n = 2..6: one chain, the oracle ranks 0..n and one curvature per form
-    assert calls == {"newton_chain": 5, "newton_kronecker": 25,
-                     "gauss_curvature": 5}
+    # n = 2..6: one chain, the oracle ranks 0..n and one curvature per form;
+    # the contraction checks reuse them instead of rebuilding them
+    assert calls == {"identities.newton_chain": 5,
+                     "identities.newton_kronecker": 25,
+                     "identities.gauss_curvature": 5,
+                     "curvature.newton_kronecker": 0,
+                     "curvature.gauss_curvature": 0}
 
 
 def test_all_residuals_at_machine_scale():

@@ -376,6 +376,19 @@ class TestPushforward:
         eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h.h[0]))
         assert np.max(np.abs(ea - eb)) < 1e-8
 
+    def test_outer_without_hessian_differences_the_chart(self):
+        # the composed hessian is absent, so the jets of the pushforward
+        # come from finite differences through the chart
+        imm = ring_torus(1.0, 0.4)
+        rot = np.linalg.qr(np.random.default_rng(44).standard_normal((3, 3)))[0]
+        gamma = CallableMap(lambda x: rot @ x, jacobian_fn=lambda x: rot)
+        out = pushforward_under_map(imm, gamma, imm.ambient)
+        w = imm.domain.random_point(np.random.default_rng(45))
+        assert out.mapping.hessian(w) is None
+        ea = np.sort(np.linalg.eigvalsh(imm.frame_at(w).h.h[0]))
+        eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h.h[0]))
+        assert np.max(np.abs(ea - eb)) < 1e-4
+
 
 class TestGalleryContracts:
     def test_listing_and_lookup(self):
