@@ -13,8 +13,9 @@ from .gallery import (GALLERY, clifford_torus, ellipsoid, flat_torus, gallery,
                       hyperbolic_geodesic_sphere, list_gallery,
                       product_spheres, ring_torus, sphere, veronese_rp2)
 from .identities import identity_suite
-from .immersion import (AmbientSpace, ParametricImmersion, PointFrame,
-                        SecondFundamentalForm, pushforward_under_map)
+from .immersion import (AmbientSpace, FrameBatch, ParametricImmersion,
+                        PointFrame, SecondFundamentalForm,
+                        pushforward_under_map)
 from .kronecker import contraction_factor, gen_kronecker
 from .mesh import (Mesh, icosphere, load_off, projective_icosphere, save_off,
                    torus_grid)
@@ -31,7 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientSpace", "ArgumentError", "BalanceResult", "ConfigError",
     "ConformalChain", "ConvergenceError", "DegenerateNormalError",
-    "DiscreteGeometry", "EllipticityError", "GALLERY", "ImmersionError",
+    "DiscreteGeometry", "EllipticityError", "FrameBatch", "GALLERY",
+    "ImmersionError",
     "InequalityViolation", "Mesh", "MoebiusParam", "NewtonTensor",
     "OperatorSpec", "ParametricImmersion", "PointFrame", "ReillyLabError",
     "ReillyReport", "SecondFundamentalForm", "ShapeError", "TopologyError",

@@ -48,6 +48,8 @@ def balance_measure(points, weights=None, tol_rel: float = 1e-8,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ArgumentError("points must be an (m, N+1) array")
+    if points.shape[0] == 0:
+        raise ArgumentError("no points to balance")
     norms = np.linalg.norm(points, axis=1)
     if support == "sphere":
         if np.max(np.abs(norms - 1.0)) > 1e-8:

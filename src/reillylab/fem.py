@@ -4,8 +4,9 @@ Element geometry comes from ambient chordal edge lengths of the immersed
 vertices, measured with the ambient (possibly Lorentz) inner product, as
 whole-mesh arrays.  The weight tensor T is evaluated at element centroids in
 the orthonormal surface frame and rotated into the element's local flat
-coordinates; centroid frames are built only for a tensor field.  The
-potential q is interpolated from vertex values.
+coordinates; the centroid frames come from one batched frame_at call, made
+only for a tensor field.  The potential q is interpolated from vertex
+values.
 """
 
 import numpy as np
@@ -26,9 +27,11 @@ _ELLIPTIC_REL_TOL = 1e-10
 class DiscreteGeometry:
     """Vertex frames and per-element P1 arrays for one immersed mesh.
 
-    Holds the vertex positions (V, C) and, per triangle, the area (F,), the
-    hat-function gradients in local flat coordinates (F, 2, 3) and the
-    orthonormal local axes in the ambient space (F, 2, C).
+    Holds the vertex frames as one FrameBatch (`frames`, one row per mesh
+    vertex, from a single frame_at call), the vertex positions (V, C) and,
+    per triangle, the area (F,), the hat-function gradients in local flat
+    coordinates (F, 2, 3) and the orthonormal local axes in the ambient
+    space (F, 2, C).
     """
 
     def __init__(self, immersion, mesh):
@@ -39,8 +42,8 @@ class DiscreteGeometry:
         self.immersion = immersion
         self.mesh = mesh
         diag = immersion.ambient.metric_diag
-        self.vertex_frames = [immersion.frame_at(w) for w in mesh.points]
-        self.positions = np.array([fr.point for fr in self.vertex_frames])
+        self.frames = immersion.frame_at(mesh.points)
+        self.positions = self.frames.point
 
         tri = mesh.triangles
         e1 = self.positions[tri[:, 1]] - self.positions[tri[:, 0]]
@@ -68,7 +71,8 @@ class DiscreteGeometry:
         self.volume = float(np.sum(self.areas))
 
     def vertex_values(self, fn) -> np.ndarray:
-        return np.array([float(fn(fr)) for fr in self.vertex_frames])
+        """fn(PointFrame) -> float at every vertex, on transient rows."""
+        return np.array([float(fn(fr)) for fr in self.frames])
 
     def integrate(self, vertex_values: np.ndarray) -> float:
         """Integral of the P1 interpolant of per-vertex samples."""
@@ -80,10 +84,12 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     """Stiffness and mass matrices for the pencil K f = lambda M f.
 
     tensor_field: callable (PointFrame) -> symmetric (2, 2) weight matrix in
-    frame components, or None for the identity (the Laplacian).  potential:
-    callable (PointFrame) -> float, added to K through the quadratic form
-    integral of q f g.  Raises EllipticityError at the first element whose
-    weight matrix is not positive definite.
+    frame components, or None for the identity (the Laplacian); it is
+    called on the rows of one batch of centroid frames.  potential:
+    callable (PointFrame) -> float, or its values (V,) at the vertices,
+    added to K through the quadratic form integral of q f g.  Raises
+    EllipticityError at the first element whose weight matrix is not
+    positive definite.
     """
     mesh = geom.mesh
     tri = mesh.triangles
@@ -102,10 +108,9 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
                     > np.sqrt(tot[..., None, :] @ tot[..., None]))[..., 0]
             corners[:, 1:] = np.where(flip, -corners[:, 1:], corners[:, 1:])
         centroids = imm.domain.centroid(corners)
-        frames = [imm.frame_at(w) for w in centroids]
+        frames = imm.frame_at(centroids)
         # orthogonal maps from centroid-frame components to local coordinates
-        raw = np.einsum("fan,fin,n->fai", geom._local_axes,
-                        np.array([fr.tangent for fr in frames]),
+        raw = np.einsum("fan,fin,n->fai", geom._local_axes, frames.tangent,
                         imm.ambient.metric_diag)
         u, _, vt = np.linalg.svd(raw)
         rot = u @ vt
@@ -124,7 +129,9 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
                       t_local, geom.grads)
     m_loc = np.einsum("f,ij->fij", geom.areas, _MASS_LOCAL)
     if potential is not None:
-        qv = geom.vertex_values(potential)[tri]  # (F, 3)
+        if callable(potential):
+            potential = geom.vertex_values(potential)
+        qv = np.asarray(potential, dtype=float)[tri]  # (F, 3)
         qpt = qv @ _QUAD_BARY.T  # value at each quadrature point
         phi = _QUAD_BARY  # hat function values at quadrature points
         q_loc = np.einsum("f,fq,qi,qj->fij", geom.areas / 3.0, qpt, phi, phi)

@@ -170,23 +170,24 @@ def factor_curvature_residual(immersion, mesh, chain, tensor_field=None) -> floa
     """
     geom = DiscreteGeometry(immersion, mesh)
     space = immersion.ambient
-    nverts = mesh.points.shape[0]
-    field = np.empty(nverts)
-    rho_vals = np.empty(nverts)
-    for idx, fr in enumerate(geom.vertex_frames):
-        tmat = np.eye(fr.n) if tensor_field is None else np.asarray(tensor_field(fr))
-        tr = float(np.trace(tmat))
-        grad = chain.grad_rho(fr.point)
-        tang = np.array([float(space.inner(grad, e)) for e in fr.tangent])
-        perp = grad - tang @ fr.tangent
-        perp2 = float(space.inner(perp, perp))
-        h_t = fr.weighted_normal(tmat) @ fr.normal
-        cross = float(space.inner(h_t, perp))
-        tprime = tang @ ((tr * np.eye(fr.n) - 2.0 * tmat) @ tang)
-        rho = chain.rho(fr.point)
-        field[idx] = (np.exp(2.0 * rho) * tr - space.c * tr
-                      + tr * perp2 - 2.0 * cross + tprime)
-        rho_vals[idx] = rho
+    frames = geom.frames
+    eye = np.eye(frames.n)
+    if tensor_field is None:
+        tmat = np.broadcast_to(eye, frames.metric.shape)
+    else:
+        tmat = np.array([np.asarray(tensor_field(fr)) for fr in frames], dtype=float)
+    tr = np.trace(tmat, axis1=-2, axis2=-1)
+    grad = np.array([chain.grad_rho(x) for x in frames.point])
+    rho_vals = np.array([chain.rho(x) for x in frames.point])
+    tang = space.inner(grad[:, None, :], frames.tangent)  # (V, n)
+    perp = grad - (tang[:, None, :] @ frames.tangent)[:, 0]
+    perp2 = space.inner(perp, perp)
+    h_t = (frames.weighted_normal(tmat)[:, None, :] @ frames.normal)[:, 0]
+    cross = space.inner(h_t, perp)
+    tprime_tang = ((tr[:, None, None] * eye - 2.0 * tmat) @ tang[:, :, None])[:, :, 0]
+    tprime = (tang[:, None, :] @ tprime_tang[:, :, None])[:, 0, 0]
+    field = (np.exp(2.0 * rho_vals) * tr - space.c * tr
+             + tr * perp2 - 2.0 * cross + tprime)
     stiffness, mass = assemble_forms(geom, tensor_field=tensor_field)
     residual = mass @ field - 2.0 * (stiffness @ rho_vals)
     return float(np.sum(np.abs(residual)))

@@ -1,11 +1,20 @@
-"""Parametric immersions into space forms with pointwise frames.
+"""Parametric immersions into space forms with orthonormal frames.
 
 A ParametricImmersion couples a parameter domain (products of unit spheres
 or a flat patch) with an ambient-valued map and a target space form.  The
-frame machinery produces, at any domain point, an orthonormal tangent and
+frame machinery produces, at domain points, an orthonormal tangent and
 normal frame together with the second fundamental form expressed in that
 frame, which is the raw material for every curvature and eigenvalue
 computation downstream.
+
+frame_at takes one point (embed_dim,) and returns a PointFrame, or a batch
+(K, embed_dim) and returns a FrameBatch of arrays; one point is the
+one-row case of the same pass.  Gram-Schmidt over a batch is masked: every
+candidate vector is projected against every slot of the basis being built,
+slots not yet filled hold zeros (so projecting against them changes
+nothing), and a row takes the candidate only while it still needs vectors
+and the candidate's norm passes the threshold.  Each row so gets the bits
+of the one-point loop, whatever the batch around it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ImmersionError, ShapeError
-from .secondform import SecondFundamentalForm
+from .secondform import SecondFundamentalForm, symmetrized
 
 _EPS = np.finfo(float).eps
 _FD_FIRST = _EPS ** 0.5
@@ -62,22 +71,25 @@ class AmbientSpace:
         """Ambient inner product (Lorentz-aware); broadcasts over leading axes."""
         return np.sum(np.asarray(u) * np.asarray(v) * self.metric_diag, axis=-1)
 
-    def constraint_residual(self, x) -> float:
-        """Deviation of x from the model constraint (0 for flat space)."""
+    def constraint_residual(self, x):
+        """Deviation of x (..., coords) from the model constraint (0 for
+        flat space), one value per point."""
+        x = np.asarray(x, dtype=float)
         if self.c == 0.0:
-            return 0.0
+            return np.zeros(x.shape[:-1])
         target = 1.0 if self.c == 1.0 else -1.0
-        return float(abs(self.inner(x, x) - target))
+        return np.abs(self.inner(x, x) - target)
 
     def project_radial_out(self, x, v) -> np.ndarray:
         """Remove from v the component along the position direction x.
 
         For c = 1 the position is a unit vector; for c = -1 it is timelike
-        with <x,x>' = -1, so the projection coefficient flips sign.
+        with <x,x>' = -1, so the projection coefficient flips sign.  x and
+        v broadcast over leading axes.
         """
         if self.c == 0.0:
             return np.asarray(v, dtype=float)
-        coeff = self.inner(v, x)
+        coeff = np.expand_dims(self.inner(v, x), -1)
         if self.c == 1.0:
             return v - coeff * x
         return v + coeff * x
@@ -94,7 +106,8 @@ class ParamDomain:
         raise NotImplementedError
 
     def chart(self, w: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent basis tau (dim, embed_dim) at w."""
+        """Orthonormal tangent basis tau (dim, embed_dim) at w, or one per
+        row (K, dim, embed_dim) of a batch w (K, embed_dim)."""
         raise NotImplementedError
 
     def chart_point(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -102,7 +115,8 @@ class ParamDomain:
         raise NotImplementedError
 
     def chart_second(self, w: np.ndarray) -> np.ndarray:
-        """Second derivatives (dim, dim, embed_dim) of chart_point at u = 0."""
+        """Second derivatives (dim, dim, embed_dim) of chart_point at u = 0,
+        or one set per row (K, dim, dim, embed_dim) of a batch."""
         raise NotImplementedError
 
     def centroid(self, points) -> np.ndarray:
@@ -142,14 +156,11 @@ class SphereProduct(ParamDomain):
 
     def chart(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        tau = np.zeros((self.dim, self.embed_dim))
+        tau = np.zeros(w.shape[:-1] + (self.dim, self.embed_dim))
         row = 0
         for d, sl in zip(self.dims, self.slices):
-            wf = w[sl]
-            basis = _tangent_basis_of_sphere(wf)
-            for b in basis:
-                tau[row, sl] = b
-                row += 1
+            tau[..., row:row + d, sl] = _sphere_tangents(w[..., sl])
+            row += d
         return tau
 
     def chart_point(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -162,11 +173,11 @@ class SphereProduct(ParamDomain):
 
     def chart_second(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        sec = np.zeros((self.dim, self.dim, self.embed_dim))
+        sec = np.zeros(w.shape[:-1] + (self.dim, self.dim, self.embed_dim))
         row = 0
         for d, sl in zip(self.dims, self.slices):
             for a in range(row, row + d):
-                sec[a, a, sl] = -w[sl]
+                sec[..., a, a, sl] = -w[..., sl]
             row += d
         return sec
 
@@ -196,33 +207,46 @@ class FlatPatch(ParamDomain):
         return rng.uniform(-self.halfwidth, self.halfwidth, size=self.dim)
 
     def chart(self, w: np.ndarray) -> np.ndarray:
-        return np.eye(self.dim)
+        lead = np.shape(w)[:-1]
+        return np.broadcast_to(np.eye(self.dim), lead + (self.dim, self.dim)).copy()
 
     def chart_point(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(w, dtype=float) + np.asarray(u, dtype=float)
 
     def chart_second(self, w: np.ndarray) -> np.ndarray:
-        return np.zeros((self.dim, self.dim, self.dim))
+        return np.zeros(np.shape(w)[:-1] + (self.dim, self.dim, self.dim))
 
 
-def _tangent_basis_of_sphere(w: np.ndarray) -> list:
-    """Deterministic orthonormal basis of the tangent plane of S^d at w."""
-    dim = w.size
-    basis = []
-    for k in range(dim):
-        v = np.zeros(dim)
-        v[k] = 1.0
-        v = v - np.dot(v, w) * w
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            basis.append(v / norm)
-        if len(basis) == dim - 1:
+def _rowdot(u, v) -> np.ndarray:
+    """Dot products of the last axes, bitwise equal to the 1-D np.dot."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _sphere_tangents(w: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (..., d, d + 1) of the tangent planes of S^d at
+    the points w (..., d + 1): masked Gram-Schmidt on the coordinate axes
+    in ascending order, each made orthogonal to w first."""
+    size = w.shape[-1]
+    flat = w.reshape(-1, size)
+    count = flat.shape[0]
+    basis = np.zeros((count, size - 1, size))
+    found = np.zeros(count, dtype=int)
+    for k in range(size):
+        v = np.zeros((count, size))
+        v[:, k] = 1.0
+        v = v - _rowdot(v, flat)[:, None] * flat
+        for slot in range(size - 1):
+            b = basis[:, slot]
+            v = v - _rowdot(v, b)[:, None] * b
+        norm = np.sqrt(_rowdot(v, v))
+        rows = np.flatnonzero((found < size - 1) & (norm > 1e-7))
+        basis[rows, found[rows]] = v[rows] / norm[rows, None]
+        found[rows] += 1
+        if np.all(found == size - 1):
             break
-    if len(basis) != dim - 1:
+    if np.any(found != size - 1):
         raise ImmersionError("failed to span the sphere tangent plane")
-    return basis
+    return basis.reshape(w.shape[:-1] + (size - 1, size))
 
 
 class AmbientMap:
@@ -244,7 +268,11 @@ class AmbientMap:
 
 
 class PolynomialMap(AmbientMap):
-    """Quadratic polynomial map x = A0 + A1 w + w.A2.w with exact jets."""
+    """Quadratic polynomial map x = A0 + A1 w + w.A2.w with exact jets.
+
+    value and jacobian take one point (in,) or a batch (K, in); the
+    hessian is constant.
+    """
 
     def __init__(self, a0, a1, a2=None):
         self.a0 = np.asarray(a0, dtype=float)
@@ -260,10 +288,13 @@ class PolynomialMap(AmbientMap):
 
     def value(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        return self.a0 + self.a1 @ w + np.einsum("nij,i,j->n", self.a2, w, w)
+        # per-row matrix-vector products, bitwise equal to a1 @ w
+        return (self.a0 + (self.a1 @ w[..., None])[..., 0]
+                + np.einsum("nij,...i,...j->...n", self.a2, w, w))
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
-        return self.a1 + 2.0 * np.einsum("nij,j->ni", self.a2, np.asarray(w, dtype=float))
+        return self.a1 + 2.0 * np.einsum("nij,...j->...ni", self.a2,
+                                         np.asarray(w, dtype=float))
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * self.a2
@@ -348,6 +379,49 @@ class PointFrame:
 
 
 @dataclass(frozen=True)
+class FrameBatch:
+    """Orthonormal frame data of an immersion at K parameter points.
+
+    Struct of arrays, with C the ambient coordinates: point (K, C), metric
+    (K, n, n), tangent (K, n, C), normal (K, p, C), the symmetric second
+    fundamental forms h (K, p, n, n) and the Gram-Schmidt coefficients
+    coeff (K, n, n), tangent = coeff @ chart derivatives.  batch[i] is the
+    PointFrame of row i, built on demand; iterating yields the rows.
+    """
+
+    point: np.ndarray
+    metric: np.ndarray
+    tangent: np.ndarray
+    normal: np.ndarray
+    h: np.ndarray
+    coeff: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.tangent.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.normal.shape[1]
+
+    def __len__(self) -> int:
+        return self.point.shape[0]
+
+    def __getitem__(self, i) -> PointFrame:
+        return PointFrame(point=self.point[i], metric=self.metric[i],
+                          tangent=self.tangent[i], normal=self.normal[i],
+                          h=SecondFundamentalForm.wrap(self.h[i]),
+                          coeff=self.coeff[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def weighted_normal(self, T: np.ndarray) -> np.ndarray:
+        """Normal-frame components (K, p) of H_T for tensors T (K, n, n)."""
+        return np.einsum("kaij,kij->ka", self.h, np.asarray(T, dtype=float))
+
+
+@dataclass(frozen=True)
 class ParametricImmersion:
     """Immersed submanifold given by a map from a parameter domain."""
 
@@ -371,12 +445,19 @@ class ParametricImmersion:
         return np.asarray(self.mapping.value(np.asarray(w, dtype=float)), dtype=float)
 
     def jets(self, w):
-        """Position, first and second chart derivatives at w.
+        """Position (C,), first (n, C) and second (n, n, C) chart
+        derivatives at w, or (K, C), (K, n, C), (K, n, n, C) for a batch
+        w (K, embed_dim).
 
         Uses analytic map jets through the domain chart when both are
         available, finite differences of the chart composition otherwise.
+        A PolynomialMap evaluates a batch in one pass; other maps take
+        their one-point jets row by row, stacked.
         """
         w = np.asarray(w, dtype=float)
+        if w.ndim == 2 and not isinstance(self.mapping, PolynomialMap):
+            x, d1, d2 = zip(*(self.jets(row) for row in w))
+            return np.array(x), np.array(d1), np.array(d2)
         x = self.position(w)
         jac = self.mapping.jacobian(w)
         hess = self.mapping.hessian(w)
@@ -386,9 +467,9 @@ class ParametricImmersion:
             sec = self.domain.chart_second(w)
             jac = np.asarray(jac, dtype=float)
             hess = np.asarray(hess, dtype=float)
-            d1 = tau @ jac.T
-            d2 = (np.einsum("nde,ad,be->abn", hess, tau, tau)
-                  + np.einsum("abd,nd->abn", sec, jac))
+            d1 = tau @ np.swapaxes(jac, -1, -2)
+            d2 = (np.einsum("...nde,...ad,...be->...abn", hess, tau, tau)
+                  + np.einsum("...abd,...nd->...abn", sec, jac))
             return x, d1, d2
 
         def chart_value(u):
@@ -415,64 +496,74 @@ class ParametricImmersion:
                 d2[b, a] = mixed
         return x, d1, d2
 
-    def frame_at(self, w) -> PointFrame:
-        """Orthonormal tangent/normal frame and second fundamental form.
+    def frame_at(self, w):
+        """Orthonormal tangent/normal frames and second fundamental forms.
 
-        Tangents come from Gram-Schmidt on the chart derivatives in fixed
-        parameter order; normals from Gram-Schmidt completion by the
-        ambient coordinate axes in ascending order (with the position
-        direction removed first for curved ambients).  Each normal is
-        flipped, deterministically, so that tr h^alpha >= 0, which makes a
-        round sphere carry positive principal curvature.
+        w is one domain point (embed_dim,), giving a PointFrame, or a batch
+        (K, embed_dim), giving a FrameBatch; a point is the one-row case of
+        the same pass, with the same bits.  Tangents come from Gram-Schmidt
+        on the chart derivatives in fixed parameter order; normals from
+        masked Gram-Schmidt completion by the ambient coordinate axes in
+        ascending order (with the position direction removed first for
+        curved ambients).  Each normal is flipped, deterministically, so
+        that tr h^alpha >= 0, which makes a round sphere carry positive
+        principal curvature.  A batch raises the ImmersionError of its
+        first row off the ambient constraint, else of its first row with a
+        singular chart, as the one-point call at that row would.
         """
+        w = np.asarray(w, dtype=float)
+        batch = self._frames(*self.jets(w.reshape(-1, w.shape[-1])))
+        return batch[0] if w.ndim == 1 else batch
+
+    def _frames(self, x, d1, d2) -> FrameBatch:
+        """Batched orthonormalization of jets x (K, C), d1 (K, n, C) and
+        d2 (K, n, n, C)."""
         space = self.ambient
-        x, d1, d2 = self.jets(w)
-        if x.size != space.coords:
+        if x.shape[-1] != space.coords:
             raise ShapeError("map output does not match the ambient coordinates")
-        if space.constraint_residual(x) > _CONSTRAINT_TOL:
+        resid = space.constraint_residual(x)
+        bad = np.flatnonzero(resid > _CONSTRAINT_TOL)
+        if bad.size:
             raise ImmersionError(
                 "image point violates the ambient constraint by %.3e"
-                % space.constraint_residual(x))
-        n = self.domain.dim
-        g = np.empty((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                g[a, b] = g[b, a] = space.inner(d1[a], d1[b])
+                % resid[bad[0]])
+        diag = space.metric_diag
+        count, n, coords = d1.shape
+        g = np.sum(d1[:, :, None, :] * d1[:, None, :, :] * diag, axis=-1)
         eigs = np.linalg.eigvalsh(g)
-        if eigs[0] <= _RANK_TOL * max(1.0, eigs[-1]):
+        if np.any(eigs[:, 0] <= _RANK_TOL * np.maximum(1.0, eigs[:, -1])):
             raise ImmersionError("singular chart: induced metric is rank deficient")
         lower = np.linalg.cholesky(g)
-        coeff = np.linalg.solve(lower, np.eye(n))
+        coeff = np.linalg.solve(lower, np.broadcast_to(np.eye(n), g.shape))
         tangent = coeff @ d1
 
         p = self.p
-        normal = np.empty((p, space.coords))
-        found = 0
-        for k in range(space.coords):
-            if found == p:
-                break
-            v = np.zeros(space.coords)
-            v[k] = 1.0
+        normal = np.zeros((count, p, coords))
+        found = np.zeros(count, dtype=int)
+        for k in range(coords):
+            v = np.zeros((count, coords))
+            v[:, k] = 1.0
             v = space.project_radial_out(x, v)
-            for t in tangent:
-                v = v - space.inner(v, t) * t
-            for m in range(found):
-                v = v - space.inner(v, normal[m]) * normal[m]
+            for t in range(n):
+                v = v - space.inner(v, tangent[:, t])[:, None] * tangent[:, t]
+            for m in range(p):
+                v = v - space.inner(v, normal[:, m])[:, None] * normal[:, m]
             norm2 = space.inner(v, v)
-            if norm2 > 1e-10:
-                normal[found] = v / np.sqrt(norm2)
-                found += 1
-        if found != p:
+            rows = np.flatnonzero((found < p) & (norm2 > 1e-10))
+            normal[rows, found[rows]] = v[rows] / np.sqrt(norm2[rows])[:, None]
+            found[rows] += 1
+            if np.all(found == p):
+                break
+        if np.any(found != p):
             raise ImmersionError("failed to complete the normal frame")
 
-        proj = np.einsum("abn,cn,n->cab", d2, normal, space.metric_diag)
-        hmat = np.einsum("ia,jb,cab->cij", coeff, coeff, proj)
-        for alpha in range(p):
-            if np.trace(hmat[alpha]) < -1e-9:
-                hmat[alpha] = -hmat[alpha]
-                normal[alpha] = -normal[alpha]
-        return PointFrame(point=x, metric=g, tangent=tangent, normal=normal,
-                          h=SecondFundamentalForm(hmat), coeff=coeff)
+        proj = np.einsum("kabn,kcn,n->kcab", d2, normal, diag)
+        hmat = np.einsum("kia,kjb,kcab->kcij", coeff, coeff, proj)
+        flip = np.trace(hmat, axis1=-2, axis2=-1) < -1e-9
+        hmat = np.where(flip[..., None, None], -hmat, hmat)
+        normal = np.where(flip[..., None], -normal, normal)
+        return FrameBatch(point=x, metric=g, tangent=tangent, normal=normal,
+                          h=symmetrized(hmat), coeff=coeff)
 
     def structure_residual(self, w) -> float:
         """Deviation of the chart second derivatives from their tangential

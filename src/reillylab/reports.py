@@ -81,6 +81,14 @@ class OperatorSpec:
             return mean_curvature_tensor(frame.h).T
         return np.asarray(self.tensor_fn(frame), dtype=float)
 
+    def tensors(self, frames) -> np.ndarray:
+        """tensor_at of every row of a FrameBatch, as (K, n, n); the
+        identity needs no rows."""
+        if self.kind == "identity":
+            return np.broadcast_to(np.eye(frames.n),
+                                   (len(frames), frames.n, frames.n))
+        return np.array([self.tensor_at(fr) for fr in frames], dtype=float)
+
 
 def operator_from_label(label: str) -> OperatorSpec:
     """Parse "identity", "newton:<r>", "mean_curvature" into a spec."""
@@ -160,39 +168,31 @@ def write_report_csv(reports, stream_or_path):
                      stream_or_path)
 
 
-def _precondition_update(pre, T, trT):
-    eig = np.linalg.eigvalsh(T)
-    eigp = np.linalg.eigvalsh(trT * np.eye(T.shape[0]) - 2.0 * T)
-    pre["T_posdef_min"] = min(pre.get("T_posdef_min", math.inf), float(eig[0]))
-    pre["Tprime_min"] = min(pre.get("Tprime_min", math.inf), float(eigp[0]))
-    pre["trT_min"] = min(pre.get("trT_min", math.inf), trT)
-
-
 def _sample_pass(frames, tensors, c):
-    """Per-frame integrand c trT + |H_T|^2/trT, tr T, the ambient vector
-    H_T and |H_T|, plus the positivity preconditions over all frames.
+    """Per-frame integrand c trT + |H_T|^2/trT, tr T, the ambient vectors
+    H_T (K, C) and |H_T|, plus the positivity preconditions over all
+    frames.
 
-    `tensors` yields the weight tensor of each frame in frame order; a
-    lazy map(spec.tensor_at, frames) builds each one just before its
-    sample is checked.
+    frames is a FrameBatch and tensors holds the weight tensor of each of
+    its rows, (K, n, n).
     """
-    count = len(frames)
-    integrand = np.empty(count)
-    trT = np.empty(count)
-    ht = np.empty(count)
-    ht_ambient = []
-    pre = {}
-    for i, (fr, T) in enumerate(zip(frames, tensors)):
-        trT[i] = tr = float(np.trace(T))
-        if tr <= 0.0:
-            raise EllipticityError("tr T must be positive, got %.3e" % tr)
-        wn = fr.weighted_normal(T)
-        ht2 = float(wn @ wn)
-        integrand[i] = c * tr + ht2 / tr
-        ht[i] = math.sqrt(ht2)
-        ht_ambient.append(wn @ fr.normal)
-        _precondition_update(pre, T, trT[i])
-    return integrand, trT, ht_ambient, ht, pre
+    tensors = np.asarray(tensors, dtype=float)
+    trT = np.trace(tensors, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(trT <= 0.0)
+    if bad.size:
+        raise EllipticityError("tr T must be positive, got %.3e" % trT[bad[0]])
+    wn = frames.weighted_normal(tensors)
+    ht2 = (wn[:, None, :] @ wn[:, :, None])[:, 0, 0]
+    integrand = c * trT + ht2 / trT
+    ht_ambient = (wn[:, None, :] @ frames.normal)[:, 0]
+    # T and T' = (tr T) I - 2 T of every sample in one eigvalsh call
+    tprime = trT[:, None, None] * np.eye(frames.n) - 2.0 * tensors
+    eig = np.linalg.eigvalsh(np.concatenate([tensors, tprime]))[:, 0]
+    count = len(trT)
+    pre = {"T_posdef_min": float(np.min(eig[:count])),
+           "Tprime_min": float(np.min(eig[count:])),
+           "trT_min": float(np.min(trT))}
+    return integrand, trT, ht_ambient, np.sqrt(ht2), pre
 
 
 def _radius_estimate(trT_mean, lam2, c):
@@ -244,22 +244,22 @@ def _t_minimal_residual(frames, ht_ambient, center, space):
     """Largest non-radial part of H_T relative to the estimated center.
 
     A T-minimal submanifold of a geodesic sphere has H_T parallel to the
-    sphere's radial direction at every point.
+    sphere's radial direction at every point.  Points within 1e-9 of the
+    center are skipped.
     """
-    worst = 0.0
-    scale = 1e-30
-    for fr, ht in zip(frames, ht_ambient):
-        scale = max(scale, float(np.sqrt(abs(space.inner(ht, ht)))))
-        if space.c == 0.0:
-            rad = fr.point - center
-        else:
-            rad = space.project_radial_out(fr.point, center)
-        nrm2 = space.inner(rad, rad)
-        if nrm2 < 1e-18:
-            continue
-        rad = rad / math.sqrt(nrm2)
-        resid = ht - space.inner(ht, rad) * rad
-        worst = max(worst, float(np.sqrt(abs(space.inner(resid, resid)))))
+    inner = space.inner
+    scale = max(1e-30, float(np.max(np.sqrt(np.abs(inner(ht_ambient, ht_ambient))),
+                                    initial=0.0)))
+    if space.c == 0.0:
+        rad = frames.point - center
+    else:
+        rad = space.project_radial_out(frames.point, center)
+    nrm2 = inner(rad, rad)
+    keep = nrm2 >= 1e-18
+    rad = rad[keep] / np.sqrt(nrm2[keep])[:, None]
+    ht = ht_ambient[keep]
+    resid = ht - inner(ht, rad)[:, None] * rad
+    worst = float(np.max(np.sqrt(np.abs(inner(resid, resid))), initial=0.0))
     return worst / scale
 
 
@@ -286,29 +286,33 @@ def rhs_integral(geom_or_immersion, spec: OperatorSpec, samples: int = 32,
     """
     if isinstance(geom_or_immersion, DiscreteGeometry):
         geom = geom_or_immersion
-        frames = geom.vertex_frames
-        vals = _sample_pass(frames, map(spec.tensor_at, frames),
+        vals = _sample_pass(geom.frames, spec.tensors(geom.frames),
                             geom.immersion.ambient.c)[0]
         return geom.integrate(vals) / geom.volume, float(np.std(vals))
     imm = geom_or_immersion
     frames = _sample_frames(imm, samples, seed)
-    vals = _sample_pass(frames, map(spec.tensor_at, frames), imm.ambient.c)[0]
+    vals = _sample_pass(frames, spec.tensors(frames), imm.ambient.c)[0]
     return float(np.mean(vals)), float(np.std(vals))
 
 
 def _sample_frames(immersion, samples, seed):
-    return [immersion.frame_at(w)
-            for w in immersion.sample_points(samples, seed=seed)]
+    """FrameBatch at `samples` seeded random domain points."""
+    if samples < 1:
+        raise ArgumentError("need at least one sample, got %d" % samples)
+    return immersion.frame_at(immersion.sample_points(samples, seed=seed))
 
 
 def _mesh_forms(immersion, spec, level, mesh, potential=None):
-    """Geometry and assembled stiffness and mass of a mesh report."""
+    """Geometry and assembled stiffness and mass of a mesh report, plus
+    the potential's vertex values (None without a potential), evaluated
+    once per vertex."""
     if mesh is None:
         mesh = mesh_for(immersion, level)
     geom = DiscreteGeometry(immersion, mesh)
     tensor_field = None if spec.kind == "identity" else spec.tensor_at
-    stiffness, mass = assemble_forms(geom, tensor_field, potential=potential)
-    return geom, stiffness, mass
+    qvals = None if potential is None else geom.vertex_values(potential)
+    stiffness, mass = assemble_forms(geom, tensor_field, potential=qvals)
+    return geom, stiffness, mass, qvals
 
 
 def _mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex, cprime):
@@ -317,8 +321,7 @@ def _mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex, cprime):
     space = geom.immersion.ambient
     centroid = _centroid(geom.positions, geom.areas, geom.mesh.triangles)
     out = {"Tminimal_residual": _t_minimal_residual(
-        geom.vertex_frames, ht_ambient, _sphere_center(centroid, space.c),
-        space)}
+        geom.frames, ht_ambient, _sphere_center(centroid, space.c), space)}
     if cprime is not None:
         # positions relative to the raw centroid so constant coordinates
         # of curved ambients drop out
@@ -337,10 +340,9 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     from the computed second eigenvalue via c' = lambda2 / mean(trT).
     The potential of spec, if any, is not assembled.
     """
-    geom, stiffness, mass = _mesh_forms(immersion, spec, level, mesh)
-    frames = geom.vertex_frames
+    geom, stiffness, mass, _ = _mesh_forms(immersion, spec, level, mesh)
     _, trT_vertex, ht_ambient, ht, _ = _sample_pass(
-        frames, map(spec.tensor_at, frames), immersion.ambient.c)
+        geom.frames, spec.tensors(geom.frames), immersion.ambient.c)
     if cprime is None:
         trT_mean = geom.integrate(trT_vertex) / geom.volume
         cprime = solve_pencil(stiffness, mass, count=4).lambda2() / trT_mean
@@ -354,8 +356,8 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
 def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
                tol: float = TOL_FEM, chain=None) -> ReillyReport:
     """Assemble, solve, and diagnose the bound on a triangle mesh."""
-    geom, stiffness, mass = _mesh_forms(immersion, spec, level, mesh,
-                                        spec.potential)
+    geom, stiffness, mass, qvals = _mesh_forms(immersion, spec, level, mesh,
+                                               spec.potential)
     space = immersion.ambient
     c = space.c
 
@@ -363,15 +365,13 @@ def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     has_q = spec.potential is not None
     lam2 = spectrum.lambda2(has_potential=has_q)
 
-    frames = geom.vertex_frames
+    frames = geom.frames
     integrand, trT_vertex, ht_ambient, _, pre = _sample_pass(
-        frames, map(spec.tensor_at, frames), c)
+        frames, spec.tensors(frames), c)
     rhs = geom.integrate(integrand) / geom.volume
 
     qbar = 0.0
-    qvals = None
     if has_q:
-        qvals = geom.vertex_values(spec.potential)
         qbar = geom.integrate(qvals) / geom.volume
         rhs += qbar
 
@@ -404,17 +404,16 @@ def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
     """Deviation of H_T from (tr T) times the normal gradient of the
     conformal factor; vanishes exactly on balanced equality cases.
 
-    ht_ambient and trT hold the ambient H_T and tr T of each frame.
+    frames is a FrameBatch; ht_ambient (K, C) and trT (K,) hold the
+    ambient H_T and tr T of each row.
     """
-    worst = 0.0
-    for fr, ht, tr in zip(frames, ht_ambient, trT):
-        grad = chain.grad_rho(fr.point)
-        tang = np.array([space.inner(grad, e) for e in fr.tangent])
-        perp = grad - tang @ fr.tangent
-        resid = ht - tr * perp
-        mag = math.sqrt(abs(space.inner(resid, resid)))
-        worst = max(worst, mag / max(1.0, math.sqrt(abs(space.inner(ht, ht)))))
-    return worst
+    grad = np.array([chain.grad_rho(x) for x in frames.point])
+    tang = space.inner(grad[:, None, :], frames.tangent)  # (K, n)
+    perp = grad - (tang[:, None, :] @ frames.tangent)[:, 0]
+    resid = ht_ambient - trT[:, None] * perp
+    mag = np.sqrt(np.abs(space.inner(resid, resid)))
+    size = np.sqrt(np.abs(space.inner(ht_ambient, ht_ambient)))
+    return float(np.max(mag / np.maximum(1.0, size), initial=0.0))
 
 
 def _exact_record(immersion, label):
@@ -453,7 +452,7 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
 
     frames = _sample_frames(immersion, samples, seed)
     vals, trs, ht_ambient, _, pre = _sample_pass(
-        frames, map(spec.tensor_at, frames), c)
+        frames, spec.tensors(frames), c)
     rhs = float(np.mean(vals))
     lam2, backend = _exact_lambda2(record)
 

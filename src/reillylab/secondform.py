@@ -12,6 +12,26 @@ from .errors import ShapeError
 _SYM_TOL = 1e-12
 
 
+def symmetrized(h) -> np.ndarray:
+    """Forms h (..., p, n, n) checked for symmetry and symmetrized.
+
+    Each form h[k] of a batch is checked against its own scale
+    max(1, max |h[k]|); raises ShapeError on a bad shape, on n < 2 or on
+    an asymmetric form.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
+        raise ShapeError("h must have shape (p, n, n)")
+    if h.shape[-1] < 2:
+        raise ShapeError("need intrinsic dimension n >= 2")
+    ht = np.swapaxes(h, -1, -2)
+    axes = (-3, -2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=axes))
+    if np.any(np.max(np.abs(h - ht), axis=axes) > _SYM_TOL * scale):
+        raise ShapeError("each h[alpha] must be symmetric")
+    return 0.5 * (h + ht)
+
+
 @dataclass(frozen=True)
 class SecondFundamentalForm:
     """Second fundamental form at a point, stored as h[alpha, i, j] in an
@@ -24,14 +44,17 @@ class SecondFundamentalForm:
         h = np.asarray(self.h, dtype=float)
         if h.ndim == 2:
             h = h[None, :, :]
-        if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        if h.ndim != 3:
             raise ShapeError("h must have shape (p, n, n)")
-        if h.shape[1] < 2:
-            raise ShapeError("need intrinsic dimension n >= 2")
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if np.max(np.abs(h - np.swapaxes(h, 1, 2))) > _SYM_TOL * scale:
-            raise ShapeError("each h[alpha] must be symmetric")
-        object.__setattr__(self, "h", 0.5 * (h + np.swapaxes(h, 1, 2)))
+        object.__setattr__(self, "h", symmetrized(h))
+
+    @classmethod
+    def wrap(cls, h: np.ndarray) -> "SecondFundamentalForm":
+        """Form over one (p, n, n) array that symmetrized() already
+        checked and returned, without checking it again."""
+        sff = object.__new__(cls)
+        object.__setattr__(sff, "h", h)
+        return sff
 
     @property
     def n(self) -> int:

@@ -25,6 +25,11 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             balance_measure(np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
+    @pytest.mark.parametrize("support", ["sphere", "ball"])
+    def test_empty_measure_rejected(self, support):
+        with pytest.raises(ArgumentError, match="no points"):
+            balance_measure(np.zeros((0, 3)), support=support)
+
     def test_weights_checked(self):
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         with pytest.raises(ArgumentError):

@@ -456,3 +456,83 @@ class TestGalleryContracts:
         fr = imm.frame_at(imm.domain.random_point(np.random.default_rng(2)))
         data = mean_curvature_tensor(fr.h)
         assert np.max(np.abs(data.T - 3 * k * np.eye(4))) < 1e-10
+
+
+class TestFrameBatch:
+    @pytest.mark.parametrize("imm", frame_cases(), ids=lambda im: im.name)
+    def test_rows_equal_one_point_calls(self, imm):
+        rng = np.random.default_rng(21)
+        points = np.array([imm.domain.random_point(rng) for _ in range(17)])
+        batch = imm.frame_at(points)
+        assert len(batch) == 17 and (batch.n, batch.p) == (imm.n, imm.p)
+        for k in (0, 5, 16):
+            one = imm.frame_at(points[k])
+            row = batch[k]
+            for name in ("point", "metric", "tangent", "normal", "coeff"):
+                assert np.array_equal(getattr(one, name), getattr(batch, name)[k])
+                assert np.array_equal(getattr(one, name), getattr(row, name))
+            assert np.array_equal(one.h.h, batch.h[k])
+            assert np.array_equal(one.h.h, row.h.h)
+        # the bits do not depend on the batch size
+        sub = imm.frame_at(points[3:9])
+        for name in ("point", "metric", "tangent", "normal", "h", "coeff"):
+            assert np.array_equal(getattr(sub, name), getattr(batch, name)[3:9])
+
+    def test_composed_map_batch_matches_points(self):
+        from reillylab.moebius import ConformalChain, MoebiusParam
+        base = sphere(2, 0.6, 1, 1.0)
+        chain = ConformalChain(1.0, MoebiusParam(np.array([0.2, -0.1, 0.3, 0.1])), 3)
+        moved = pushforward_under_map(base, chain.test_map(), AmbientSpace(1.0, 3))
+        rng = np.random.default_rng(4)
+        points = np.array([moved.domain.random_point(rng) for _ in range(6)])
+        batch = moved.frame_at(points)
+        for k, w in enumerate(points):
+            one = moved.frame_at(w)
+            assert np.array_equal(one.tangent, batch.tangent[k])
+            assert np.array_equal(one.h.h, batch.h[k])
+
+    def test_bad_row_raises_like_one_point(self):
+        regular, bad = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+        # x = (w, w0 w1) stays on S^3 only where w0 w1 = 0
+        a2 = np.zeros((4, 3, 3))
+        a2[3, 0, 1] = a2[3, 1, 0] = 0.5
+        lifted = ParametricImmersion(
+            domain=SphereProduct((2,)),
+            mapping=PolynomialMap(np.zeros(4), np.eye(4, 3), a2),
+            ambient=AmbientSpace(1.0, 3), name="lifted")
+        lifted.frame_at(regular)
+        with pytest.raises(ImmersionError, match="constraint") as one:
+            lifted.frame_at(bad)
+        with pytest.raises(ImmersionError) as many:
+            lifted.frame_at(np.array([regular, bad, regular]))
+        assert str(many.value) == str(one.value)
+        # x = (w0, w1, 0) folds the sphere onto the plane along w2 = 0
+        regular, bad = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        folded = ParametricImmersion(
+            domain=SphereProduct((2,)),
+            mapping=PolynomialMap(np.zeros(3), np.diag([1.0, 1.0, 0.0])),
+            ambient=AmbientSpace(0.0, 3), name="folded")
+        folded.frame_at(regular)
+        with pytest.raises(ImmersionError, match="singular chart") as one:
+            folded.frame_at(bad)
+        with pytest.raises(ImmersionError) as many:
+            folded.frame_at(np.array([regular, regular, bad]))
+        assert str(many.value) == str(one.value)
+
+    def test_mesh_report_makes_one_frame_pass_per_point_set(self, monkeypatch):
+        from reillylab import immersion
+        from reillylab.reports import OperatorSpec, fem_report, operator_from_label
+        original = immersion.ParametricImmersion.frame_at
+        calls = []
+
+        def counted(self, w):
+            calls.append(np.shape(w))
+            return original(self, w)
+
+        monkeypatch.setattr(immersion.ParametricImmersion, "frame_at", counted)
+        fem_report(ellipsoid(), operator_from_label("newton:0"), level=3)
+        # vertices and centroids
+        assert calls == [(642, 3), (1280, 3)]
+        calls.clear()
+        fem_report(sphere(2, 1.0, 1, 0.0), OperatorSpec(), level=3)
+        assert calls == [(642, 3)]

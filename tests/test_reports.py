@@ -221,6 +221,13 @@ class TestMeanTensorReports:
         mean_tensor_report(sphere(4, 0.8, 2, 0.0))
         assert len(calls) == 64
 
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(ArgumentError, match="at least one sample"):
+            closed_form_report(clifford_torus(), OperatorSpec(kind="newton", degree=2),
+                               samples=0)
+        with pytest.raises(ArgumentError, match="at least one sample"):
+            mean_tensor_report(sphere(4, 0.8, 2, 0.0), samples=0)
+
     def test_dimension_guards(self):
         with pytest.raises(UnsupportedConfiguration):
             mean_tensor_report(sphere(2, 1.0, 2, 0.0))
@@ -250,6 +257,18 @@ class TestSchrodinger:
             OperatorSpec(potential=lambda fr: 3.0 * fr.point[0]), level=3)
         assert rep.gap > 0.3
         assert rep.equality["potential_constancy_stddev"] > 1.0
+
+    def test_potential_evaluated_once_per_vertex(self):
+        calls = []
+
+        def potential(fr):
+            calls.append(1)
+            return 3.0 * float(fr.point[0])
+
+        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0),
+                                 OperatorSpec(potential=potential), level=2)
+        assert len(calls) == mesh_for(sphere(2, 1.0, 1, 0.0), 2).vertex_count
+        assert rep.qbar == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_potential_reduces_to_plain(self):
         base = fem_report(flat_torus(), OperatorSpec(), level=3)
