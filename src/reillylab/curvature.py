@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kronecker import index_sum_terms
+from .kronecker import index_sum_terms, scatter_sum
 from .newton import newton_kronecker
 from .secondform import SecondFundamentalForm
 
@@ -120,8 +120,7 @@ def lovelock_einstein(curv: CurvatureData, k: int):
         return None
     up, lo, sg = index_sum_terms(n, 2 * k + 1)
     prod = _r_product(curv.R4, up, lo, sg, k)
-    out = np.zeros((n, n))
-    np.add.at(out, (up[:, 2 * k], lo[:, 2 * k]), prod)
+    out = scatter_sum((n, n), (up[:, 2 * k], lo[:, 2 * k]), prod)
     return -out / 2 ** (k + 1)
 
 
@@ -132,8 +131,8 @@ def lovelock_p4(curv: CurvatureData, k: int) -> np.ndarray:
         raise ArgumentError("order must satisfy 1 <= k <= n/2")
     up, lo, sg = index_sum_terms(n, 2 * k)
     prod = _r_product(curv.R4, up, lo, sg, k - 1)
-    out = np.zeros((n, n, n, n))
-    np.add.at(out, (up[:, 2 * k - 2], up[:, 2 * k - 1], lo[:, 2 * k - 2], lo[:, 2 * k - 1]), prod)
+    out = scatter_sum((n, n, n, n), (up[:, 2 * k - 2], up[:, 2 * k - 1],
+                                     lo[:, 2 * k - 2], lo[:, 2 * k - 1]), prod)
     return out / 2 ** k
 
 

@@ -88,6 +88,17 @@ def index_sum_terms(n: int, l: int):
             np.concatenate(sgs).astype(np.float64))
 
 
+def scatter_sum(shape, index, values) -> np.ndarray:
+    """Zeros of `shape` with each value added at its multi-index.
+
+    The result of np.add.at on zeros, bit for bit: np.bincount also adds
+    in input order, but in one compiled pass instead of a ufunc loop.
+    """
+    flat = np.ravel_multi_index(index, shape)
+    return np.bincount(flat, weights=values,
+                       minlength=math.prod(shape)).reshape(shape)
+
+
 def contraction_factor(n: int, l: int, t: int) -> float:
     """(n - t)! / (n - l)!, the factor in the trailing-index contraction of a
     generalized delta from length l down to length t."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedConfiguration
-from .kronecker import index_sum_terms
+from .kronecker import index_sum_terms, scatter_sum
 from .secondform import MeanCurvatureProfile, SecondFundamentalForm
 
 
@@ -79,13 +79,11 @@ def newton_kronecker(h, r: int) -> NewtonTensor:
         prod = prod * gram[up[:, 2 * s], lo[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s + 1]]
     fact = math.factorial(r)
     if r % 2 == 0:
-        out = np.zeros((n, n))
-        np.add.at(out, (up[:, r], lo[:, r]), prod)
+        out = scatter_sum((n, n), (up[:, r], lo[:, r]), prod)
         return NewtonTensor(r, out / fact, vector_valued=False)
-    out = np.zeros((p, n, n))
-    for a in range(p):
-        vals = prod * sff.h[a][up[:, r - 1], lo[:, r - 1]]
-        np.add.at(out[a], (up[:, r], lo[:, r]), vals)
+    out = np.stack([scatter_sum((n, n), (up[:, r], lo[:, r]),
+                                prod * sff.h[a][up[:, r - 1], lo[:, r - 1]])
+                    for a in range(p)])
     out /= fact
     if p == 1:
         return NewtonTensor(r, out[0], vector_valued=False)

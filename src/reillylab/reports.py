@@ -361,8 +361,11 @@ def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     space = immersion.ambient
     c = space.c
 
-    spectrum = solve_pencil(stiffness, mass)
     has_q = spec.potential is not None
+    # the potential's form is >= min(q) M and the rest of the stiffness is
+    # positive semidefinite, so min(q) bounds the spectrum below
+    spectrum = solve_pencil(stiffness, mass,
+                            floor=float(np.min(qvals)) if has_q else 0.0)
     lam2 = spectrum.lambda2(has_potential=has_q)
 
     frames = geom.frames

@@ -12,6 +12,7 @@ from reillylab.curvature import (contraction_residual, contraction_lhs,
                                  gauss_curvature, lovelock_einstein,
                                  lovelock_p4, lovelock_scalar,
                                  random_curvature)
+from reillylab.kronecker import index_sum_terms
 from reillylab.secondform import SecondFundamentalForm
 
 
@@ -116,6 +117,31 @@ def test_lovelock_family_trace_relations(n, kmax):
         Etr = lovelock_einstein(curv, k - 1)
         ptrace = np.einsum("sisj->ij", P)
         assert np.allclose(ptrace, -(n - 2 * k + 1) * Etr, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_lovelock_scatters_bitwise_equal_add_at(n):
+    """E2 and P4 against their defining sums scattered with np.add.at."""
+    curv = random_curvature(n, np.random.default_rng(20 + n), c=0.5)
+    R4 = curv.R4
+    for k in range(1, n // 2 + 1):
+        up, lo, sg = index_sum_terms(n, 2 * k)
+        prod = sg.copy()
+        for s in range(k - 1):
+            prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
+        p4 = np.zeros((n, n, n, n))
+        np.add.at(p4, (up[:, 2 * k - 2], up[:, 2 * k - 1],
+                       lo[:, 2 * k - 2], lo[:, 2 * k - 1]), prod)
+        assert np.array_equal(lovelock_p4(curv, k), p4 / 2 ** k), (n, k)
+        if 2 * k + 1 > n:
+            continue
+        up, lo, sg = index_sum_terms(n, 2 * k + 1)
+        prod = sg.copy()
+        for s in range(k):
+            prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
+        e2 = np.zeros((n, n))
+        np.add.at(e2, (up[:, 2 * k], lo[:, 2 * k]), prod)
+        assert np.array_equal(lovelock_einstein(curv, k), -e2 / 2 ** (k + 1)), (n, k)
 
 
 def test_lovelock_zeroth_einstein_convention():

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from reillylab.errors import (ArgumentError, ConvergenceError,
                               EllipticityError, TopologyError,
@@ -216,6 +217,37 @@ class TestSphereSpectrum:
         plain = solve_pencil(K, M, count=4)
         shifted = solve_pencil(Kq, M, count=4)
         assert abs(shifted.lambda2(has_potential=True) - plain.lambda2() - 3.0) < 1e-9
+
+    def test_negative_potential_shift_is_exact_on_arpack(self):
+        # a potential far below any mesh-scaled shift: the floor keeps the
+        # shift below the spectrum, so shift-invert returns the lowest values
+        geom = DiscreteGeometry(sphere(2, 1.0, 1, 0.0), icosphere(4))
+        K, M = assemble_forms(geom)
+        Kq, _ = assemble_forms(geom, potential=np.full(K.shape[0], -1000.0))
+        plain = solve_pencil(K, M, count=4)
+        shifted = solve_pencil(Kq, M, count=4, floor=-1000.0)
+        assert shifted.backend == "fem-arpack"
+        assert abs(shifted.lambda2(has_potential=True)
+                   - (plain.lambda2() - 1000.0)) < 1e-8
+
+    def test_shift_does_not_depend_on_mesh_size(self, monkeypatch):
+        seen = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def recording(*args, **kw):
+            seen.append(kw["sigma"])
+            return eigsh(*args, **kw)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        imm = sphere(2, 1.0, 1, 0.0)
+        forms = {level: assemble_forms(DiscreteGeometry(imm, icosphere(level)))
+                 for level in (4, 5)}
+        for level in (4, 5):
+            solve_pencil(*forms[level], count=4)
+        assert all(-1.0 <= s < 0.0 for s in seen), seen
+        assert abs(seen[0] - seen[1]) <= 0.01 * abs(seen[1])
+        solve_pencil(*forms[4], count=4, floor=-5.0)
+        assert seen[2] < -5.0
 
 
 class TestOtherGeometries:

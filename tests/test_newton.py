@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from reillylab.kronecker import index_sum_terms
 from reillylab.newton import (mean_profile, newton_chain, newton_kronecker,
                               newton_tensor, weighted_mean_curvature)
 from reillylab.secondform import SecondFundamentalForm
@@ -81,6 +82,41 @@ def test_recursion_matches_defining_sum(n, p):
             tr = float(np.trace(direct.data))
             assert scalars[r] * (n - r) == pytest.approx(tr, rel=1e-10,
                                                          abs=1e-10)
+
+
+def newton_kronecker_add_at(h, r):
+    """The defining sum scattered with np.add.at, kept as the reference
+    for the bincount scatter of newton_kronecker."""
+    n, p = h.n, h.p
+    if r == 0:
+        return np.eye(n)
+    up, lo, sg = index_sum_terms(n, r + 1)
+    if len(sg) == 0:
+        return np.zeros((n, n)) if (r % 2 == 0 or p == 1) else np.zeros((p, n, n))
+    gram = h.gram()
+    prod = sg.copy()
+    for s in range(r // 2):
+        prod = prod * gram[up[:, 2 * s], lo[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s + 1]]
+    if r % 2 == 0:
+        out = np.zeros((n, n))
+        np.add.at(out, (up[:, r], lo[:, r]), prod)
+        return out / math.factorial(r)
+    out = np.zeros((p, n, n))
+    for a in range(p):
+        vals = prod * h.h[a][up[:, r - 1], lo[:, r - 1]]
+        np.add.at(out[a], (up[:, r], lo[:, r]), vals)
+    out /= math.factorial(r)
+    return out[0] if p == 1 else out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2])
+def test_defining_sum_bitwise_equals_add_at(n, p):
+    for seed in range(3):
+        h = random_form(n, p, seed=1000 * n + 10 * p + seed)
+        for r in range(n + 1):
+            assert np.array_equal(newton_kronecker(h, r).data,
+                                  newton_kronecker_add_at(h, r)), (n, p, r)
 
 
 def test_methods_agree_and_validate():

@@ -251,6 +251,17 @@ class TestSchrodinger:
         assert rep.rhs == pytest.approx(5.0, abs=1e-10)
         assert rep.equality["potential_constancy_stddev"] < 1e-10
 
+    def test_negative_potential_on_arpack_mesh(self):
+        # level 4 takes the shift-invert path; a shift above the potential's
+        # minimum makes it return other eigenvalues and a false violation
+        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0),
+                                 OperatorSpec(potential=lambda fr: -1000.0),
+                                 level=4)
+        assert rep.backend == "fem-arpack"
+        assert rep.asserted and rep.passed
+        assert rep.lambda2 == pytest.approx(-997.99711, abs=1e-5)
+        assert rep.rhs == pytest.approx(-998.0, abs=1e-10)
+
     def test_nonconstant_potential_strict(self):
         rep = schrodinger_report(
             sphere(2, 1.0, 1, 0.0),
