@@ -14,7 +14,6 @@ from .gallery import (GALLERY, clifford_torus, ellipsoid, flat_torus, gallery,
                       product_spheres, ring_torus, sphere, veronese_rp2)
 from .identities import identity_suite
 from .immersion import (AmbientSpace, FrameBatch, ParametricImmersion,
-                        PointFrame, SecondFundamentalForm,
                         pushforward_under_map)
 from .kronecker import contraction_factor, gen_kronecker
 from .mesh import (Mesh, icosphere, load_off, projective_icosphere, save_off,
@@ -25,6 +24,7 @@ from .reports import (OperatorSpec, ReillyReport, check_inequality,
                       closed_form_report, fem_report, mean_tensor_report,
                       operator_from_label, rhs_integral, schrodinger_report,
                       t_minimality, write_report_csv)
+from .secondform import SecondFundamentalForm
 from .spectra import product_spectrum, solve_pencil, sphere_spectrum
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "DiscreteGeometry", "EllipticityError", "FrameBatch", "GALLERY",
     "ImmersionError",
     "InequalityViolation", "Mesh", "MoebiusParam", "NewtonTensor",
-    "OperatorSpec", "ParametricImmersion", "PointFrame", "ReillyLabError",
+    "OperatorSpec", "ParametricImmersion", "ReillyLabError",
     "ReillyReport", "SecondFundamentalForm", "ShapeError", "TopologyError",
     "UnsupportedConfiguration", "WeightTensorData", "assemble_forms",
     "balance_measure", "check_inequality", "clifford_torus",

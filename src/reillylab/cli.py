@@ -65,7 +65,7 @@ def _potential_from_config(cfg, where, coords):
             raise ConfigError("%s: potential axis %d outside 0..%d"
                               % (where, axis, coords - 1))
         scale = _field(cfg, "scale", 1.0, float, where)
-        return lambda fr: scale * float(fr.point[axis])
+        return lambda fr: scale * fr.point[..., axis]
     raise ConfigError("%s: unknown potential kind %r" % (where, kind))
 
 
@@ -134,6 +134,9 @@ def load_scenarios(path) -> list:
         level = _field(sc, "level", 4, int, where)
         levels = _field(sc, "levels", None, lambda v: [int(x) for x in v],
                         where)
+        if level < 0 or any(lvl < 0 for lvl in levels or ()):
+            raise ConfigError("%s: subdivision levels must be nonnegative"
+                              % where)
         if levels is not None:
             if any(b <= a for a, b in zip(levels, levels[1:])) or not levels:
                 raise ConfigError("%s: levels must be strictly increasing"
@@ -361,6 +364,8 @@ def _parse_levels(text):
         raise ConfigError("malformed levels %r" % text)
     if ranged and levels[1] < levels[0]:
         raise ConfigError("level range %s is empty" % text)
+    if any(lvl < 0 for lvl in levels):
+        raise ConfigError("subdivision levels must be nonnegative: %s" % text)
     return list(range(levels[0], levels[1] + 1)) if ranged else levels
 
 

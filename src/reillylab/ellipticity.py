@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateNormalError, EllipticityError
-from .secondform import SecondFundamentalForm
+from .secondform import SecondFundamentalForm, form_array, rowdot
 
 
 @dataclass(frozen=True)
 class WeightTensorData:
-    """T = nH I - h_principal with its positivity diagnostics."""
+    """T = nH I - h_principal with its positivity diagnostics, for one form
+    or with the leading axes of a batch of forms."""
 
     T: np.ndarray
     trace: float
@@ -30,32 +31,43 @@ class WeightTensorData:
     H2: float
     eigmin_T: float
     eigmin_Tprime: float
+    principal: np.ndarray  # h_principal, the form along the unit mean vector
     principal_curvatures: np.ndarray  # eigenvalues of h_principal, ascending
 
 
-def mean_curvature_tensor(h) -> WeightTensorData:
-    """Build T = nH I - h_principal and report its eigenvalue minima.
+def _mean_scalars(h):
+    """Mean curvature vectors hvec (..., p), lengths H = |hvec| (...) and
+    second mean curvatures H2 (...) of checked forms h (..., p, n, n)."""
+    n = h.shape[-1]
+    hvec = np.einsum("...xii->...x", h) / n
+    H = np.sqrt(rowdot(hvec, hvec))
+    H2 = ((n * H) ** 2 - np.sum(h * h, axis=(-3, -2, -1))) / (n * (n - 1))
+    return hvec, H, H2
 
-    Requires |H| > 0.  H2 is the second mean curvature defined through
-    n(n-1) H2 = (nH)^2 - |h|^2.
+
+def mean_curvature_tensor(h) -> WeightTensorData:
+    """Build T = nH I - h_principal and report its eigenvalue minima, for
+    one form or for every form of a batch (..., p, n, n).
+
+    Requires |H| > 0 at every form.  H2 is the second mean curvature
+    defined through n(n-1) H2 = (nH)^2 - |h|^2.
     """
-    if not isinstance(h, SecondFundamentalForm):
-        h = SecondFundamentalForm(np.asarray(h, dtype=float))
-    n = h.n
-    hvec = h.mean_vector()
-    H = float(np.linalg.norm(hvec))
-    if H < 1e-14:
+    h = form_array(h)
+    n = h.shape[-1]
+    hvec, H, H2 = _mean_scalars(h)
+    if np.any(H < 1e-14):
         raise DegenerateNormalError("mean curvature tensor undefined at |H| = 0")
-    principal = np.einsum("x,xij->ij", hvec / H, h.h)
-    T = n * H * np.eye(n) - principal
-    k = np.sort(np.linalg.eigvalsh(principal))
-    trT = float(np.trace(T))
-    Tprime = trT * np.eye(n) - 2.0 * T
-    H2 = ((n * H) ** 2 - h.norm2()) / (n * (n - 1))
-    return WeightTensorData(T=T, trace=trT, H=H, H2=float(H2),
-                            eigmin_T=float(np.min(np.linalg.eigvalsh(T))),
-                            eigmin_Tprime=float(np.min(np.linalg.eigvalsh(Tprime))),
-                            principal_curvatures=k)
+    principal = np.einsum("...x,...xij->...ij", hvec / H[..., None], h)
+    eye = np.eye(n)
+    T = n * H[..., None, None] * eye - principal
+    trT = np.trace(T, axis1=-2, axis2=-1)
+    Tprime = trT[..., None, None] * eye - 2.0 * T
+    return WeightTensorData(
+        T=T, trace=trT, H=H, H2=H2,
+        eigmin_T=np.min(np.linalg.eigvalsh(T), axis=-1),
+        eigmin_Tprime=np.min(np.linalg.eigvalsh(Tprime), axis=-1),
+        principal=principal,
+        principal_curvatures=np.linalg.eigvalsh(principal))
 
 
 def tilted_sum_minimum(a: float, b: float):

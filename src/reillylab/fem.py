@@ -5,8 +5,8 @@ vertices, measured with the ambient (possibly Lorentz) inner product, as
 whole-mesh arrays.  The weight tensor T is evaluated at element centroids in
 the orthonormal surface frame and rotated into the element's local flat
 coordinates; the centroid frames come from one batched frame_at call, made
-only for a tensor field.  The potential q is interpolated from vertex
-values.
+only for a tensor field, and the field is evaluated once on that batch.
+The potential q is interpolated from vertex values.
 """
 
 import numpy as np
@@ -70,10 +70,6 @@ class DiscreteGeometry:
              (e2 - (g12 / g11)[:, None] * e1) / height[:, None]], axis=1)
         self.volume = float(np.sum(self.areas))
 
-    def vertex_values(self, fn) -> np.ndarray:
-        """fn(PointFrame) -> float at every vertex, on transient rows."""
-        return np.array([float(fn(fr)) for fr in self.frames])
-
     def integrate(self, vertex_values: np.ndarray) -> float:
         """Integral of the P1 interpolant of per-vertex samples."""
         corner = vertex_values[self.mesh.triangles]
@@ -83,13 +79,13 @@ class DiscreteGeometry:
 def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     """Stiffness and mass matrices for the pencil K f = lambda M f.
 
-    tensor_field: callable (PointFrame) -> symmetric (2, 2) weight matrix in
-    frame components, or None for the identity (the Laplacian); it is
-    called on the rows of one batch of centroid frames.  potential:
-    callable (PointFrame) -> float, or its values (V,) at the vertices,
-    added to K through the quadratic form integral of q f g.  Raises
-    EllipticityError at the first element whose weight matrix is not
-    positive definite.
+    tensor_field: callable (FrameBatch) -> symmetric weight matrices in
+    frame components, or None for the identity (the Laplacian).  It is
+    called once, on the batch of element centroid frames, and its result
+    broadcasts against (F, 2, 2), so a constant (2, 2) matrix serves every
+    element.  potential: the values (V,) of q at the vertices, added to K
+    through the quadratic form integral of q f g.  Raises EllipticityError
+    at the first element whose weight matrix is not positive definite.
     """
     mesh = geom.mesh
     tri = mesh.triangles
@@ -114,7 +110,8 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
                         imm.ambient.metric_diag)
         u, _, vt = np.linalg.svd(raw)
         rot = u @ vt
-        tmats = np.array([tensor_field(fr) for fr in frames], dtype=float)
+        tmats = np.broadcast_to(np.asarray(tensor_field(frames), dtype=float),
+                                frames.metric.shape)
         t_local = rot @ tmats @ np.swapaxes(rot, 1, 2)
         eig = np.linalg.eigvalsh(t_local)
         scale = np.maximum.accumulate(np.abs(eig[:, -1]))
@@ -129,8 +126,6 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
                       t_local, geom.grads)
     m_loc = np.einsum("f,ij->fij", geom.areas, _MASS_LOCAL)
     if potential is not None:
-        if callable(potential):
-            potential = geom.vertex_values(potential)
         qv = np.asarray(potential, dtype=float)[tri]  # (F, 3)
         qpt = qv @ _QUAD_BARY.T  # value at each quadrature point
         phi = _QUAD_BARY  # hat function values at quadrature points

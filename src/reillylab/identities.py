@@ -148,10 +148,10 @@ def second_form_transform_residual(immersion, chain, count: int = 3,
         fr = immersion.frame_at(w)
         grad = chain.grad_rho(fr.point)
         rho_nu = float(immersion.ambient.inner(grad, fr.normal[0]))
-        kappa = np.linalg.eigvalsh(fr.h.h[0])
+        kappa = np.linalg.eigvalsh(fr.h[0])
         rho = chain.rho(fr.point)
         predicted = np.sort(np.exp(-rho) * (kappa - rho_nu))
-        got = np.sort(np.linalg.eigvalsh(moved.frame_at(w).h.h[0]))
+        got = np.sort(np.linalg.eigvalsh(moved.frame_at(w).h[0]))
         err = min(float(np.max(np.abs(got - predicted))),
                   float(np.max(np.abs(np.sort(-got) - predicted))))
         scale = max(1.0, float(np.max(np.abs(predicted))))
@@ -159,35 +159,30 @@ def second_form_transform_residual(immersion, chain, count: int = 3,
     return worst
 
 
-def factor_curvature_residual(immersion, mesh, chain, tensor_field=None) -> float:
+def factor_curvature_residual(immersion, mesh, chain) -> float:
     """Weak residual of the identity satisfied by the conformal factor.
 
     Pointwise, e^{2 rho} tr T = c tr T + 2 L_T rho - tr T |grad rho perp|^2
-    + 2 <H_T, grad rho perp> - T'(grad rho, grad rho) on the submanifold.
-    The L_T term is integrated by parts against P1 hat functions; the
-    return value is the l1 norm of the weak residual vector, which shrinks
-    like the square of the mesh size for smooth data.
+    + 2 <H_T, grad rho perp> - T'(grad rho, grad rho) on the submanifold,
+    evaluated here for T = I (L_T the Laplacian) on a surface, where
+    tr T = 2 and T' = (tr T) I - 2 T = 0.  The L_T term is integrated by
+    parts against P1 hat functions; the return value is the l1 norm of the
+    weak residual vector, which shrinks like the square of the mesh size
+    for smooth data.
     """
     geom = DiscreteGeometry(immersion, mesh)
     space = immersion.ambient
     frames = geom.frames
-    eye = np.eye(frames.n)
-    if tensor_field is None:
-        tmat = np.broadcast_to(eye, frames.metric.shape)
-    else:
-        tmat = np.array([np.asarray(tensor_field(fr)) for fr in frames], dtype=float)
-    tr = np.trace(tmat, axis1=-2, axis2=-1)
+    tr = 2.0
     grad = np.array([chain.grad_rho(x) for x in frames.point])
     rho_vals = np.array([chain.rho(x) for x in frames.point])
     tang = space.inner(grad[:, None, :], frames.tangent)  # (V, n)
     perp = grad - (tang[:, None, :] @ frames.tangent)[:, 0]
     perp2 = space.inner(perp, perp)
-    h_t = (frames.weighted_normal(tmat)[:, None, :] @ frames.normal)[:, 0]
+    h_t = (frames.weighted_normal(np.eye(2))[:, None, :] @ frames.normal)[:, 0]
     cross = space.inner(h_t, perp)
-    tprime_tang = ((tr[:, None, None] * eye - 2.0 * tmat) @ tang[:, :, None])[:, :, 0]
-    tprime = (tang[:, None, :] @ tprime_tang[:, :, None])[:, 0, 0]
     field = (np.exp(2.0 * rho_vals) * tr - space.c * tr
-             + tr * perp2 - 2.0 * cross + tprime)
-    stiffness, mass = assemble_forms(geom, tensor_field=tensor_field)
+             + tr * perp2 - 2.0 * cross)
+    stiffness, mass = assemble_forms(geom)
     residual = mass @ field - 2.0 * (stiffness @ rho_vals)
     return float(np.sum(np.abs(residual)))

@@ -7,11 +7,11 @@ normal frame together with the second fundamental form expressed in that
 frame, which is the raw material for every curvature and eigenvalue
 computation downstream.
 
-frame_at takes one point (embed_dim,) and returns a PointFrame, or a batch
-(K, embed_dim) and returns a FrameBatch of arrays; one point is the
-one-row case of the same pass.  Gram-Schmidt over a batch is masked: every
-candidate vector is projected against every slot of the basis being built,
-slots not yet filled hold zeros (so projecting against them changes
+frame_at takes one point (embed_dim,) or a batch (K, embed_dim) and returns
+a FrameBatch of arrays, with no leading axis for one point; one point is
+the one-row case of the same pass.  Gram-Schmidt over a batch is masked:
+every candidate vector is projected against every slot of the basis being
+built, slots not yet filled hold zeros (so projecting against them changes
 nothing), and a row takes the candidate only while it still needs vectors
 and the candidate's norm passes the threshold.  Each row so gets the bits
 of the one-point loop, whatever the batch around it.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ImmersionError, ShapeError
-from .secondform import SecondFundamentalForm, symmetrized
+from .secondform import rowdot, symmetrized
 
 _EPS = np.finfo(float).eps
 _FD_FIRST = _EPS ** 0.5
@@ -217,11 +217,6 @@ class FlatPatch(ParamDomain):
         return np.zeros(np.shape(w)[:-1] + (self.dim, self.dim, self.dim))
 
 
-def _rowdot(u, v) -> np.ndarray:
-    """Dot products of the last axes, bitwise equal to the 1-D np.dot."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def _sphere_tangents(w: np.ndarray) -> np.ndarray:
     """Orthonormal bases (..., d, d + 1) of the tangent planes of S^d at
     the points w (..., d + 1): masked Gram-Schmidt on the coordinate axes
@@ -234,11 +229,11 @@ def _sphere_tangents(w: np.ndarray) -> np.ndarray:
     for k in range(size):
         v = np.zeros((count, size))
         v[:, k] = 1.0
-        v = v - _rowdot(v, flat)[:, None] * flat
+        v = v - rowdot(v, flat)[:, None] * flat
         for slot in range(size - 1):
             b = basis[:, slot]
-            v = v - _rowdot(v, b)[:, None] * b
-        norm = np.sqrt(_rowdot(v, v))
+            v = v - rowdot(v, b)[:, None] * b
+        norm = np.sqrt(rowdot(v, v))
         rows = np.flatnonzero((found < size - 1) & (norm > 1e-7))
         basis[rows, found[rows]] = v[rows] / norm[rows, None]
         found[rows] += 1
@@ -355,38 +350,17 @@ class ComposedMap(AmbientMap):
 
 
 @dataclass(frozen=True)
-class PointFrame:
-    """Orthonormal frame data of an immersion at one parameter point."""
-
-    point: np.ndarray
-    metric: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    h: SecondFundamentalForm
-    coeff: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.tangent.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.normal.shape[0]
-
-    def weighted_normal(self, T: np.ndarray) -> np.ndarray:
-        """Normal-frame components of H_T = sum_{ij,alpha} T_ij h^a_ij e_a."""
-        return np.einsum("aij,ij->a", self.h.h, np.asarray(T, dtype=float))
-
-
-@dataclass(frozen=True)
 class FrameBatch:
-    """Orthonormal frame data of an immersion at K parameter points.
+    """Orthonormal frame data of an immersion at one or more parameter
+    points: the only frame type.
 
-    Struct of arrays, with C the ambient coordinates: point (K, C), metric
-    (K, n, n), tangent (K, n, C), normal (K, p, C), the symmetric second
-    fundamental forms h (K, p, n, n) and the Gram-Schmidt coefficients
-    coeff (K, n, n), tangent = coeff @ chart derivatives.  batch[i] is the
-    PointFrame of row i, built on demand; iterating yields the rows.
+    Struct of arrays over leading axes (..., ) -- none for one point, (K,)
+    for a batch -- with C the ambient coordinates: point (..., C), metric
+    (..., n, n), tangent (..., n, C), normal (..., p, C), the symmetric
+    second fundamental forms h (..., p, n, n) and the Gram-Schmidt
+    coefficients coeff (..., n, n), tangent = coeff @ chart derivatives.
+    A frame is not iterable: callbacks take the whole batch and work on
+    its arrays.
     """
 
     point: np.ndarray
@@ -398,27 +372,16 @@ class FrameBatch:
 
     @property
     def n(self) -> int:
-        return self.tangent.shape[1]
+        return self.tangent.shape[-2]
 
     @property
     def p(self) -> int:
-        return self.normal.shape[1]
-
-    def __len__(self) -> int:
-        return self.point.shape[0]
-
-    def __getitem__(self, i) -> PointFrame:
-        return PointFrame(point=self.point[i], metric=self.metric[i],
-                          tangent=self.tangent[i], normal=self.normal[i],
-                          h=SecondFundamentalForm.wrap(self.h[i]),
-                          coeff=self.coeff[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return self.normal.shape[-2]
 
     def weighted_normal(self, T: np.ndarray) -> np.ndarray:
-        """Normal-frame components (K, p) of H_T for tensors T (K, n, n)."""
-        return np.einsum("kaij,kij->ka", self.h, np.asarray(T, dtype=float))
+        """Normal-frame components (..., p) of H_T = sum_{ij,alpha} T_ij
+        h^alpha_ij e_alpha for tensors T (..., n, n)."""
+        return np.einsum("...aij,...ij->...a", self.h, np.asarray(T, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -499,21 +462,24 @@ class ParametricImmersion:
     def frame_at(self, w):
         """Orthonormal tangent/normal frames and second fundamental forms.
 
-        w is one domain point (embed_dim,), giving a PointFrame, or a batch
-        (K, embed_dim), giving a FrameBatch; a point is the one-row case of
-        the same pass, with the same bits.  Tangents come from Gram-Schmidt
-        on the chart derivatives in fixed parameter order; normals from
-        masked Gram-Schmidt completion by the ambient coordinate axes in
-        ascending order (with the position direction removed first for
-        curved ambients).  Each normal is flipped, deterministically, so
-        that tr h^alpha >= 0, which makes a round sphere carry positive
-        principal curvature.  A batch raises the ImmersionError of its
-        first row off the ambient constraint, else of its first row with a
-        singular chart, as the one-point call at that row would.
+        w is one domain point (embed_dim,) or a batch (K, embed_dim); the
+        FrameBatch has no leading axis for a point and (K,) for a batch,
+        and a point is the one-row case of the same pass, with the same
+        bits.  Tangents come from Gram-Schmidt on the chart derivatives in
+        fixed parameter order; normals from masked Gram-Schmidt completion
+        by the ambient coordinate axes in ascending order (with the
+        position direction removed first for curved ambients).  Each normal
+        is flipped, deterministically, so that tr h^alpha >= 0, which makes
+        a round sphere carry positive principal curvature.  A batch raises
+        the ImmersionError of its first row off the ambient constraint,
+        else of its first row with a singular chart, as the one-point call
+        at that row would.
         """
         w = np.asarray(w, dtype=float)
         batch = self._frames(*self.jets(w.reshape(-1, w.shape[-1])))
-        return batch[0] if w.ndim == 1 else batch
+        if w.ndim == 1:
+            return FrameBatch(**{k: v[0] for k, v in vars(batch).items()})
+        return batch
 
     def _frames(self, x, d1, d2) -> FrameBatch:
         """Batched orthonormalization of jets x (K, C), d1 (K, n, C) and

@@ -89,14 +89,20 @@ def index_sum_terms(n: int, l: int):
 
 
 def scatter_sum(shape, index, values) -> np.ndarray:
-    """Zeros of `shape` with each value added at its multi-index.
+    """Zeros of `shape` with each value added at its multi-index, for
+    values (T,) or one result per row of values (..., T).
 
-    The result of np.add.at on zeros, bit for bit: np.bincount also adds
-    in input order, but in one compiled pass instead of a ufunc loop.
+    The result of np.add.at on zeros, bit for bit, row by row: np.bincount
+    also adds in input order, but in one compiled pass instead of a ufunc
+    loop; rows go to disjoint bins by offsetting each row's flat index.
     """
-    flat = np.ravel_multi_index(index, shape)
-    return np.bincount(flat, weights=values,
-                       minlength=math.prod(shape)).reshape(shape)
+    values = np.asarray(values, dtype=float)
+    lead = values.shape[:-1]
+    size = math.prod(shape)
+    rows = np.arange(math.prod(lead))[:, None] * size
+    flat = (rows + np.ravel_multi_index(index, shape)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=rows.size * size).reshape(lead + tuple(shape))
 
 
 def contraction_factor(n: int, l: int, t: int) -> float:

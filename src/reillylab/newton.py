@@ -23,15 +23,16 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedConfiguration
 from .kronecker import index_sum_terms, scatter_sum
-from .secondform import MeanCurvatureProfile, SecondFundamentalForm
+from .secondform import MeanCurvatureProfile, SecondFundamentalForm, form_array
 
 
 @dataclass(frozen=True)
 class NewtonTensor:
-    """Newton transformation of rank r.
+    """Newton transformation of rank r, of one form or of each form of a
+    batch (leading axes ...).
 
-    data has shape (n, n) when scalar valued (even r, or any r with p = 1)
-    and (p, n, n) when vector valued (odd r with p > 1).
+    data has shape (..., n, n) when scalar valued (even r, or any r with
+    p = 1) and (..., p, n, n) when vector valued (odd r with p > 1).
     """
 
     r: int
@@ -51,51 +52,57 @@ class NewtonTensor:
 
     def trace(self):
         if self.vector_valued:
-            return np.einsum("xii->x", self.data)
-        return float(np.trace(self.data))
-
-
-def _coerce(h) -> SecondFundamentalForm:
-    if isinstance(h, SecondFundamentalForm):
-        return h
-    return SecondFundamentalForm(np.asarray(h, dtype=float))
+            return np.einsum("...xii->...x", self.data)
+        return np.trace(self.data, axis1=-2, axis2=-1)
 
 
 def newton_kronecker(h, r: int) -> NewtonTensor:
-    """Oracle path: evaluate the defining antisymmetrized sum directly."""
-    sff = _coerce(h)
-    n, p = sff.n, sff.p
+    """Oracle path: evaluate the defining antisymmetrized sum directly,
+    for one form or for every form of a batch (..., p, n, n)."""
+    h = form_array(h)
+    n, p = h.shape[-1], h.shape[-3]
+    lead = h.shape[:-3]
     if not 0 <= r <= n:
         raise ArgumentError("rank must satisfy 0 <= r <= n, got %d" % r)
+    vector = r % 2 == 1 and p > 1
     if r == 0:
-        return NewtonTensor(0, np.eye(n), vector_valued=False)
+        return NewtonTensor(0, np.broadcast_to(np.eye(n), lead + (n, n)).copy(),
+                            vector_valued=False)
     up, lo, sg = index_sum_terms(n, r + 1)
     if len(sg) == 0:
-        data = np.zeros((n, n)) if (r % 2 == 0 or p == 1) else np.zeros((p, n, n))
-        return NewtonTensor(r, data, vector_valued=(r % 2 == 1 and p > 1))
-    gram = sff.gram()
+        return NewtonTensor(r, np.zeros(lead + (p,) * vector + (n, n)), vector)
+    nn = n * n
+
+    def pair(k):
+        """Flat offsets of slot k's index pairs into an (n, n) matrix."""
+        return up[:, k] * n + lo[:, k]
+
+    # np.take over flat offsets gathers about ten times faster than
+    # indexing with four index arrays
+    gram = np.einsum("...xab,...xcd->...abcd", h, h).reshape(lead + (nn * nn,))
     prod = sg.copy()
     for s in range(r // 2):
-        prod = prod * gram[up[:, 2 * s], lo[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s + 1]]
+        prod = prod * np.take(gram, pair(2 * s) * nn + pair(2 * s + 1), axis=-1)
+    target = (up[:, r], lo[:, r])
     fact = math.factorial(r)
     if r % 2 == 0:
-        out = scatter_sum((n, n), (up[:, r], lo[:, r]), prod)
-        return NewtonTensor(r, out / fact, vector_valued=False)
-    out = np.stack([scatter_sum((n, n), (up[:, r], lo[:, r]),
-                                prod * sff.h[a][up[:, r - 1], lo[:, r - 1]])
-                    for a in range(p)])
+        return NewtonTensor(r, scatter_sum((n, n), target, prod) / fact,
+                            vector_valued=False)
+    # one row per normal direction: (..., p, T) terms
+    hpair = np.take(h.reshape(lead + (p, nn)), pair(r - 1), axis=-1)
+    out = scatter_sum((n, n), target, prod[..., None, :] * hpair)
     out /= fact
-    if p == 1:
-        return NewtonTensor(r, out[0], vector_valued=False)
-    return NewtonTensor(r, out, vector_valued=True)
+    return NewtonTensor(r, out if vector else out[..., 0, :, :], vector)
 
 
 def newton_chain(h, rmax: int):
-    """Recursion path: all Newton tensors and curvature scalars up to rmax.
+    """Recursion path: all Newton tensors and curvature scalars up to rmax,
+    for one form or for every form of a batch (..., p, n, n).
 
     Returns (tensors, scalars, vectors) where tensors[r] is a NewtonTensor,
     scalars[r] = S_r for even r (every r when p = 1) and vectors[r] holds
-    the normal components of S_r for odd r.
+    the normal components of S_r for odd r, each with the batch's leading
+    axes.  Every row is bitwise the chain of its own form.
 
     The even step is the recursion T_r = S_r I - sum_alpha h^alpha
     T^alpha_{r-1} with S_r = (1/r) sum T^alpha_{r-1} : h^alpha.  For p = 1
@@ -106,61 +113,64 @@ def newton_chain(h, rmax: int):
     intermediates are evaluated from the defining antisymmetrized sum
     (newton_kronecker) and agree with the oracle by construction.
     """
-    sff = _coerce(h)
-    n, p = sff.n, sff.p
+    h = form_array(h)
+    n, p = h.shape[-1], h.shape[-3]
     if not 0 <= rmax <= n:
         raise ArgumentError("rank must satisfy 0 <= rmax <= n, got %d" % rmax)
     eye = np.eye(n)
-    tensors = {0: NewtonTensor(0, eye.copy(), vector_valued=False)}
+    tensors = {0: newton_kronecker(h, 0)}
     scalars = {0: 1.0}
     vectors = {}
     prev = eye  # scalar-valued payload of T_{r-1}
-    prev_vec = None  # (p, n, n) payload when T_{r-1} is vector valued
+    prev_vec = None  # (..., p, n, n) payload of T_{r-1} when r - 1 is odd
     for r in range(1, rmax + 1):
         if r % 2 == 1:
-            svec = np.einsum("ij,xij->x", prev, sff.h) / r
+            svec = np.einsum("...ij,...xij->...x", prev, h) / r
             vectors[r] = svec
             if p == 1:
-                cur = svec[:, None, None] * eye - np.einsum("xik,kj->xij", sff.h, prev)
-                scalars[r] = float(svec[0])
-                tensors[r] = NewtonTensor(r, cur[0], vector_valued=False)
+                cur = (svec[..., None, None] * eye
+                       - np.einsum("...xik,...kj->...xij", h, prev))
+                scalars[r] = svec[..., 0][()]
+                tensors[r] = NewtonTensor(r, cur[..., 0, :, :], vector_valued=False)
             else:
-                tensors[r] = newton_kronecker(sff, r)
+                tensors[r] = newton_kronecker(h, r)
                 cur = tensors[r].data
-            prev_vec = cur if cur.ndim == 3 else cur[None]
+            prev_vec = cur
         else:
-            s = float(np.einsum("xij,xij->", prev_vec, sff.h)) / r
+            s = np.einsum("...xij,...xij->...", prev_vec, h) / r
             scalars[r] = s
-            cur = s * eye - np.einsum("xik,xkj->ij", sff.h, prev_vec)
+            cur = (s[..., None, None] * eye
+                   - np.einsum("...xik,...xkj->...ij", h, prev_vec))
             tensors[r] = NewtonTensor(r, cur, vector_valued=False)
             prev = cur
     return tensors, scalars, vectors
 
 
 def newton_tensor(h, r: int) -> NewtonTensor:
-    """Newton transformation of rank r, through the recursion path."""
+    """Newton transformation of rank r, through the recursion path, for one
+    form or for every form of a batch (..., p, n, n)."""
     tensors, _, _ = newton_chain(h, r)
     return tensors[r]
 
 
 def weighted_mean_curvature(T, h) -> np.ndarray:
     """Normal components of H_T = sum_{i,j,alpha} h^alpha_ij T_ij e_alpha."""
-    sff = _coerce(h)
+    h = form_array(h)
     if isinstance(T, NewtonTensor):
         if T.vector_valued:
             raise UnsupportedConfiguration(
                 "H_T requires a scalar-valued (even rank) weight tensor")
         T = T.data
     T = np.asarray(T, dtype=float)
-    if T.shape != (sff.n, sff.n):
+    if T.shape[-2:] != h.shape[-2:]:
         raise ShapeError("weight tensor must be n x n")
-    return np.einsum("xij,ij->x", sff.h, T)
+    return np.einsum("...xij,...ij->...x", h, T)
 
 
 def mean_profile(h) -> MeanCurvatureProfile:
     """All curvature scalars/vectors S_r, mean curvatures and the squared
     norm split relative to the principal normal direction."""
-    sff = _coerce(h)
+    sff = h if isinstance(h, SecondFundamentalForm) else SecondFundamentalForm(h)
     n = sff.n
     _, scalars, vectors = newton_chain(sff, n)
     hvec = sff.mean_vector()

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipticity import mean_curvature_tensor
+from .ellipticity import _mean_scalars, mean_curvature_tensor
 from .errors import (ArgumentError, EllipticityError, InequalityViolation,
                      UnsupportedConfiguration)
 from .fem import DiscreteGeometry, assemble_forms
 from .mesh import icosphere, projective_icosphere, torus_grid
 from .newton import newton_tensor
+from .secondform import rowdot
 from .spectra import product_spectrum, solve_pencil, sphere_spectrum
 
 TOL_FEM = 0.03
@@ -42,9 +43,12 @@ CSV_COLUMNS = ("name", "c", "operator", "lambda2", "rhs", "gap",
 class OperatorSpec:
     """Choice of the weight tensor T and an optional potential.
 
-    kind: "identity", "newton" (rank in `degree`), "mean_curvature",
-    or "custom" with a tensor_fn(PointFrame) -> (n, n) array.  The
-    potential, when present, is a callable PointFrame -> float.
+    kind: "identity", "newton" (rank in `degree`), "mean_curvature", or
+    "custom" with a tensor_fn(FrameBatch) returning an array that
+    broadcasts against (..., n, n).  The potential, when present, is a
+    callable FrameBatch -> array that broadcasts against (...,), called
+    once on the vertex frames of a mesh.  So constant callbacks such as
+    `lambda fr: 3.0` serve every point.
     """
 
     kind: str = "identity"
@@ -66,28 +70,24 @@ class OperatorSpec:
             return "newton:%d" % self.degree
         return self.kind
 
-    def tensor_at(self, frame) -> np.ndarray:
+    def tensors(self, frames) -> np.ndarray:
+        """The weight tensor T (..., n, n) at every point of a FrameBatch,
+        from one evaluation over the whole batch."""
+        shape = frames.metric.shape
         if self.kind == "identity":
-            return np.eye(frame.n)
+            return np.broadcast_to(np.eye(frames.n), shape)
         if self.kind == "newton":
-            if self.degree > frame.n - 2:
+            if self.degree > frames.n - 2:
                 raise ArgumentError(
-                    "newton rank %d exceeds n-2 = %d" % (self.degree, frame.n - 2))
-            if frame.p > 1 and self.degree % 2 == 1:
+                    "newton rank %d exceeds n-2 = %d" % (self.degree, frames.n - 2))
+            if frames.p > 1 and self.degree % 2 == 1:
                 raise UnsupportedConfiguration(
                     "odd newton ranks need codimension one")
-            return newton_tensor(frame.h, self.degree).as_matrix()
+            return newton_tensor(frames.h, self.degree).as_matrix()
         if self.kind == "mean_curvature":
-            return mean_curvature_tensor(frame.h).T
-        return np.asarray(self.tensor_fn(frame), dtype=float)
-
-    def tensors(self, frames) -> np.ndarray:
-        """tensor_at of every row of a FrameBatch, as (K, n, n); the
-        identity needs no rows."""
-        if self.kind == "identity":
-            return np.broadcast_to(np.eye(frames.n),
-                                   (len(frames), frames.n, frames.n))
-        return np.array([self.tensor_at(fr) for fr in frames], dtype=float)
+            return mean_curvature_tensor(frames.h).T
+        return np.broadcast_to(np.asarray(self.tensor_fn(frames), dtype=float),
+                               shape)
 
 
 def operator_from_label(label: str) -> OperatorSpec:
@@ -304,13 +304,14 @@ def _sample_frames(immersion, samples, seed):
 
 def _mesh_forms(immersion, spec, level, mesh, potential=None):
     """Geometry and assembled stiffness and mass of a mesh report, plus
-    the potential's vertex values (None without a potential), evaluated
-    once per vertex."""
+    the potential's vertex values (None without a potential), from one
+    potential call on the vertex frames."""
     if mesh is None:
         mesh = mesh_for(immersion, level)
     geom = DiscreteGeometry(immersion, mesh)
-    tensor_field = None if spec.kind == "identity" else spec.tensor_at
-    qvals = None if potential is None else geom.vertex_values(potential)
+    tensor_field = None if spec.kind == "identity" else spec.tensors
+    qvals = None if potential is None else np.broadcast_to(
+        np.asarray(potential(geom.frames), dtype=float), geom.frames.point.shape[:-1])
     stiffness, mass = assemble_forms(geom, tensor_field, potential=qvals)
     return geom, stiffness, mass, qvals
 
@@ -536,30 +537,27 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
     c = immersion.ambient.c
 
     frames = _sample_frames(immersion, samples, seed)
-    split = np.empty(len(frames))
-    tensors = []
-    h2min = math.inf
-    for i, fr in enumerate(frames):
-        data = mean_curvature_tensor(fr.h)
-        if data.H2 <= 0.0:
-            raise EllipticityError(
-                "second mean curvature must be positive, got %.3e" % data.H2)
-        h2min = min(h2min, data.H2)
-        tensors.append(data.T)
+    h = frames.h
+    # the first sample with H2 <= 0 fails the report, unless one with
+    # |H| = 0 comes no later, on which mean_curvature_tensor raises
+    bad = np.flatnonzero(_mean_scalars(h)[2] <= 0.0)
+    data = mean_curvature_tensor(h[:bad[0] + 1] if bad.size else h)
+    if bad.size:
+        raise EllipticityError("second mean curvature must be positive, "
+                               "got %.3e" % data.H2[bad[0]])
 
-        hmat = fr.h.h  # (p, n, n)
-        unit = fr.h.mean_vector() / (data.H * 1.0)
-        principal = np.einsum("a,aij->ij", unit, hmat)
-        tau2 = float(np.sum(hmat * hmat)) - float(np.sum(principal * principal))
-        cvec = np.einsum("ij,aij->a", principal, hmat)
-        cross = float(cvec @ cvec) - float(np.sum(principal * principal)) ** 2
-        H = data.H
-        split[i] = n * (n - 1) * (
-            c * H
-            + (data.H2 + tau2 / (n * (n - 1))) ** 2 / H
-            + cross / (n ** 2 * (n - 1) ** 2 * H))
+    H = data.H
+    principal = data.principal
+    pp = np.sum(principal * principal, axis=(-2, -1))
+    tau2 = np.sum(h * h, axis=(-3, -2, -1)) - pp
+    cvec = np.einsum("kij,kaij->ka", principal, h)
+    cross = rowdot(cvec, cvec) - pp ** 2
+    split = n * (n - 1) * (
+        c * H
+        + (data.H2 + tau2 / (n * (n - 1))) ** 2 / H
+        + cross / (n ** 2 * (n - 1) ** 2 * H))
     # tr T = n(n-1)|H| > 0 here, so the pass cannot fail on tr T
-    general, trs, _, _, pre = _sample_pass(frames, tensors, c)
+    general, trs, _, _, pre = _sample_pass(frames, data.T, c)
 
     agree = float(np.max(np.abs(general - split)))
     if agree > 1e-10 * max(1.0, float(np.max(np.abs(general)))):
@@ -576,7 +574,7 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
         preconditions=pre,
         equality={"trT_mean": trT_mean, "trT_stddev": float(np.std(trs)),
                   "radius_estimate": radius,
-                  "H2_min": h2min,
+                  "H2_min": float(np.min(data.H2)),
                   "decomposition_agreement": agree},
         notes=notes)
     _assert_bound(report, tol)

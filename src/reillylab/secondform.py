@@ -32,6 +32,20 @@ def symmetrized(h) -> np.ndarray:
     return 0.5 * (h + ht)
 
 
+def form_array(h) -> np.ndarray:
+    """Checked, symmetrized forms (..., p, n, n) of a SecondFundamentalForm,
+    of one (n, n) hypersurface form or of an array of forms."""
+    if isinstance(h, SecondFundamentalForm):
+        return h.h
+    h = np.asarray(h, dtype=float)
+    return symmetrized(h[None] if h.ndim == 2 else h)
+
+
+def rowdot(u, v) -> np.ndarray:
+    """Dot products of the last axes, bitwise equal to the 1-D np.dot."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class SecondFundamentalForm:
     """Second fundamental form at a point, stored as h[alpha, i, j] in an
@@ -48,14 +62,6 @@ class SecondFundamentalForm:
             raise ShapeError("h must have shape (p, n, n)")
         object.__setattr__(self, "h", symmetrized(h))
 
-    @classmethod
-    def wrap(cls, h: np.ndarray) -> "SecondFundamentalForm":
-        """Form over one (p, n, n) array that symmetrized() already
-        checked and returned, without checking it again."""
-        sff = object.__new__(cls)
-        object.__setattr__(sff, "h", h)
-        return sff
-
     @property
     def n(self) -> int:
         return self.h.shape[1]
@@ -69,10 +75,6 @@ class SecondFundamentalForm:
         """Hypersurface (p = 1) form with the given principal curvatures."""
         k = np.asarray(curvatures, dtype=float)
         return cls(np.diag(k)[None, :, :])
-
-    def gram(self) -> np.ndarray:
-        """G[a,b,c,d] = sum_alpha h[alpha,a,b] * h[alpha,c,d]."""
-        return np.einsum("xab,xcd->abcd", self.h, self.h)
 
     def mean_vector(self) -> np.ndarray:
         """Mean curvature vector components (trace average per normal)."""

@@ -1,3 +1,12 @@
+from hypothesis import settings
+
+# one profile for every property test: reproducible draws, no per-example
+# deadline (a draw assembles and solves a mesh), three examples each
+settings.register_profile("reillylab", derandomize=True, deadline=None,
+                          max_examples=3)
+settings.load_profile("reillylab")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     rows = []

@@ -242,7 +242,7 @@ def test_criterion_10_schrodinger_bound():
         assert abs(rep.gap) <= 0.02 * 5.0
 
         # a coordinate potential of the same mean breaks the equality
-        tilted = OperatorSpec(potential=lambda fr: 3.0 * float(fr.point[0]))
+        tilted = OperatorSpec(potential=lambda fr: 3.0 * fr.point[..., 0])
         rep = schrodinger_report(sphere(2, 1.0, 1, 0.0), tilted, level=4)
         assert rep.gap > 0.1
 

@@ -93,6 +93,8 @@ class TestLoadScenarios:
         {"operator": ["identity"]},
         {"operator": {"kind": "identity", "potential": 3}},
         {"level": "four"},
+        {"level": -1},
+        {"levels": [-1, 2]},
         {"count": "x"},
         {"operator": {"kind": "identity",
                       "potential": {"kind": "coordinate", "axis": 3}}},
@@ -251,6 +253,8 @@ class TestConvergence:
         assert _parse_levels("3,5,7") == [3, 5, 7]
         with pytest.raises(ConfigError):
             _parse_levels("5..2")
+        with pytest.raises(ConfigError, match="nonnegative"):
+            _parse_levels("-1..2")
 
 
 class TestBalance:
@@ -331,6 +335,8 @@ class TestGallery:
 
 @pytest.mark.parametrize("argv", [
     ["convergence", BUNDLED, "--levels", "2,x"],
+    ["convergence", BUNDLED, "--levels=-1..2"],
+    ["convergence", BUNDLED, "--levels=-1,2"],
     ["gallery", "sphere", "--params", "{bad"],
     ["balance", "TMP/missing.off"],
     ["balance", "TMP/truncated.off"],

@@ -333,4 +333,4 @@ class TestChainOnImmersions:
         rng = np.random.default_rng(17)
         for _ in range(3):
             fr = moved.frame_at(moved.domain.random_point(rng))
-            assert np.max(np.abs(fr.h.h)) < 1e-10
+            assert np.max(np.abs(fr.h)) < 1e-10

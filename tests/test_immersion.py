@@ -13,8 +13,8 @@ from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus, gallery,
                                product_spheres, ring_torus, sphere,
                                veronese_rp2)
 from reillylab.immersion import (AmbientSpace, CallableMap, FlatPatch,
-                                 ParametricImmersion, PolynomialMap,
-                                 PointFrame, SphereProduct,
+                                 FrameBatch, ParametricImmersion, PolynomialMap,
+                                 SphereProduct,
                                  pushforward_under_map)
 from reillylab.newton import newton_kronecker
 
@@ -126,7 +126,7 @@ class TestFrames:
         imm = sphere(2, a, 1, c)
         k = math.sqrt(1.0 / a**2 - c)
         fr = imm.frame_at(imm.domain.random_point(np.random.default_rng(3)))
-        assert np.max(np.abs(fr.h.h[0] - k * np.eye(2))) < 1e-10
+        assert np.max(np.abs(fr.h[0] - k * np.eye(2))) < 1e-10
 
     def test_graph_hessian_at_origin(self):
         # z = (u^2 + v^2)/2 over a flat patch: h = identity at the origin
@@ -137,7 +137,7 @@ class TestFrames:
             mapping=PolynomialMap(np.zeros(3), np.array([[1.0, 0], [0, 1.0], [0, 0]]), a2),
             ambient=AmbientSpace(0.0, 3), name="graph")
         fr = imm.frame_at(np.zeros(2))
-        assert np.allclose(fr.h.h[0], np.eye(2), atol=1e-12)
+        assert np.allclose(fr.h[0], np.eye(2), atol=1e-12)
 
     def test_clifford_in_sphere_principal_curvatures(self):
         a = math.sqrt(1.0 / 3.0)
@@ -148,11 +148,11 @@ class TestFrames:
         # and the in-sphere normal orthogonal to it
         radial = fr.point / np.linalg.norm(fr.point)
         comp = fr.normal @ radial
-        h_rad = np.einsum("a,aij->ij", comp, fr.h.h)
+        h_rad = np.einsum("a,aij->ij", comp, fr.h)
         # outward radial direction: h = -g for any submanifold of the sphere
         assert np.max(np.abs(h_rad + np.eye(4))) < 1e-10
         perp = np.array([[0, -1], [1, 0]]) @ comp  # rotate in the normal plane
-        h_in = np.einsum("a,aij->ij", perp, fr.h.h)
+        h_in = np.einsum("a,aij->ij", perp, fr.h)
         eigs = np.sort(np.linalg.eigvalsh(h_in))
         expected = np.sort([-b / a, -b / a, a / b, a / b])
         flipped = np.sort(-expected)
@@ -189,7 +189,7 @@ class TestFrames:
         for _ in range(3):
             w = base.domain.random_point(rng)
             fa, fb = base.frame_at(w), fd.frame_at(w)
-            assert np.max(np.abs(fa.h.h - fb.h.h)) < 1e-4
+            assert np.max(np.abs(fa.h - fb.h)) < 1e-4
             assert np.max(np.abs(fa.metric - fb.metric)) < 1e-8
 
 
@@ -307,7 +307,7 @@ class TestConnectionIdentities:
                 dn = np.einsum("a,an->n", fr.coeff[i], dbasis[:, n + alpha, :])
                 for j in range(n):
                     val = float(np.sum(dn * fr.tangent[j] * diag))
-                    assert abs(val + fr.h.h[alpha, i, j]) < 1e-4
+                    assert abs(val + fr.h[alpha, i, j]) < 1e-4
 
     @pytest.mark.parametrize("imm", [
         sphere(2, 0.75, 1, 0.0),
@@ -332,8 +332,8 @@ class TestConnectionIdentities:
         for a in range(n):
             e = np.zeros(n)
             e[a] = step
-            hp = imm.frame_at(imm.domain.chart_point(w, e)).h.h
-            hm = imm.frame_at(imm.domain.chart_point(w, -e)).h.h
+            hp = imm.frame_at(imm.domain.chart_point(w, e)).h
+            hm = imm.frame_at(imm.domain.chart_point(w, -e)).h
             dh[a] = (hp - hm) / (2 * step)
         # frame-direction covariant derivative
         for alpha in range(p):
@@ -341,9 +341,9 @@ class TestConnectionIdentities:
             for k in range(n):
                 dk_h = np.einsum("a,aij->ij", fr.coeff[k], dh[:, alpha])
                 om = np.einsum("a,aAB->AB", fr.coeff[k], omega)
-                corr = (np.einsum("lj,li->ij", fr.h.h[alpha], om[:n, :n])
-                        + np.einsum("il,lj->ij", fr.h.h[alpha], om[:n, :n]))
-                normal_rot = np.einsum("b,bij->ij", om[n:, n + alpha], fr.h.h)
+                corr = (np.einsum("lj,li->ij", fr.h[alpha], om[:n, :n])
+                        + np.einsum("il,lj->ij", fr.h[alpha], om[:n, :n]))
+                normal_rot = np.einsum("b,bij->ij", om[n:, n + alpha], fr.h)
                 grad[k] = dk_h + corr + normal_rot
             codazzi = np.max(np.abs(grad - np.transpose(grad, (2, 1, 0))))
             assert codazzi < 1e-4
@@ -358,7 +358,7 @@ class TestPushforward:
         rng = np.random.default_rng(41)
         w = imm.domain.random_point(rng)
         fa, fb = imm.frame_at(w), out.frame_at(w)
-        assert np.allclose(fa.h.h, fb.h.h, atol=1e-12)
+        assert np.allclose(fa.h, fb.h, atol=1e-12)
         assert np.allclose(fa.metric, fb.metric, atol=1e-12)
 
     def test_rotation_preserves_curvature_spectrum(self):
@@ -372,8 +372,8 @@ class TestPushforward:
         out = pushforward_under_map(imm, gamma, imm.ambient)
         rng = np.random.default_rng(43)
         w = imm.domain.random_point(rng)
-        ea = np.sort(np.linalg.eigvalsh(imm.frame_at(w).h.h[0]))
-        eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h.h[0]))
+        ea = np.sort(np.linalg.eigvalsh(imm.frame_at(w).h[0]))
+        eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h[0]))
         assert np.max(np.abs(ea - eb)) < 1e-8
 
     def test_outer_without_hessian_differences_the_chart(self):
@@ -385,8 +385,8 @@ class TestPushforward:
         out = pushforward_under_map(imm, gamma, imm.ambient)
         w = imm.domain.random_point(np.random.default_rng(45))
         assert out.mapping.hessian(w) is None
-        ea = np.sort(np.linalg.eigvalsh(imm.frame_at(w).h.h[0]))
-        eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h.h[0]))
+        ea = np.sort(np.linalg.eigvalsh(imm.frame_at(w).h[0]))
+        eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h[0]))
         assert np.max(np.abs(ea - eb)) < 1e-4
 
 
@@ -464,15 +464,12 @@ class TestFrameBatch:
         rng = np.random.default_rng(21)
         points = np.array([imm.domain.random_point(rng) for _ in range(17)])
         batch = imm.frame_at(points)
-        assert len(batch) == 17 and (batch.n, batch.p) == (imm.n, imm.p)
+        assert batch.point.shape[0] == 17 and (batch.n, batch.p) == (imm.n, imm.p)
         for k in (0, 5, 16):
             one = imm.frame_at(points[k])
-            row = batch[k]
-            for name in ("point", "metric", "tangent", "normal", "coeff"):
+            assert isinstance(one, FrameBatch) and (one.n, one.p) == (imm.n, imm.p)
+            for name in ("point", "metric", "tangent", "normal", "h", "coeff"):
                 assert np.array_equal(getattr(one, name), getattr(batch, name)[k])
-                assert np.array_equal(getattr(one, name), getattr(row, name))
-            assert np.array_equal(one.h.h, batch.h[k])
-            assert np.array_equal(one.h.h, row.h.h)
         # the bits do not depend on the batch size
         sub = imm.frame_at(points[3:9])
         for name in ("point", "metric", "tangent", "normal", "h", "coeff"):
@@ -489,7 +486,7 @@ class TestFrameBatch:
         for k, w in enumerate(points):
             one = moved.frame_at(w)
             assert np.array_equal(one.tangent, batch.tangent[k])
-            assert np.array_equal(one.h.h, batch.h[k])
+            assert np.array_equal(one.h, batch.h[k])
 
     def test_bad_row_raises_like_one_point(self):
         regular, bad = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])

@@ -1,5 +1,6 @@
 """Meshes, P1 assembly, and spectral extraction."""
 
+import functools
 import math
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, strategies as st
 
 from reillylab.errors import (ArgumentError, ConvergenceError,
                               EllipticityError, TopologyError,
@@ -17,8 +19,18 @@ from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
                                veronese_rp2)
 from reillylab.mesh import (Mesh, check_mesh, icosphere, load_off,
                             projective_icosphere, save_off, torus_grid)
+from reillylab.reports import mesh_for
 from reillylab.spectra import (SpectrumResult, product_spectrum, solve_pencil,
                                sphere_spectrum)
+
+
+def diagonal(a, b):
+    """Diagonal (..., 2, 2) weight matrices with entries a and b, which
+    broadcast against each other."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape + (2, 2))
+    out[..., 0, 0], out[..., 1, 1] = a, b
+    return out
 
 
 class TestMeshes:
@@ -113,7 +125,8 @@ class TestAssembly:
         assert np.max(np.abs((K2 - 2.0 * self.K).toarray())) < 1e-12 * abs(self.K.diagonal()).max()
 
     def test_unit_potential_adds_mass(self):
-        Kq, _ = assemble_forms(self.geom, potential=lambda fr: 1.0)
+        Kq, _ = assemble_forms(self.geom,
+                               potential=np.ones(self.geom.mesh.vertex_count))
         diff = (Kq - self.K - self.M).toarray()
         assert np.max(np.abs(diff)) < 1e-13
 
@@ -135,12 +148,13 @@ class TestAssembly:
     def test_ellipticity_error_names_first_element(self, case):
         if case == "sign":
             def field(fr):
-                return np.diag([1.0, fr.point[2] + 0.3])
+                return diagonal(1.0, fr.point[..., 2] + 0.3)
         else:
             # an early cap element raises the running scale to 1e6, after
             # which the weight 1e-5 of the other elements no longer passes
             def field(fr):
-                return np.diag([1e6, 1.0] if fr.point[2] > 0.8 else [1.0, 1e-5])
+                cap = fr.point[..., 2] > 0.8
+                return diagonal(np.where(cap, 1e6, 1.0), np.where(cap, 1.0, 1e-5))
         f, w = self._first_failing(field)
         assert f is not None and f > 0
         if case == "running_scale":
@@ -213,7 +227,7 @@ class TestSphereSpectrum:
     def test_potential_shift_is_exact(self):
         geom = DiscreteGeometry(sphere(2, 1.0, 1, 0.0), icosphere(2))
         K, M = assemble_forms(geom)
-        Kq, _ = assemble_forms(geom, potential=lambda fr: 3.0)
+        Kq, _ = assemble_forms(geom, potential=np.full(K.shape[0], 3.0))
         plain = solve_pencil(K, M, count=4)
         shifted = solve_pencil(Kq, M, count=4)
         assert abs(shifted.lambda2(has_potential=True) - plain.lambda2() - 3.0) < 1e-9
@@ -344,3 +358,29 @@ def sphere_multiplicity_ref(n, k):
     if k == 0:
         return 1
     return math.comb(n + k, n) - math.comb(n + k - 2, n)
+
+
+@functools.lru_cache(maxsize=None)
+def ellipsoid_l2():
+    imm = ellipsoid((1.0, 1.0, 1.3))
+    return DiscreteGeometry(imm, mesh_for(imm, 2))
+
+
+@st.composite
+def spd_2x2(draw):
+    """L L^T for a lower-triangular L with a positive diagonal."""
+    floats = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+    lower = np.array([[draw(floats(0.1, 3.0)), 0.0],
+                      [draw(floats(-2.0, 2.0)), draw(floats(0.1, 3.0))]])
+    return lower @ lower.T
+
+
+@given(A=spd_2x2(), B=spd_2x2(), a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0))
+def test_pencil_is_linear_in_T(A, B, a, b):
+    geom = ellipsoid_l2()
+    K_A, M = assemble_forms(geom, lambda fr: A)
+    K_B, _ = assemble_forms(geom, lambda fr: B)
+    K, M_ab = assemble_forms(geom, lambda fr: a * A + b * B)
+    want = (a * K_A + b * K_B).toarray()
+    assert np.max(np.abs(K.toarray() - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(M_ab.toarray(), M.toarray())

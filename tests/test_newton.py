@@ -93,7 +93,7 @@ def newton_kronecker_add_at(h, r):
     up, lo, sg = index_sum_terms(n, r + 1)
     if len(sg) == 0:
         return np.zeros((n, n)) if (r % 2 == 0 or p == 1) else np.zeros((p, n, n))
-    gram = h.gram()
+    gram = np.einsum("xab,xcd->abcd", h.h, h.h)
     prod = sg.copy()
     for s in range(r // 2):
         prod = prod * gram[up[:, 2 * s], lo[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s + 1]]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from reillylab.fem import DiscreteGeometry, assemble_forms
 from reillylab.gallery import hyperbolic_geodesic_sphere, ring_torus, veronese_rp2
@@ -13,9 +13,9 @@ from reillylab.spectra import solve_pencil
 
 def ambient_weight(fr):
     """I + E A E^T for a fixed SPD ambient A: a frame-covariant field."""
-    coords = fr.tangent.shape[1]
+    coords = fr.tangent.shape[-1]
     a = np.diag(np.arange(1.0, coords + 1)) + 0.2 * np.ones((coords, coords))
-    return np.eye(2) + fr.tangent @ a @ fr.tangent.T
+    return np.eye(2) + fr.tangent @ a @ np.swapaxes(fr.tangent, -1, -2)
 
 
 CASES = {
@@ -53,7 +53,6 @@ def lambda2(K, M):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@settings(derandomize=True, deadline=None, max_examples=3)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_vertex_relabelling(name, seed):
     imm, field = CASES[name]

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from reillylab.gallery import ellipsoid, ring_torus
 from reillylab.immersion import PolynomialMap
@@ -38,7 +38,6 @@ quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@settings(derandomize=True, deadline=None, max_examples=3)
 @given(quaternion=quaternions)
 def test_rigid_motion_invariance(name, quaternion):
     imm, label = CASES[name]

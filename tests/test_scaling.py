@@ -4,7 +4,7 @@ import dataclasses
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from reillylab.gallery import ellipsoid, sphere
 from reillylab.immersion import PolynomialMap
@@ -33,7 +33,6 @@ def unscaled_report(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@settings(derandomize=True, deadline=None, max_examples=3)
 @given(t=st.floats(0.2, 5.0))
 def test_scaling_covariance(name, t):
     imm, label = CASES[name]
