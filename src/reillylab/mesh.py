@@ -55,29 +55,39 @@ class Mesh:
         return self.triangles.shape[0]
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v over its length, bitwise as ``v / np.linalg.norm(v)``
+    row by row: both take the square root of the BLAS dot ``v @ v``."""
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+
+
 def icosphere(level: int = 3) -> Mesh:
-    """Subdivided icosahedron on the unit sphere, 10*4^level + 2 vertices."""
+    """Subdivided icosahedron on the unit sphere, 10*4^level + 2 vertices.
+
+    Each step puts a vertex at every edge midpoint, numbered in the order
+    in which a pass over the faces meets the edges ab, bc, ca, and splits
+    face abc into (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
+    """
     if level < 0:
         raise ArgumentError("subdivision level must be nonnegative")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = [tuple(f) for f in _ICO_FACES]
+    verts = _unit_rows(_ICO_VERTS)
+    faces = _ICO_FACES
     for _ in range(level):
-        midpoint = {}
-
-        def split(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        refined = []
-        for a, b, c in faces:
-            ab, bc, ca = split(a, b), split(b, c), split(c, a)
-            refined += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = refined
-    return Mesh(points=np.array(verts), triangles=np.array(faces, dtype=int),
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = ends.min(axis=1) * len(verts) + ends.max(axis=1)
+        _, first, edge = np.unique(keys, return_index=True, return_inverse=True)
+        visit = np.argsort(first)
+        number = np.empty_like(visit)
+        number[visit] = np.arange(len(verts), len(verts) + len(visit))
+        fresh = ends[first[visit]]
+        verts = np.concatenate(
+            [verts, _unit_rows(verts[fresh[:, 0]] + verts[fresh[:, 1]])])
+        a, b, c = faces.T
+        ab, bc, ca = number[edge].reshape(-1, 3).T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    # a copy: at level 0, faces is the module's _ICO_FACES
+    return Mesh(points=verts, triangles=faces.astype(int),
                 topology="sphere", name="icosphere-%d" % level,
                 metadata={"level": level})
 
@@ -86,29 +96,27 @@ def projective_icosphere(level: int = 3) -> Mesh:
     """Antipodal quotient of the icosphere: a triangulation of RP^2.
 
     The icosahedral vertex set is centrally symmetric and subdivision
-    preserves that, so every vertex has an antipode in the mesh.
+    preserves that, so every vertex has an antipode in the mesh.  Vertex
+    pairs keep their lower index, in index order; each pair of antipodal
+    faces keeps the one met first, and faces are sorted by vertex tuple.
     """
     base = icosphere(level)
-    keys = {}
-    for idx, v in enumerate(base.points):
-        keys[tuple(np.round(v, 12))] = idx
-    rep = np.empty(base.vertex_count, dtype=int)
-    kept = []
-    order = {}
-    for idx, v in enumerate(base.points):
-        anti = keys.get(tuple(np.round(-v, 12)))
-        if anti is None:
-            raise TopologyError("vertex %d has no antipode; cannot quotient" % idx)
-        pair = min(idx, anti)
-        if pair not in order:
-            order[pair] = len(kept)
-            kept.append(pair)
-        rep[idx] = order[pair]
+    nv = base.vertex_count
+    # rows rounded to 12 digits identify a point; + 0.0 makes -0.0 equal 0.0
+    rows = np.round(np.concatenate([base.points, -base.points]), 12) + 0.0
+    _, point = np.unique(rows, axis=0, return_inverse=True)
+    point = point.ravel()
+    owner = np.full(2 * nv, -1)
+    owner[point[:nv]] = np.arange(nv)
+    anti = owner[point[nv:]]
+    if (anti < 0).any():
+        raise TopologyError("vertex %d has no antipode; cannot quotient"
+                            % np.flatnonzero(anti < 0)[0])
+    kept, rep = np.unique(np.minimum(np.arange(nv), anti), return_inverse=True)
     tris = rep[base.triangles]
-    seen = {}
-    for t in tris:
-        seen.setdefault(tuple(sorted(t)), tuple(t))
-    quotient = np.array(sorted(seen.values()), dtype=int)
+    _, first = np.unique(np.sort(tris, axis=1), axis=0, return_index=True)
+    quotient = tris[first]
+    quotient = quotient[np.lexsort(quotient.T[::-1])]
     if len(quotient) != base.triangle_count // 2:
         raise TopologyError("antipodal face pairing failed")
     return Mesh(points=base.points[kept], triangles=quotient,

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, strategies as st
 
@@ -17,10 +18,12 @@ from reillylab.fem import DiscreteGeometry, assemble_forms
 from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
                                hyperbolic_geodesic_sphere, sphere,
                                veronese_rp2)
-from reillylab.mesh import (Mesh, check_mesh, icosphere, load_off,
-                            projective_icosphere, save_off, torus_grid)
+from reillylab.mesh import (_ICO_FACES, _ICO_VERTS, Mesh, check_mesh, icosphere,
+                            load_off, projective_icosphere, save_off,
+                            torus_grid)
 from reillylab.reports import mesh_for
-from reillylab.spectra import (SpectrumResult, product_spectrum, solve_pencil,
+from reillylab.spectra import (SpectrumResult, _dissection_order,
+                               _shift_factor, product_spectrum, solve_pencil,
                                sphere_spectrum)
 
 
@@ -33,7 +36,64 @@ def diagonal(a, b):
     return out
 
 
+def icosphere_loop(level):
+    """Reference: the per-face midpoint loop that `icosphere` vectorises."""
+    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
+    faces = [tuple(f) for f in _ICO_FACES]
+    for _ in range(level):
+        midpoint = {}
+
+        def split(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        refined = []
+        for a, b, c in faces:
+            ab, bc, ca = split(a, b), split(b, c), split(c, a)
+            refined += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = refined
+    return np.array(verts), np.array(faces, dtype=int)
+
+
+def projective_loop(level):
+    """Reference: the antipode dictionary that `projective_icosphere`
+    vectorises; returns (points, triangles)."""
+    base = icosphere(level)
+    keys = {tuple(np.round(v, 12)): idx for idx, v in enumerate(base.points)}
+    rep = np.empty(base.vertex_count, dtype=int)
+    kept, order = [], {}
+    for idx, v in enumerate(base.points):
+        pair = min(idx, keys[tuple(np.round(-v, 12))])
+        if pair not in order:
+            order[pair] = len(kept)
+            kept.append(pair)
+        rep[idx] = order[pair]
+    seen = {}
+    for t in rep[base.triangles]:
+        seen.setdefault(tuple(sorted(t)), tuple(t))
+    return base.points[kept], np.array(sorted(seen.values()), dtype=int)
+
+
 class TestMeshes:
+    @pytest.mark.parametrize("level", range(6))
+    def test_icosphere_equals_loop(self, level):
+        points, triangles = icosphere_loop(level)
+        m = icosphere(level)
+        assert np.array_equal(m.points, points)
+        assert np.array_equal(m.triangles, triangles)
+        assert m.triangles.dtype == triangles.dtype
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_projective_quotient_equals_loop(self, level):
+        points, triangles = projective_loop(level)
+        m = projective_icosphere(level)
+        assert np.array_equal(m.points, points)
+        assert np.array_equal(m.triangles, triangles)
+
     def test_icosphere_counts(self):
         for level in range(4):
             m = icosphere(level)
@@ -244,6 +304,49 @@ class TestSphereSpectrum:
         assert abs(shifted.lambda2(has_potential=True)
                    - (plain.lambda2() - 1000.0)) < 1e-8
 
+    def test_arpack_matches_dense_on_sphere(self):
+        K, M = sphere_forms(4)  # 2562 unknowns, above the dense limit
+        res = solve_pencil(K, M, count=12)
+        assert res.backend == "fem-arpack"
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                                  subset_by_index=(0, 11))
+        assert np.max(np.abs(res.values - dense)) < 1e-10
+        # the round sphere's clusters: 1, 3 and 5 values near 0, 2 and 6
+        assert [res.multiplicity_of(res.values[i]) for i in (1, 4)] == [3, 5]
+        assert abs(res.values[0]) < 1e-10 and abs(res.values[4] - 6.0) < 0.1
+
+    def test_factor_is_symmetric_mode(self):
+        K, M = sphere_forms(4)
+        _, factor = _shift_factor(K, M, -0.5)
+        assert np.array_equal(factor.perm_r, factor.perm_c)
+
+    def test_dissection_order_shrinks_the_factor(self):
+        # guards the ordering: SuperLU's default COLAMD factor has more
+        # fill (about 1.35 M against 0.87 M entries at level 5)
+        K, M = sphere_forms(5)
+        sigma = -0.5
+        _, factor = _shift_factor(K, M, sigma)
+        default = scipy.sparse.linalg.splu((K - sigma * M).tocsc())
+        assert (factor.L.nnz + factor.U.nnz
+                <= 0.8 * (default.L.nnz + default.U.nnz))
+
+    def test_disconnected_pencil_merges_the_spectra(self):
+        (K1, M1), (K2, M2) = sphere_forms(4), ellipsoid_forms(4)
+        merged = solve_pencil(sp.block_diag([K1, K2]), sp.block_diag([M1, M2]),
+                              count=12)
+        assert merged.backend == "fem-arpack"
+        apart = np.sort(np.concatenate([solve_pencil(K1, M1, count=12).values,
+                                        solve_pencil(K2, M2, count=12).values]))
+        assert np.max(np.abs(merged.values - apart[:12])) < 1e-10
+
+    def test_failed_factor_names_the_shift(self):
+        # an isolated unknown with no stiffness and no mass: K - sigma M
+        # has a zero column at every shift
+        K, M = sphere_forms(4)
+        zero = sp.csr_matrix((1, 1))
+        with pytest.raises(ConvergenceError, match="at sigma = -0.55"):
+            solve_pencil(sp.block_diag([K, zero]), sp.block_diag([M, zero]))
+
     def test_shift_does_not_depend_on_mesh_size(self, monkeypatch):
         seen = []
         eigsh = scipy.sparse.linalg.eigsh
@@ -384,3 +487,34 @@ def test_pencil_is_linear_in_T(A, B, a, b):
     want = (a * K_A + b * K_B).toarray()
     assert np.max(np.abs(K.toarray() - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(M_ab.toarray(), M.toarray())
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_forms(level):
+    return assemble_forms(DiscreteGeometry(sphere(2, 1.0, 1, 0.0),
+                                           icosphere(level)))
+
+
+@functools.lru_cache(maxsize=None)
+def ellipsoid_forms(level):
+    imm = ellipsoid((1.0, 1.0, 1.3))
+    return assemble_forms(DiscreteGeometry(imm, mesh_for(imm, level)))
+
+
+def path_graph(n):
+    return sp.diags([np.ones(n - 1), 2.0 * np.ones(n), np.ones(n - 1)],
+                    [-1, 0, 1])
+
+
+@pytest.mark.parametrize("case", ["sphere", "two spheres", "path",
+                                  "isolated", "complete", "single"])
+def test_dissection_order_is_a_permutation(case):
+    K, _ = sphere_forms(3)
+    matrix = {"sphere": lambda: K,
+              "two spheres": lambda: sp.block_diag([K, path_graph(5), K]),
+              "path": lambda: path_graph(1000),
+              "isolated": lambda: sp.identity(300),
+              "complete": lambda: sp.csr_matrix(np.ones((200, 200))),
+              "single": lambda: sp.csr_matrix(np.ones((1, 1)))}[case]()
+    order = _dissection_order(matrix)
+    assert np.array_equal(np.sort(order), np.arange(matrix.shape[0]))
