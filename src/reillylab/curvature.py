@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kronecker import index_sum_terms, scatter_sum
+from .kronecker import scatter_sum, term_offsets
 from .newton import newton_kronecker
 from .secondform import SecondFundamentalForm
 
@@ -96,15 +96,16 @@ def random_curvature(n: int, rng, c: float = 0.0) -> CurvatureData:
     return curvature_from_tensor(A, c=c)
 
 
-def _r_product(R4, up, lo, sg, pairs: int) -> np.ndarray:
-    # np.take over flat offsets gathers faster than indexing with four
-    # index arrays, as in newton_kronecker
-    n = R4.shape[0]
+def _r_groups(l: int, pairs: int):
+    """Offset groups of the first `pairs` curvature factors of an l-slot
+    sum: factor s is R4[I[2s], I[2s+1], J[2s], J[2s+1]]."""
+    return [(2 * s, 2 * s + 1, l + 2 * s, l + 2 * s + 1) for s in range(pairs)]
+
+
+def _r_product(R4, sg, offsets) -> np.ndarray:
     flat = R4.ravel()
-    prod = sg.copy()
-    for s in range(pairs):
-        a, b = 2 * s, 2 * s + 1
-        offset = ((up[:, a] * n + up[:, b]) * n + lo[:, a]) * n + lo[:, b]
+    prod = sg
+    for offset in offsets:
         prod = prod * np.take(flat, offset)
     return prod
 
@@ -113,8 +114,8 @@ def lovelock_scalar(curv: CurvatureData, k: int) -> float:
     n = curv.n
     if not 1 <= k <= n // 2:
         raise ArgumentError("order must satisfy 1 <= k <= n/2")
-    up, lo, sg = index_sum_terms(n, 2 * k)
-    return float(_r_product(curv.R4, up, lo, sg, k).sum()) / 2 ** k
+    sg, *offsets = term_offsets(n, 2 * k, *_r_groups(2 * k, k))
+    return float(_r_product(curv.R4, sg, offsets).sum()) / 2 ** k
 
 
 def lovelock_einstein(curv: CurvatureData, k: int):
@@ -124,9 +125,10 @@ def lovelock_einstein(curv: CurvatureData, k: int):
         return -0.5 * np.eye(n)
     if 2 * k + 1 > n:
         return None
-    up, lo, sg = index_sum_terms(n, 2 * k + 1)
-    prod = _r_product(curv.R4, up, lo, sg, k)
-    out = scatter_sum((n, n), (up[:, 2 * k], lo[:, 2 * k]), prod)
+    l = 2 * k + 1
+    sg, target, *offsets = term_offsets(n, l, (2 * k, l + 2 * k),
+                                        *_r_groups(l, k))
+    out = scatter_sum((n, n), target, _r_product(curv.R4, sg, offsets))
     return -out / 2 ** (k + 1)
 
 
@@ -135,11 +137,11 @@ def lovelock_p4(curv: CurvatureData, k: int) -> np.ndarray:
     n = curv.n
     if not 1 <= k <= n // 2:
         raise ArgumentError("order must satisfy 1 <= k <= n/2")
-    up, lo, sg = index_sum_terms(n, 2 * k)
-    prod = _r_product(curv.R4, up, lo, sg, k - 1)
-    out = scatter_sum((n, n, n, n), (up[:, 2 * k - 2], up[:, 2 * k - 1],
-                                     lo[:, 2 * k - 2], lo[:, 2 * k - 1]), prod)
-    return out / 2 ** k
+    # the free slots form the last curvature group, the one lovelock_scalar
+    # gathers through, so both read the same cached offsets
+    sg, *offsets, target = term_offsets(n, 2 * k, *_r_groups(2 * k, k))
+    prod = _r_product(curv.R4, sg, offsets)
+    return scatter_sum((n, n, n, n), target, prod) / 2 ** k
 
 
 def contraction_rhs(curv: CurvatureData, k: int) -> np.ndarray:

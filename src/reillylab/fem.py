@@ -10,7 +10,6 @@ The potential q is interpolated from vertex values.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EllipticityError, TopologyError, UnsupportedConfiguration
 
@@ -87,6 +86,8 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     through the quadratic form integral of q f g.  Raises EllipticityError
     at the first element whose weight matrix is not positive definite.
     """
+    import scipy.sparse as sp  # here, so that importing reillylab skips scipy
+
     mesh = geom.mesh
     tri = mesh.triangles
     nf = tri.shape[0]

@@ -7,8 +7,11 @@ tuple to the upper one, and 0 on repeated indices or a set mismatch.
 Sums of the form  sum_{I,J} delta^{I}_{J} * (product of factors indexed by
 slots of I, J)  are evaluated by iterating over strictly increasing index
 subsets and permutation pairs instead of full index ranges.  That costs
-C(n, l) * (l!)^2 terms, cheap for the dimensions used here (n <= 8); the
-term tables are cached per (n, l) and the factor products are vectorized.
+C(n, l) * (l!)^2 terms, cheap for the dimensions used here (n <= 8), and
+the factor products are vectorized.  The sums gather their factors and
+scatter their results through flat offsets into the factor arrays; those
+offsets and the term signs are cached (`term_offsets`), the full (T, l)
+index tables are not (`index_sum_terms`).
 """
 
 from __future__ import annotations
@@ -63,13 +66,14 @@ def _perm_table(l: int):
     return perms, signs
 
 
-@lru_cache(maxsize=None)
 def index_sum_terms(n: int, l: int):
     """All nonzero terms of sum_{I,J in range(n)^l} delta^{I}_{J}.
 
     Returns (upper, lower, sign): integer arrays of shape (T, l), (T, l)
     and (T,), listing every pair of tuples with nonvanishing delta together
-    with its value.  T = C(n, l) * (l!)^2.
+    with its value.  T = C(n, l) * (l!)^2.  Built anew on every call; the
+    sums themselves go through the cached `term_offsets`, in the same term
+    order.
     """
     if l > n:
         return (np.zeros((0, l), dtype=np.int64),
@@ -88,9 +92,59 @@ def index_sum_terms(n: int, l: int):
             np.concatenate(sgs).astype(np.float64))
 
 
-def scatter_sum(shape, index, values) -> np.ndarray:
-    """Zeros of `shape` with each value added at its multi-index, for
-    values (T,) or one result per row of values (..., T).
+def term_offsets(n: int, l: int, *groups):
+    """(sign, offsets...) of the terms of `index_sum_terms(n, l)`, in its
+    term order, one flat offset array per column group.
+
+    A group is a tuple of columns of the stacked table [upper | lower]
+    (columns 0..l-1 upper, l..2l-1 lower); its offsets are those columns
+    raveled in base n, the flat index into an array with one axis of
+    length n per column.  The signs are cached once per (n, l) and each
+    group's offsets once per (n, l, group); all are read-only.  For l > n
+    every array is empty, and no permutation table is built.
+    """
+    return (_term_signs(n, l),) + tuple(_group_offsets(n, l, g)
+                                        for g in groups)
+
+
+@lru_cache(maxsize=None)
+def _term_signs(n: int, l: int) -> np.ndarray:
+    if l > n:
+        return _frozen(np.zeros((0,), dtype=np.float64))
+    _, signs = _perm_table(l)
+    pair = np.multiply.outer(signs, signs).ravel().astype(np.float64)
+    return _frozen(np.tile(pair, math.comb(n, l)))
+
+
+@lru_cache(maxsize=None)
+def _group_offsets(n: int, l: int, group) -> np.ndarray:
+    """Base-n ravel of `group`'s columns, one index subset at a time: a
+    subset's (l!)^2 terms pair upper permutation i with lower permutation
+    j at row i * l! + j, so its block is U[:, None] + V[None, :] with U
+    from the upper columns and V from the lower ones."""
+    if l > n:
+        return _frozen(np.zeros((0,), dtype=np.int64))
+    perms, _ = _perm_table(l)
+    weight = n ** np.arange(len(group) - 1, -1, -1, dtype=np.int64)
+    group = np.asarray(group, dtype=np.int64)
+    upper = group < l
+    blocks = []
+    for subset in itertools.combinations(range(n), l):
+        tup = np.asarray(subset, dtype=np.int64)[perms]       # (m, l)
+        U = tup[:, group[upper]] @ weight[upper]
+        V = tup[:, group[~upper] - l] @ weight[~upper]
+        blocks.append((U[:, None] + V[None, :]).ravel())
+    return _frozen(np.concatenate(blocks))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def scatter_sum(shape, flat, values) -> np.ndarray:
+    """Zeros of `shape` with each value added at its flat index into
+    `shape`, for values (T,) or one result per row of values (..., T).
 
     The result of np.add.at on zeros, bit for bit, row by row: np.bincount
     also adds in input order, but in one compiled pass instead of a ufunc
@@ -99,10 +153,11 @@ def scatter_sum(shape, index, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     lead = values.shape[:-1]
     size = math.prod(shape)
-    rows = np.arange(math.prod(lead))[:, None] * size
-    flat = (rows + np.ravel_multi_index(index, shape)).ravel()
+    if lead:
+        rows = np.arange(math.prod(lead))[:, None] * size
+        flat = (rows + flat).ravel()
     return np.bincount(flat, weights=values.ravel(),
-                       minlength=rows.size * size).reshape(lead + tuple(shape))
+                       minlength=math.prod(lead) * size).reshape(lead + tuple(shape))
 
 
 def contraction_factor(n: int, l: int, t: int) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedConfiguration
-from .kronecker import index_sum_terms, scatter_sum
+from .kronecker import scatter_sum, term_offsets
 from .secondform import MeanCurvatureProfile, SecondFundamentalForm, form_array
 
 
@@ -68,28 +68,28 @@ def newton_kronecker(h, r: int) -> NewtonTensor:
     if r == 0:
         return NewtonTensor(0, np.broadcast_to(np.eye(n), lead + (n, n)).copy(),
                             vector_valued=False)
-    up, lo, sg = index_sum_terms(n, r + 1)
+    l = r + 1
+    # offset groups: the scattered slot r, the gram factors
+    # gram[I[2s], J[2s], I[2s+1], J[2s+1]] and, for odd r, the form
+    # factor h[I[r-1], J[r-1]]
+    grams = [(2 * s, l + 2 * s, 2 * s + 1, l + 2 * s + 1) for s in range(r // 2)]
+    sg, target, *offsets = term_offsets(n, l, (r, l + r), *grams,
+                                        *[(r - 1, l + r - 1)] * (r % 2))
     if len(sg) == 0:
         return NewtonTensor(r, np.zeros(lead + (p,) * vector + (n, n)), vector)
     nn = n * n
-
-    def pair(k):
-        """Flat offsets of slot k's index pairs into an (n, n) matrix."""
-        return up[:, k] * n + lo[:, k]
-
     # np.take over flat offsets gathers about ten times faster than
     # indexing with four index arrays
     gram = np.einsum("...xab,...xcd->...abcd", h, h).reshape(lead + (nn * nn,))
-    prod = sg.copy()
-    for s in range(r // 2):
-        prod = prod * np.take(gram, pair(2 * s) * nn + pair(2 * s + 1), axis=-1)
-    target = (up[:, r], lo[:, r])
+    prod = sg
+    for offset in offsets[:r // 2]:
+        prod = prod * np.take(gram, offset, axis=-1)
     fact = math.factorial(r)
     if r % 2 == 0:
         return NewtonTensor(r, scatter_sum((n, n), target, prod) / fact,
                             vector_valued=False)
     # one row per normal direction: (..., p, T) terms
-    hpair = np.take(h.reshape(lead + (p, nn)), pair(r - 1), axis=-1)
+    hpair = np.take(h.reshape(lead + (p, nn)), offsets[-1], axis=-1)
     out = scatter_sum((n, n), target, prod[..., None, :] * hpair)
     out /= fact
     return NewtonTensor(r, out if vector else out[..., 0, :, :], vector)

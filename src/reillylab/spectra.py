@@ -1,14 +1,14 @@
-"""Eigenvalue extraction for the discrete pencil and closed-form spectra."""
+"""Eigenvalue extraction for the discrete pencil and closed-form spectra.
+
+scipy is imported by the functions that use it, so that importing the
+package (and a command that solves no pencil) does not load it.
+"""
 
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
-from scipy.sparse import csgraph
 
 from .errors import ArgumentError, ConvergenceError
 
@@ -87,6 +87,10 @@ def solve_pencil(stiffness, mass, count: int = 12,
     instance because a floor above lambda_1 made K - sigma M singular,
     raises ConvergenceError.
     """
+    import scipy.linalg
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+
     n = stiffness.shape[0]
     count = min(count, n)
     scale = (stiffness.diagonal().sum()) / max(mass.diagonal().sum(), 1e-300)
@@ -118,6 +122,9 @@ def _shift_factor(stiffness, mass, sigma: float):
     """(order, factor): SuperLU's symmetric-mode factor of K - sigma M with
     rows and columns taken in `order`, the pencil's nested-dissection
     order; `_shift_solve` applies (K - sigma M)^-1 through them."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+
     pencil = sp.csr_matrix(stiffness - sigma * mass)
     order = _dissection_order(pencil)
     try:
@@ -150,6 +157,9 @@ def _dissection_order(matrix) -> np.ndarray:
     separator, which is ordered after both halves are ordered the same
     way.  Sets of at most `_ND_LEAF` vertices keep their index order.
     """
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     pattern = sp.csr_matrix(matrix)
     graph = sp.csr_matrix((np.ones(pattern.nnz), pattern.indices,
                            pattern.indptr), shape=pattern.shape)
@@ -171,6 +181,8 @@ def _dissection_order(matrix) -> np.ndarray:
 def _landmark_hops(graph) -> np.ndarray:
     """(V, _ND_LANDMARKS) hop distances of a connected graph's vertices
     from farthest-point landmarks, the first farthest from vertex 0."""
+    from scipy.sparse import csgraph
+
     far = int(np.argmax(csgraph.shortest_path(graph, unweighted=True,
                                               indices=0)))
     hops, nearest = [], np.inf

@@ -63,7 +63,7 @@ def test_mean_curvature_tensor_rows_equal_one_form_calls(n, p):
 def test_scatter_sum_rows_equal_one_row_calls(n, l):
     up, lo, sg = index_sum_terms(n, l)
     values = np.random.default_rng(n).standard_normal((2, 3, len(sg)))
-    index = (up[:, -1], lo[:, -1])
+    index = np.ravel_multi_index((up[:, -1], lo[:, -1]), (n, n))
     out = scatter_sum((n, n), index, values)
     assert out.shape == (2, 3, n, n)
     for i in range(2):

@@ -144,6 +144,20 @@ def test_lovelock_scatters_bitwise_equal_add_at(n):
         assert np.array_equal(lovelock_einstein(curv, k), -e2 / 2 ** (k + 1)), (n, k)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lovelock_scalar_bitwise_equals_index_arrays(n):
+    """L_k against its defining sum gathered with four index arrays."""
+    curv = random_curvature(n, np.random.default_rng(40 + n), c=-0.5)
+    R4 = curv.R4
+    for k in range(1, n // 2 + 1):
+        up, lo, sg = index_sum_terms(n, 2 * k)
+        prod = sg.copy()
+        for s in range(k):
+            prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
+        assert np.array_equal(lovelock_scalar(curv, k),
+                              float(prod.sum()) / 2 ** k), (n, k)
+
+
 def test_lovelock_zeroth_einstein_convention():
     curv = random_curvature(4, np.random.default_rng(9), c=1.0)
     E0 = lovelock_einstein(curv, 0)

@@ -1,6 +1,7 @@
 """Seeded random-instance residual suite over the algebraic layer."""
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from reillylab import curvature, identities, newton
 from reillylab.identities import identity_suite, random_unit_form
@@ -51,6 +52,14 @@ def test_all_residuals_at_machine_scale():
     assert set(report) == expected
     for key, value in report.items():
         assert value <= 1e-10, f"{key} residual {value}"
+
+
+@given(n=st.integers(2, 6), p=st.integers(1, 3),
+       c=st.sampled_from([-1.0, 0.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_drawn_form_residuals_at_machine_scale(n, p, c, seed):
+    h = random_unit_form(np.random.default_rng(seed), n, p)
+    for key, value in identities._form_residuals(h, c).items():
+        assert value <= 1e-10, f"{key} residual {value} at n={n} p={p} c={c}"
 
 
 def test_odd_chain_ranks_are_checked(monkeypatch):

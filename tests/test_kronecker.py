@@ -1,5 +1,6 @@
 """Generalized Kronecker delta: determinant oracle, contraction counting,
-and the flattened term table used by the heavy tensor sums."""
+the flattened term table and the cached flat offsets the heavy tensor
+sums gather and scatter through."""
 
 import itertools
 import math
@@ -7,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from reillylab import kronecker
 from reillylab.errors import ShapeError
 from reillylab.kronecker import (contraction_factor, gen_kronecker,
-                                 index_sum_terms, perm_sign)
+                                 index_sum_terms, perm_sign, term_offsets)
 
 
 def test_perm_sign_basics():
@@ -111,3 +113,57 @@ def test_term_table_size_and_degenerate_rank():
     assert set(np.unique(sg)) <= {-1, 1}
     up, lo, sg = index_sum_terms(3, 4)  # rank exceeds dimension
     assert len(sg) == 0
+
+
+def offset_groups(l):
+    """Every single column of [upper | lower], the (upper a, lower a)
+    pairs, the four-column curvature and gram groups and the whole upper
+    and lower halves."""
+    groups = [(c,) for c in range(2 * l)]
+    groups += [(a, l + a) for a in range(l)]
+    for s in range(l // 2):
+        groups.append((2 * s, 2 * s + 1, l + 2 * s, l + 2 * s + 1))
+        groups.append((2 * s, l + 2 * s, 2 * s + 1, l + 2 * s + 1))
+    groups += [tuple(range(l)), tuple(range(l, 2 * l))]
+    return groups
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_term_offsets_ravel_the_term_table(n):
+    for l in range(1, n + 1):
+        up, lo, sg = index_sum_terms(n, l)
+        table = np.concatenate([up, lo], axis=1)
+        assert np.array_equal(term_offsets(n, l)[0], sg), (n, l)
+        for group in offset_groups(l):
+            # built without caching, so the test does not fill the cache
+            got = kronecker._group_offsets.__wrapped__(n, l, group)
+            want = np.ravel_multi_index(tuple(table[:, list(group)].T),
+                                        (n,) * len(group))
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want), (n, l, group)
+
+
+def test_term_offsets_are_cached_and_read_only():
+    sg, off = term_offsets(5, 3, (0, 3))
+    again_sg, again_off = term_offsets(5, 3, (0, 3))
+    assert again_sg is sg and again_off is off
+    assert not sg.flags.writeable and not off.flags.writeable
+    with pytest.raises(ValueError):
+        off[0] = 0
+
+
+def test_term_offsets_empty_beyond_dimension(monkeypatch):
+    sg, off, quad = term_offsets(3, 4, (0, 4), (0, 1, 4, 5))
+    assert sg.shape == off.shape == quad.shape == (0,)
+    assert sg.dtype == np.float64 and off.dtype == np.intp
+    # the guard runs before any permutation table is built
+    monkeypatch.setattr(kronecker, "_perm_table", None)
+    assert kronecker._term_signs.__wrapped__(6, 7).shape == (0,)
+    assert kronecker._group_offsets.__wrapped__(6, 7, (0, 7)).shape == (0,)
+
+
+def test_index_sum_terms_is_not_cached():
+    assert not hasattr(index_sum_terms, "cache_info")
+    first, second = index_sum_terms(4, 2), index_sum_terms(4, 2)
+    assert first[0] is not second[0]
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))

@@ -109,7 +109,7 @@ def newton_kronecker_add_at(h, r):
     return out[0] if p == 1 else out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("p", [1, 2])
 def test_defining_sum_bitwise_equals_add_at(n, p):
     for seed in range(3):
