@@ -153,11 +153,10 @@ def scatter_sum(shape, flat, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     lead = values.shape[:-1]
     size = math.prod(shape)
-    if lead:
-        rows = np.arange(math.prod(lead))[:, None] * size
-        flat = (rows + flat).ravel()
+    rows = np.arange(math.prod(lead))[:, None] * size
+    flat = (rows + flat).ravel()
     return np.bincount(flat, weights=values.ravel(),
-                       minlength=math.prod(lead) * size).reshape(lead + tuple(shape))
+                       minlength=rows.size * size).reshape(lead + tuple(shape))
 
 
 def contraction_factor(n: int, l: int, t: int) -> float:
