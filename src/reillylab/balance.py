@@ -50,6 +50,8 @@ def balance_measure(points, weights=None, tol_rel: float = 1e-8,
         raise ArgumentError("points must be an (m, N+1) array")
     if points.shape[0] == 0:
         raise ArgumentError("no points to balance")
+    if not np.all(np.isfinite(points)):
+        raise ArgumentError("balance points must be finite")
     norms = np.linalg.norm(points, axis=1)
     if support == "sphere":
         if np.max(np.abs(norms - 1.0)) > 1e-8:
@@ -65,8 +67,8 @@ def balance_measure(points, weights=None, tol_rel: float = 1e-8,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise ArgumentError("one weight per point required")
-    if np.any(weights <= 0.0):
-        raise ArgumentError("weights must be positive")
+    if not np.all((weights > 0.0) & np.isfinite(weights)):
+        raise ArgumentError("weights must be positive and finite")
     total = float(np.sum(weights))
     tol = tol_rel * total
 

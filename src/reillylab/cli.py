@@ -397,24 +397,18 @@ def cmd_balance(args) -> int:
         raise ConfigError("cannot read mesh %s: %s" % (args.mesh, exc))
     if len(points) == 0:
         raise ConfigError("mesh %s has no vertices to balance" % args.mesh)
-    if args.ambient == "euclidean":
-        norms = np.linalg.norm(points, axis=1)
-        if np.min(norms) < 1e-12:
-            raise ConfigError("euclidean points must avoid the origin")
-        points = points / norms[:, None]
-        support = "sphere"
-    elif args.ambient == "sphere":
-        norms = np.linalg.norm(points, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-6:
-            raise ConfigError("mesh vertices do not lie on the unit sphere")
-        points = points / norms[:, None]
-        support = "sphere"
-    else:  # hyperbolic: Lorentz hyperboloid mapped to the Poincare ball
+    if args.ambient == "hyperbolic":  # Lorentz hyperboloid to Poincare ball
         quad = points[:, -1] ** 2 - np.sum(points[:, :-1] ** 2, axis=1)
         if np.max(np.abs(quad - 1.0)) > 1e-6 or np.min(points[:, -1]) <= 0:
             raise ConfigError("mesh vertices do not lie on the hyperboloid")
-        points = hyperboloid_to_ball(points)
-        support = "ball"
+        points, support = hyperboloid_to_ball(points), "ball"
+    else:
+        norms = np.linalg.norm(points, axis=1)
+        if args.ambient == "euclidean" and np.min(norms) < 1e-12:
+            raise ConfigError("euclidean points must avoid the origin")
+        if args.ambient == "sphere" and np.max(np.abs(norms - 1.0)) > 1e-6:
+            raise ConfigError("mesh vertices do not lie on the unit sphere")
+        points, support = points / norms[:, None], "sphere"
     result = balance_measure(points, tol_rel=args.tol, support=support)
     print("converged %s after %d iterations; residual %.3e; g = %s"
           % (result.converged, result.iterations, result.residual,
@@ -442,8 +436,7 @@ def cmd_gallery(args) -> int:
     if args.off:
         if imm.n != 2:
             raise ConfigError("OFF export needs a two-dimensional geometry")
-        positions = np.array([imm.position(w) for w in mesh.points])
-        save_off(args.off, positions, mesh.triangles)
+        save_off(args.off, imm.position(mesh.points), mesh.triangles)
         print("wrote %s (%d vertices, %d triangles)"
               % (args.off, mesh.vertex_count, mesh.triangle_count))
     return 0

@@ -27,10 +27,13 @@ def random_unit_form(rng, n: int, p: int) -> SecondFundamentalForm:
 def _form_residuals(h, c: float) -> dict:
     """Every algebraic residual of one form, from one recursion chain, one
     oracle list T_0..T_n, one curvature and one list E_0..E_{n//2}; the
-    contraction checks pair the oracle's T_1 and T_3 with the form."""
+    contraction checks pair the oracle's T_1 and T_3 with the form.  The
+    chain already holds newton_kronecker's value of each vector-valued
+    (odd, p > 1) rank, so the oracle takes those ranks from the chain."""
     n = h.n
     tensors, scalars, vectors = newton_chain(h, n)
-    oracle = [newton_kronecker(h, r) for r in range(n + 1)]
+    oracle = [tensors[r] if tensors[r].vector_valued else newton_kronecker(h, r)
+              for r in range(n + 1)]
     curv = gauss_curvature(h, c)
     einstein = [lovelock_einstein(curv, k) for k in range(n // 2 + 1)]
     out = {"newton_trace": 0.0, "newton_recursion": 0.0,
@@ -114,19 +117,15 @@ def conformal_stretch_residual(immersion, chain, count: int = 5,
     """Frame identity of the composed test map.
 
     The differentials of the chain components along an orthonormal tangent
-    frame satisfy sum_A Phi^A_i Phi^A_j = e^{2 rho} delta_ij.
+    frame satisfy sum_A Phi^A_i Phi^A_j = e^{2 rho} delta_ij; the worst
+    relative deviation over count sample points drawn from seed.
     """
-    rng = np.random.default_rng(seed)
-    tm = chain.test_map()
-    worst = 0.0
-    for _ in range(count):
-        fr = immersion.frame_at(immersion.domain.random_point(rng))
-        jac = tm.jacobian(fr.point)
-        v = fr.tangent @ jac.T
-        gram = v @ v.T
-        fac = chain.factor(fr.point)
-        worst = max(worst, float(np.max(np.abs(gram - fac * np.eye(fr.n)))) / fac)
-    return worst
+    frames = immersion.frame_at(immersion.sample_points(count, seed))
+    jac = chain.test_map().jacobian(frames.point)
+    v = frames.tangent @ np.swapaxes(jac, -1, -2)
+    gram = v @ np.swapaxes(v, -1, -2)
+    fac = chain.factor(frames.point)[:, None, None]
+    return float(np.max(np.abs(gram - fac * np.eye(frames.n)) / fac))
 
 
 def second_form_transform_residual(immersion, chain, count: int = 3,
@@ -139,24 +138,21 @@ def second_form_transform_residual(immersion, chain, count: int = 3,
     """
     if immersion.p != 1:
         raise ValueError("eigenvalue comparison requires codimension one")
-    rng = np.random.default_rng(seed)
-    target = AmbientSpace(1.0, chain.dim)
-    moved = pushforward_under_map(immersion, chain.test_map(), target)
-    worst = 0.0
-    for _ in range(count):
-        w = immersion.domain.random_point(rng)
-        fr = immersion.frame_at(w)
-        grad = chain.grad_rho(fr.point)
-        rho_nu = float(immersion.ambient.inner(grad, fr.normal[0]))
-        kappa = np.linalg.eigvalsh(fr.h[0])
-        rho = chain.rho(fr.point)
-        predicted = np.sort(np.exp(-rho) * (kappa - rho_nu))
-        got = np.sort(np.linalg.eigvalsh(moved.frame_at(w).h[0]))
-        err = min(float(np.max(np.abs(got - predicted))),
-                  float(np.max(np.abs(np.sort(-got) - predicted))))
-        scale = max(1.0, float(np.max(np.abs(predicted))))
-        worst = max(worst, err / scale)
-    return worst
+    w = immersion.sample_points(count, seed)
+    moved = pushforward_under_map(immersion, chain.test_map(),
+                                  AmbientSpace(1.0, chain.dim))
+    frames = immersion.frame_at(w)
+    kappa, got = np.linalg.eigvalsh(
+        np.stack([frames.h[:, 0], moved.frame_at(w).h[:, 0]]))
+    rho_nu = immersion.ambient.inner(chain.grad_rho(frames.point),
+                                     frames.normal[:, 0])
+    predicted = np.sort(np.exp(-chain.rho(frames.point))[:, None]
+                        * (kappa - rho_nu[:, None]))
+    got = np.sort(got)
+    err = np.minimum(np.max(np.abs(got - predicted), axis=-1),
+                     np.max(np.abs(np.sort(-got) - predicted), axis=-1))
+    scale = np.maximum(1.0, np.max(np.abs(predicted), axis=-1))
+    return float(np.max(err / scale))
 
 
 def factor_curvature_residual(immersion, mesh, chain) -> float:
@@ -174,8 +170,8 @@ def factor_curvature_residual(immersion, mesh, chain) -> float:
     space = immersion.ambient
     frames = geom.frames
     tr = 2.0
-    grad = np.array([chain.grad_rho(x) for x in frames.point])
-    rho_vals = np.array([chain.rho(x) for x in frames.point])
+    grad = chain.grad_rho(frames.point)
+    rho_vals = chain.rho(frames.point)
     tang = space.inner(grad[:, None, :], frames.tangent)  # (V, n)
     perp = grad - (tang[:, None, :] @ frames.tangent)[:, 0]
     perp2 = space.inner(perp, perp)

@@ -210,7 +210,8 @@ def save_off(path, points: np.ndarray, triangles: np.ndarray) -> None:
 
 
 def load_off(path):
-    """Read an ASCII OFF/nOFF file, return (points, triangles)."""
+    """Read an ASCII OFF/nOFF file, return (points, triangles); a non-finite
+    coordinate or a face index outside 0..nv-1 is an ArgumentError."""
     with open(path) as fh:
         tokens = []
         for line in fh:
@@ -235,12 +236,12 @@ def load_off(path):
     nv, nf = int(tokens[pos]), int(tokens[pos + 1])
     pos += 3
     points = np.array(tokens[pos:pos + nv * dim], dtype=float).reshape(nv, dim)
+    if not np.all(np.isfinite(points)):
+        raise ArgumentError("non-finite vertex coordinate in %s" % path)
     pos += nv * dim
-    tris = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ArgumentError("only triangle faces are supported")
-        tris.append([int(t) for t in tokens[pos + 1:pos + 4]])
-        pos += 4
-    return points, np.array(tris, dtype=int)
+    faces = np.array(tokens[pos:pos + 4 * nf], dtype=int).reshape(nf, 4)
+    if np.any(faces[:, 0] != 3):
+        raise ArgumentError("only triangle faces are supported")
+    if np.any((faces[:, 1:] < 0) | (faces[:, 1:] >= nv)):
+        raise ArgumentError("face index outside 0..%d in %s" % (nv - 1, path))
+    return points, faces[:, 1:]

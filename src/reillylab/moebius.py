@@ -7,6 +7,10 @@ curvature -1), then moved by the ball Moebius map gamma_g.  The conformal
 factor of the composite against the space-form metric has a closed form,
 as does its tangential gradient.  gamma_g and its derivatives take one
 point (N,) or a batch (..., N) and share one evaluation of gamma_g(x).
+The chain and the chart values and Jacobians take a point or a batch
+through one code path, and a batch row has the bits of the one-point
+call; the chart Hessians and the ball_to_hyperboloid references take one
+point.
 """
 
 import math
@@ -16,6 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, PoleProximityError
 from .immersion import AmbientSpace, CallableMap, ComposedMap
+from .secondform import rowdot
 
 _POLE_TOL = 1e-14
 
@@ -114,19 +119,18 @@ def gamma_map(param: MoebiusParam) -> CallableMap:
 
 
 def plane_to_sphere_value(x: np.ndarray) -> np.ndarray:
+    """Inverse stereographic image (..., N+1) of x (..., N)."""
     x = np.asarray(x, dtype=float)
-    s = 1.0 + float(x @ x)
-    return np.concatenate([2.0 * x, [float(x @ x) - 1.0]]) / s
+    xx = rowdot(x, x)[..., None]
+    return np.concatenate([2.0 * x, xx - 1.0], axis=-1) / (1.0 + xx)
 
 
 def plane_to_sphere_jacobian(x: np.ndarray) -> np.ndarray:
+    """Jacobian (..., N+1, N) of the inverse stereographic projection."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    s = 1.0 + float(x @ x)
-    jac = np.empty((n + 1, n))
-    jac[:n] = 2.0 * np.eye(n) / s - 4.0 * np.outer(x, x) / s**2
-    jac[n] = 4.0 * x / s**2
-    return jac
+    s = 1.0 + rowdot(x, x)[..., None, None]
+    top = 2.0 * np.eye(x.shape[-1]) / s - 4.0 * (x[..., :, None] * x[..., None, :]) / s**2
+    return np.concatenate([top, 4.0 * x[..., None, :] / s**2], axis=-2)
 
 
 def plane_to_sphere_hessian(x: np.ndarray) -> np.ndarray:
@@ -202,13 +206,11 @@ def hyperboloid_to_ball(x: np.ndarray) -> np.ndarray:
 
 
 def hyperboloid_to_ball_jacobian(x: np.ndarray) -> np.ndarray:
+    """Jacobian (..., N, N+1) of the chart at x (..., N+1)."""
     x = np.asarray(x, dtype=float)
-    n = x.size - 1
-    den = 1.0 + x[-1]
-    jac = np.empty((n, n + 1))
-    jac[:, :n] = np.eye(n) / den
-    jac[:, n] = -x[:n] / den**2
-    return jac
+    den = 1.0 + x[..., -1, None, None]
+    return np.concatenate([np.eye(x.shape[-1] - 1) / den,
+                           -x[..., :-1, None] / den**2], axis=-1)
 
 
 def hyperboloid_to_ball_hessian(x: np.ndarray) -> np.ndarray:
@@ -236,7 +238,10 @@ class ConformalChain:
     stereographic projection (c = 0), or that after the hyperboloid-to-ball
     chart (c = -1).  rho is the log conformal factor of the chain against
     the space-form metric; grad_rho is its gradient, tangent to the space
-    form at the argument.
+    form at the argument.  Every method takes one point (N,) or a batch
+    (..., N) of space-form coordinates through one code path; a batch row
+    has the bits of the one-point call, and a batch raises the
+    PoleProximityError that one of its rows would.
     """
 
     def __init__(self, c: float, param: MoebiusParam, dim: int):
@@ -254,9 +259,7 @@ class ConformalChain:
         x = np.asarray(x, dtype=float)
         if self.c == 1.0:
             return x
-        if self.c == 0.0:
-            return plane_to_sphere_value(x)
-        return plane_to_sphere_value(hyperboloid_to_ball(x))
+        return plane_to_sphere_value(x if self.c == 0.0 else hyperboloid_to_ball(x))
 
     def test_map(self) -> CallableMap:
         """The chain as an ambient map with analytic first derivatives."""
@@ -271,43 +274,42 @@ class ConformalChain:
     def value(self, x: np.ndarray) -> np.ndarray:
         return gamma_value(self.param, self.sphere_point(x))
 
-    def rho(self, x: np.ndarray) -> float:
+    def rho(self, x: np.ndarray):
+        """Log conformal factor, a scalar for one point, (...,) for a batch."""
         x = np.asarray(x, dtype=float)
-        _, f, lam, _, _ = _moebius(self.param, self.sphere_point(x))
-        moeb = -math.log(lam) - math.log1p(f)
+        y = self.sphere_point(x)
+        _moebius(self.param, y)  # raises at the Moebius pole
+        moeb = -math.log(self.param.lam) - np.log1p(rowdot(y, self.param.g))
         if self.c == 1.0:
             return moeb
         if self.c == 0.0:
-            return moeb + math.log(2.0) - math.log1p(float(x @ x))
+            return moeb + math.log(2.0) - np.log1p(rowdot(x, x))
         w = hyperboloid_to_ball(x)
-        ww = float(w @ w)
-        return moeb + math.log((1.0 - ww) / (1.0 + ww))
+        ww = rowdot(w, w)
+        return moeb + np.log((1.0 - ww) / (1.0 + ww))
 
-    def factor(self, x: np.ndarray) -> float:
+    def factor(self, x: np.ndarray):
         """Conformal factor e^{2 rho} of the chain at x."""
-        return math.exp(2.0 * self.rho(x))
+        return np.exp(2.0 * self.rho(x))
 
     def grad_rho(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of rho, tangent to the space form (ambient components)."""
+        """Gradient of rho, tangent to the space form (ambient components);
+        c = 0 and c = -1 share the flat chain's gradient at the plane point y."""
         x = np.asarray(x, dtype=float)
         g = self.param.g
         if self.c == 1.0:
-            f = float(x @ g)
-            grad = -g / (1.0 + f)
-            return grad - float(grad @ x) * x
+            grad = -g / (1.0 + rowdot(x, g)[..., None])
+            return grad - rowdot(grad, x)[..., None] * x
+        y = x if self.c == 0.0 else hyperboloid_to_ball(x)
+        yy = rowdot(y, y)[..., None]
+        grad = -2.0 * y / (1.0 + yy)
+        if self.c == -1.0:
+            # gradient of the ball chart's log factor log((1 - |w|^2) / 2)
+            grad = -2.0 * y / (1.0 - yy) + grad
+        f = rowdot(plane_to_sphere_value(y), g)[..., None]
+        grad = grad - np.swapaxes(plane_to_sphere_jacobian(y), -1, -2) @ g / (1.0 + f)
         if self.c == 0.0:
-            p = plane_to_sphere_value(x)
-            f = float(p @ g)
-            grad = -2.0 * x / (1.0 + float(x @ x))
-            grad = grad - plane_to_sphere_jacobian(x).T @ g / (1.0 + f)
             return grad
-        w = hyperboloid_to_ball(x)
-        ww = float(w @ w)
-        p = plane_to_sphere_value(w)
-        f = float(p @ g)
-        jw = hyperboloid_to_ball_jacobian(x)
-        grad_w = (-2.0 * w / (1.0 - ww) - 2.0 * w / (1.0 + ww)
-                  - plane_to_sphere_jacobian(w).T @ g / (1.0 + f))
-        coord = jw.T @ grad_w
-        lorentz = coord * self.space.metric_diag
-        return self.space.project_radial_out(x, lorentz)
+        coord = (np.swapaxes(hyperboloid_to_ball_jacobian(x), -1, -2)
+                 @ grad[..., None])[..., 0]
+        return self.space.project_radial_out(x, coord * self.space.metric_diag)

@@ -411,7 +411,7 @@ def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
     frames is a FrameBatch; ht_ambient (K, C) and trT (K,) hold the
     ambient H_T and tr T of each row.
     """
-    grad = np.array([chain.grad_rho(x) for x in frames.point])
+    grad = chain.grad_rho(frames.point)
     tang = space.inner(grad[:, None, :], frames.tangent)  # (K, n)
     perp = grad - (tang[:, None, :] @ frames.tangent)[:, 0]
     resid = ht_ambient - trT[:, None] * perp

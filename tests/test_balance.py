@@ -38,6 +38,23 @@ class TestValidation:
             balance_measure(pts, weights=np.array([1.0, -1.0]))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("support", ["sphere", "ball"])
+    def test_non_finite_points_rejected(self, bad, support):
+        pts = 0.5 * np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        if support == "sphere":
+            pts *= 2.0
+        pts[1, 0] = bad
+        with pytest.raises(ArgumentError, match="finite"):
+            balance_measure(pts, support=support)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ArgumentError, match="finite"):
+            balance_measure(pts, weights=np.array([1.0, bad, 1.0]))
+
+
 class TestBalance:
     def test_centered_icosphere_already_balanced(self):
         mesh = icosphere(2)

@@ -344,10 +344,17 @@ class TestGallery:
     ["balance", "TMP/empty.off", "--ambient", "euclidean"],
     ["balance", "TMP/empty.off", "--ambient", "sphere"],
     ["balance", "TMP/empty.off", "--ambient", "hyperbolic"],
+    ["balance", "TMP/nan.off", "--ambient", "sphere"],
+    ["balance", "TMP/inf.off", "--ambient", "euclidean"],
+    ["balance", "TMP/badface.off", "--ambient", "sphere"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     (tmp_path / "truncated.off").write_text("OFF\n4 2 0\n0 0 1\n1 0 0\n")
     (tmp_path / "empty.off").write_text("OFF\n0 0 0\n")
+    octahedron = "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
+    (tmp_path / "nan.off").write_text("OFF\n7 0 0\n" + octahedron + "nan 0 0\n")
+    (tmp_path / "inf.off").write_text("OFF\n7 0 0\n" + octahedron + "inf 0 0\n")
+    (tmp_path / "badface.off").write_text("OFF\n6 1 0\n" + octahedron + "3 0 1 7\n")
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     assert "configuration error" in capsys.readouterr().err

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from reillylab.errors import ArgumentError, PoleProximityError
-from reillylab.gallery import (clifford_torus, hyperbolic_geodesic_sphere,
-                               ring_torus, sphere)
+from reillylab.gallery import (clifford_torus, ellipsoid,
+                               hyperbolic_geodesic_sphere, ring_torus, sphere)
 from reillylab.identities import (conformal_stretch_residual,
                                   factor_curvature_residual,
                                   second_form_transform_residual)
@@ -26,6 +27,7 @@ from reillylab.moebius import (ConformalChain, MoebiusParam,
                                plane_to_sphere_hessian,
                                plane_to_sphere_jacobian, plane_to_sphere_value,
                                sphere_to_plane)
+from reillylab.reports import OperatorSpec, fem_report
 
 
 def fd_jacobian(fn, x, h=1e-6):
@@ -334,3 +336,151 @@ class TestChainOnImmersions:
         for _ in range(3):
             fr = moved.frame_at(moved.domain.random_point(rng))
             assert np.max(np.abs(fr.h)) < 1e-10
+
+
+def space_form_points(c, rng, shape, dim=3):
+    """Points shape + (coords,) of the space form of curvature c."""
+    if c == 1.0:
+        y = rng.standard_normal(shape + (dim + 1,))
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
+    if c == 0.0:
+        return rng.uniform(-1.5, 1.5, shape + (dim,))
+    w = rng.uniform(-0.5, 0.5, shape + (dim,))
+    return np.reshape([ball_to_hyperboloid_value(v) for v in w.reshape(-1, dim)],
+                      shape + (dim + 1,))
+
+
+def rows_equal_point_calls(fn, x):
+    batch = fn(x)
+    return np.array_equal(batch, [[fn(p) for p in row] for row in x])
+
+
+@pytest.mark.parametrize("c", [1.0, 0.0, -1.0])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_chain_batch_rows_equal_point_calls(c, seed):
+    rng = np.random.default_rng(seed)
+    chain = ConformalChain(c, MoebiusParam(rng.uniform(-0.3, 0.3, 4)), 3)
+    x = space_form_points(c, rng, (2, 6))
+    for fn in (chain.sphere_point, chain.value, chain.rho, chain.factor,
+               chain.grad_rho, chain.test_map().jacobian):
+        assert rows_equal_point_calls(fn, x), fn
+    assert np.shape(chain.rho(x[0, 0])) == ()
+    flat = space_form_points(0.0, rng, (2, 6))
+    assert rows_equal_point_calls(plane_to_sphere_value, flat)
+    assert rows_equal_point_calls(plane_to_sphere_jacobian, flat)
+    assert rows_equal_point_calls(hyperboloid_to_ball_jacobian,
+                                  space_form_points(-1.0, rng, (2, 6)))
+
+
+@pytest.mark.parametrize("c,pole", [
+    (1.0, [0.0, 0.0, 0.0, -1.0]),
+    (0.0, [0.0, 0.0, 0.0]),
+    (-1.0, [0.0, 0.0, 0.0, 1.0]),
+])
+def test_rho_pole_guard(c, pole):
+    # each pole point reaches the sphere at -e_last, where 1 + <y, g> = 5e-15
+    chain = ConformalChain(c, MoebiusParam((1.0 - 5e-15) * np.eye(4)[3]), 3)
+    with pytest.raises(PoleProximityError):
+        chain.rho(np.array(pole))
+    batch = space_form_points(c, np.random.default_rng(0), (4,))
+    chain.rho(batch)
+    batch[2] = pole
+    with pytest.raises(PoleProximityError):
+        chain.rho(batch)
+
+
+# the per-point loops that the batched residuals replaced, kept as references
+
+def stretch_loop(immersion, chain, count=5, seed=0):
+    rng = np.random.default_rng(seed)
+    tm = chain.test_map()
+    worst = 0.0
+    for _ in range(count):
+        fr = immersion.frame_at(immersion.domain.random_point(rng))
+        jac = tm.jacobian(fr.point)
+        v = fr.tangent @ jac.T
+        gram = v @ v.T
+        fac = chain.factor(fr.point)
+        worst = max(worst, float(np.max(np.abs(gram - fac * np.eye(fr.n)))) / fac)
+    return worst
+
+
+def second_form_loop(immersion, chain, count=3, seed=1):
+    rng = np.random.default_rng(seed)
+    target = AmbientSpace(1.0, chain.dim)
+    moved = pushforward_under_map(immersion, chain.test_map(), target)
+    worst = 0.0
+    for _ in range(count):
+        w = immersion.domain.random_point(rng)
+        fr = immersion.frame_at(w)
+        grad = chain.grad_rho(fr.point)
+        rho_nu = float(immersion.ambient.inner(grad, fr.normal[0]))
+        kappa = np.linalg.eigvalsh(fr.h[0])
+        rho = chain.rho(fr.point)
+        predicted = np.sort(np.exp(-rho) * (kappa - rho_nu))
+        got = np.sort(np.linalg.eigvalsh(moved.frame_at(w).h[0]))
+        err = min(float(np.max(np.abs(got - predicted))),
+                  float(np.max(np.abs(np.sort(-got) - predicted))))
+        scale = max(1.0, float(np.max(np.abs(predicted))))
+        worst = max(worst, err / scale)
+    return worst
+
+
+class PointByPoint:
+    """A chain whose rho and grad_rho take a batch one point at a time."""
+
+    def __init__(self, chain):
+        self.chain = chain
+
+    def rho(self, x):
+        return np.array([self.chain.rho(p) for p in x])
+
+    def grad_rho(self, x):
+        return np.array([self.chain.grad_rho(p) for p in x])
+
+
+class TestBatchedResidualsMatchLoops:
+    @pytest.mark.parametrize("imm", [
+        sphere(2, 0.6, 1, 1.0),
+        sphere(2, 0.6, 2, 1.0),
+        ring_torus(1.0, 0.4),
+        hyperbolic_geodesic_sphere(1.0),
+        clifford_torus(2, 4, 0.6, 0.0),
+    ], ids=lambda im: im.name)
+    def test_stretch(self, imm):
+        chain = chain_for(imm, np.random.default_rng(21))
+        assert conformal_stretch_residual(imm, chain) == stretch_loop(imm, chain)
+        assert (conformal_stretch_residual(imm, chain, count=4, seed=9)
+                == stretch_loop(imm, chain, count=4, seed=9))
+
+    @pytest.mark.parametrize("imm", [
+        sphere(2, 0.6, 1, 1.0),
+        ring_torus(1.0, 0.4),
+        hyperbolic_geodesic_sphere(1.0),
+    ], ids=lambda im: im.name)
+    def test_second_form(self, imm):
+        chain = chain_for(imm, np.random.default_rng(23))
+        assert second_form_transform_residual(imm, chain) == second_form_loop(imm, chain)
+        assert (second_form_transform_residual(imm, chain, count=5, seed=4)
+                == second_form_loop(imm, chain, count=5, seed=4))
+
+    @pytest.mark.parametrize("imm", [
+        sphere(2, 1.0, 1, 0.0),
+        hyperbolic_geodesic_sphere(1.0),
+        sphere(2, 0.7, 1, 1.0),
+    ], ids=lambda im: im.name)
+    def test_factor_curvature(self, imm):
+        chain = chain_for(imm, np.random.default_rng(25))
+        mesh = icosphere(2)
+        assert factor_curvature_residual(imm, mesh, chain) == pytest.approx(
+            factor_curvature_residual(imm, mesh, PointByPoint(chain)), rel=1e-14)
+
+    @pytest.mark.parametrize("imm", [sphere(2, 1.0, 1, 0.0), ellipsoid()],
+                             ids=lambda im: im.name)
+    def test_ht_alignment(self, imm):
+        chain = ConformalChain(0.0, MoebiusParam(np.array([0.1, -0.2, 0.15, 0.05])), 3)
+        batched, looped = (
+            fem_report(imm, OperatorSpec(), level=2, chain=ch).equality[
+                "HT_alignment_residual"]
+            for ch in (chain, PointByPoint(chain)))
+        assert batched == pytest.approx(looped, rel=1e-14)

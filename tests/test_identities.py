@@ -36,9 +36,11 @@ def test_each_family_evaluated_once_per_form(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     identity_suite(instances=5, seed=0)
     # n = 2..6: one chain, the oracle ranks 0..n and one curvature per form;
-    # the contraction checks reuse them instead of rebuilding them
+    # the contraction checks reuse them instead of rebuilding them.  The
+    # oracle takes the chain's vector-valued ranks, the odd ranks of the
+    # p > 1 forms (n, p) = (3, 2), (4, 3), (6, 2): 2 + 2 + 3 of the 25
     assert calls == {"identities.newton_chain": 5,
-                     "identities.newton_kronecker": 25,
+                     "identities.newton_kronecker": 18,
                      "identities.gauss_curvature": 5,
                      "curvature.newton_kronecker": 0,
                      "curvature.gauss_curvature": 0}

@@ -163,6 +163,21 @@ class TestOFF:
         with pytest.raises(ArgumentError):
             load_off(path)
 
+    @pytest.mark.parametrize("vertex,face,match", [
+        ("0 0 1", "3 0 1 3", "face index"),
+        ("0 0 1", "3 0 -1 2", "face index"),
+        ("0 0 1", "4 0 1 2 0", "triangle faces"),
+        ("0 0 nan", "3 0 1 2", "non-finite"),
+        ("0 0 inf", "3 0 1 2", "non-finite"),
+        ("-inf 0 1", "3 0 1 2", "non-finite"),
+    ])
+    def test_reject_bad_vertex_or_face(self, tmp_path, vertex, face, match):
+        path = os.path.join(tmp_path, "bad.off")
+        with open(path, "w") as fh:
+            fh.write("OFF\n3 1 0\n1 0 0\n0 1 0\n%s\n%s\n" % (vertex, face))
+        with pytest.raises(ArgumentError, match=match):
+            load_off(path)
+
 
 class TestAssembly:
     def setup_method(self):
