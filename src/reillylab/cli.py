@@ -19,7 +19,7 @@ import numpy as np
 from .balance import balance_measure
 from .errors import (ConfigError, InequalityViolation, ReillyLabError,
                      UnsupportedConfiguration)
-from .fem import DiscreteGeometry
+from .fem import element_metric
 from .gallery import GALLERY, gallery, list_gallery
 from .identities import (conformal_stretch_residual, identity_suite,
                          second_form_transform_residual)
@@ -210,9 +210,10 @@ def _balance_artifact(sc, outdir):
         raise ConfigError("scenario %s: balance output needs a sphere-domain "
                           "surface" % sc["name"])
     mesh = mesh_for(imm, sc["level"])
-    geom = DiscreteGeometry(imm, mesh)
+    areas = element_metric(imm.position(mesh.points), mesh.triangles,
+                           imm.ambient.metric_diag)[-1]
     weights = np.zeros(mesh.vertex_count)
-    np.add.at(weights, mesh.triangles, (geom.areas / 3.0)[:, None])
+    np.add.at(weights, mesh.triangles, (areas / 3.0)[:, None])
     res = balance_measure(mesh.points, weights)
     write_balance_csv(res, os.path.join(outdir, "balance.csv"))
     return res

@@ -23,6 +23,25 @@ _QUAD_BARY = np.array([[2.0 / 3, 1.0 / 6, 1.0 / 6],
 _ELLIPTIC_REL_TOL = 1e-10
 
 
+def element_metric(positions, triangles, metric_diag):
+    """Per triangle of `triangles` over the vertex `positions` (V, C):
+    the edges e1, e2 (F, C) from corner 0 to corners 1 and 2, their
+    ambient inner products g11 = <e1, e1> and g12 = <e1, e2> (F,), and
+    the area (F,), half the root of the edges' Gram determinant.  Raises
+    TopologyError at the first triangle whose Gram matrix is not positive
+    definite."""
+    e1 = positions[triangles[:, 1]] - positions[triangles[:, 0]]
+    e2 = positions[triangles[:, 2]] - positions[triangles[:, 0]]
+    g11 = np.sum(e1 * e1 * metric_diag, axis=1)
+    g12 = np.sum(e1 * e2 * metric_diag, axis=1)
+    g22 = np.sum(e2 * e2 * metric_diag, axis=1)
+    det = g11 * g22 - g12 * g12
+    bad = np.flatnonzero((g11 <= 0.0) | (det <= 0.0))
+    if bad.size:
+        raise TopologyError("triangle %d has degenerate geometry" % bad[0])
+    return e1, e2, g11, g12, 0.5 * np.sqrt(det)
+
+
 class DiscreteGeometry:
     """Vertex frames and per-element P1 arrays for one immersed mesh.
 
@@ -40,25 +59,16 @@ class DiscreteGeometry:
                 % immersion.n)
         self.immersion = immersion
         self.mesh = mesh
-        diag = immersion.ambient.metric_diag
         self.frames = immersion.frame_at(mesh.points)
         self.positions = self.frames.point
 
         tri = mesh.triangles
-        e1 = self.positions[tri[:, 1]] - self.positions[tri[:, 0]]
-        e2 = self.positions[tri[:, 2]] - self.positions[tri[:, 0]]
-        g11 = np.sum(e1 * e1 * diag, axis=1)
-        g12 = np.sum(e1 * e2 * diag, axis=1)
-        g22 = np.sum(e2 * e2 * diag, axis=1)
-        det = g11 * g22 - g12 * g12
-        bad = np.flatnonzero((g11 <= 0.0) | (det <= 0.0))
-        if bad.size:
-            raise TopologyError("triangle %d has degenerate geometry" % bad[0])
+        e1, e2, g11, g12, self.areas = element_metric(
+            self.positions, tri, immersion.ambient.metric_diag)
         sq = np.sqrt(g11)
-        height = np.sqrt(det) / sq
+        height = 2.0 * self.areas / sq
         p = np.zeros((len(tri), 3, 2))  # corners in each flat chart
         p[:, 1, 0], p[:, 2, 0], p[:, 2, 1] = sq, g12 / sq, height
-        self.areas = 0.5 * np.sqrt(det)
         # gradients of the barycentric hat functions in local coordinates
         nxt, prv = [1, 2, 0], [2, 0, 1]
         self.grads = np.stack([p[:, nxt, 1] - p[:, prv, 1],

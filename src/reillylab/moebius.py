@@ -54,9 +54,10 @@ class MoebiusParam:
         return lam * lam / (1.0 + lam)
 
 
-def _moebius(param: MoebiusParam, x):
-    """x as an array, f = <x, g>, lam, mu and gamma_g(x) after the pole
-    check; f is a float for one point (N,) and (..., 1) for a batch."""
+def _pole_check(param: MoebiusParam, x):
+    """x as an array and f = <x, g>, after raising PoleProximityError if
+    a point lies at the Moebius pole; f is a float for one point (N,) and
+    (..., 1) for a batch."""
     g = param.g
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -67,8 +68,15 @@ def _moebius(param: MoebiusParam, x):
         low = float(np.min(f, initial=np.inf))
     if 1.0 + low <= _POLE_TOL:
         raise PoleProximityError("point at the Moebius pole: 1 + <x, g> = %g" % (1.0 + low))
+    return x, f
+
+
+def _moebius(param: MoebiusParam, x):
+    """x as an array, f = <x, g>, lam, mu and gamma_g(x) after the pole
+    check of `_pole_check`."""
+    x, f = _pole_check(param, x)
     lam, mu = param.lam, param.mu
-    return x, f, lam, mu, (x + (mu * f + lam) * g) / (lam * (1.0 + f))
+    return x, f, lam, mu, (x + (mu * f + lam) * param.g) / (lam * (1.0 + f))
 
 
 def gamma_value(param: MoebiusParam, x: np.ndarray) -> np.ndarray:
@@ -240,8 +248,9 @@ class ConformalChain:
     the space-form metric; grad_rho is its gradient, tangent to the space
     form at the argument.  Every method takes one point (N,) or a batch
     (..., N) of space-form coordinates through one code path; a batch row
-    has the bits of the one-point call, and a batch raises the
-    PoleProximityError that one of its rows would.
+    has the bits of the one-point call.  value, rho, factor and grad_rho
+    raise PoleProximityError at a point that the chain takes to the
+    Moebius pole, and a batch raises it when one of its rows would.
     """
 
     def __init__(self, c: float, param: MoebiusParam, dim: int):
@@ -278,7 +287,7 @@ class ConformalChain:
         """Log conformal factor, a scalar for one point, (...,) for a batch."""
         x = np.asarray(x, dtype=float)
         y = self.sphere_point(x)
-        _moebius(self.param, y)  # raises at the Moebius pole
+        _pole_check(self.param, y)
         moeb = -math.log(self.param.lam) - np.log1p(rowdot(y, self.param.g))
         if self.c == 1.0:
             return moeb
@@ -294,10 +303,12 @@ class ConformalChain:
 
     def grad_rho(self, x: np.ndarray) -> np.ndarray:
         """Gradient of rho, tangent to the space form (ambient components);
-        c = 0 and c = -1 share the flat chain's gradient at the plane point y."""
+        c = 0 and c = -1 share the flat chain's gradient at the plane point y.
+        Raises PoleProximityError where rho does."""
         x = np.asarray(x, dtype=float)
         g = self.param.g
         if self.c == 1.0:
+            _pole_check(self.param, x)
             grad = -g / (1.0 + rowdot(x, g)[..., None])
             return grad - rowdot(grad, x)[..., None] * x
         y = x if self.c == 0.0 else hyperboloid_to_ball(x)
@@ -306,7 +317,8 @@ class ConformalChain:
         if self.c == -1.0:
             # gradient of the ball chart's log factor log((1 - |w|^2) / 2)
             grad = -2.0 * y / (1.0 - yy) + grad
-        f = rowdot(plane_to_sphere_value(y), g)[..., None]
+        sphere_y, _ = _pole_check(self.param, plane_to_sphere_value(y))
+        f = rowdot(sphere_y, g)[..., None]
         grad = grad - np.swapaxes(plane_to_sphere_jacobian(y), -1, -2) @ g / (1.0 + f)
         if self.c == 0.0:
             return grad

@@ -346,7 +346,7 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
         geom.frames, spec.tensors(geom.frames), immersion.ambient.c)
     if cprime is None:
         trT_mean = geom.integrate(trT_vertex) / geom.volume
-        cprime = solve_pencil(stiffness, mass, count=4).lambda2() / trT_mean
+        cprime = solve_pencil(stiffness, mass).lambda2() / trT_mean
     out = {"HT_max": float(np.max(ht))}
     out.update(_mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex,
                                cprime))

@@ -389,6 +389,23 @@ def test_rho_pole_guard(c, pole):
         chain.rho(batch)
 
 
+@pytest.mark.parametrize("c,pole", [
+    (1.0, [0.0, 0.0, 0.0, -1.0]),
+    (0.0, [0.0, 0.0, 0.0]),
+    (-1.0, [0.0, 0.0, 0.0, 1.0]),
+])
+def test_grad_rho_pole_guard(c, pole):
+    # without the guard the gradient at the pole comes out as finite zeros
+    chain = ConformalChain(c, MoebiusParam((1.0 - 5e-15) * np.eye(4)[3]), 3)
+    with pytest.raises(PoleProximityError):
+        chain.grad_rho(np.array(pole))
+    batch = space_form_points(c, np.random.default_rng(0), (4,))
+    assert np.all(np.isfinite(chain.grad_rho(batch)))
+    batch[2] = pole
+    with pytest.raises(PoleProximityError):
+        chain.grad_rho(batch)
+
+
 # the per-point loops that the batched residuals replaced, kept as references
 
 def stretch_loop(immersion, chain, count=5, seed=0):

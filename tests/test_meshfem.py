@@ -1,6 +1,7 @@
 """Meshes, P1 assembly, and spectral extraction."""
 
 import functools
+import inspect
 import math
 import os
 
@@ -14,14 +15,15 @@ from hypothesis import given, strategies as st
 from reillylab.errors import (ArgumentError, ConvergenceError,
                               EllipticityError, TopologyError,
                               UnsupportedConfiguration)
+from reillylab import reports
 from reillylab.fem import DiscreteGeometry, assemble_forms
 from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
-                               hyperbolic_geodesic_sphere, sphere,
+                               hyperbolic_geodesic_sphere, ring_torus, sphere,
                                veronese_rp2)
 from reillylab.mesh import (_ICO_FACES, _ICO_VERTS, Mesh, check_mesh, icosphere,
                             load_off, projective_icosphere, save_off,
                             torus_grid)
-from reillylab.reports import mesh_for
+from reillylab.reports import OperatorSpec, mesh_for
 from reillylab.spectra import (SpectrumResult, _dissection_order,
                                _shift_factor, product_spectrum, solve_pencil,
                                sphere_spectrum)
@@ -380,6 +382,54 @@ class TestSphereSpectrum:
         assert abs(seen[0] - seen[1]) <= 0.01 * abs(seen[1])
         solve_pencil(*forms[4], count=4, floor=-5.0)
         assert seen[2] < -5.0
+
+    @pytest.mark.parametrize("level,backend", [(4, "fem-arpack"),
+                                               (2, "fem-dense")])
+    def test_floor_above_lambda1_is_refused(self, level, backend):
+        # at level 4 the shift lands between the triple 2 and the fivefold 6,
+        # and four values from the 6 cluster come back, all above the floor
+        K, M = sphere_forms(level)
+        assert solve_pencil(K, M).backend == backend
+        with pytest.raises(ConvergenceError, match="not a lower bound"):
+            solve_pencil(K, M, floor=5.0)
+
+
+class TestFourValues:
+    """Reports solve for the four lowest values, and lambda_2 at four
+    values is lambda_2 at twelve."""
+
+    def test_reports_request_four_values(self, monkeypatch):
+        requested = []
+
+        def spy(*args, **kw):
+            call = inspect.signature(solve_pencil).bind(*args, **kw)
+            call.apply_defaults()
+            requested.append(call.arguments["count"])
+            return solve_pencil(*args, **kw)
+
+        monkeypatch.setattr(reports, "solve_pencil", spy)
+        imm = sphere(2, 1.0, 1, 0.0)
+        reports.fem_report(imm, OperatorSpec(), level=2)
+        reports.t_minimality(imm, OperatorSpec(), level=2)
+        assert requested == [4, 4]
+
+    @pytest.mark.parametrize("imm,spec", [
+        (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
+        (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0)),
+        (ring_torus(), OperatorSpec()),
+        (hyperbolic_geodesic_sphere(1.0), OperatorSpec()),
+        (sphere(2, 1.0, 1, 0.0), OperatorSpec(potential=lambda fr: -1000.0)),
+    ], ids=["sphere", "ellipsoid-newton0", "ring-torus", "hyperbolic-sphere",
+            "potential-1000"])
+    def test_lambda2_at_four_equals_twelve(self, imm, spec):
+        _, K, M, qvals = reports._mesh_forms(imm, spec, 4, None, spec.potential)
+        has_q = qvals is not None
+        floor = float(np.min(qvals)) if has_q else 0.0
+        four = solve_pencil(K, M, floor=floor)
+        twelve = solve_pencil(K, M, count=12, floor=floor)
+        assert four.backend == "fem-arpack" and len(four.values) == 4
+        want = twelve.lambda2(has_potential=has_q)
+        assert abs(four.lambda2(has_potential=has_q) - want) <= 1e-12 * abs(want)
 
 
 class TestOtherGeometries:
