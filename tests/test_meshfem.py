@@ -12,10 +12,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, strategies as st
 
+from reillylab import reports
 from reillylab.errors import (ArgumentError, ConvergenceError,
                               EllipticityError, TopologyError,
                               UnsupportedConfiguration)
-from reillylab import reports
 from reillylab.fem import DiscreteGeometry, assemble_forms
 from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
                                hyperbolic_geodesic_sphere, ring_torus, sphere,
