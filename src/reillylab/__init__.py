@@ -25,7 +25,7 @@ from .reports import (OperatorSpec, ReillyReport, check_inequality,
                       operator_from_label, rhs_integral, schrodinger_report,
                       t_minimality, write_report_csv)
 from .secondform import SecondFundamentalForm
-from .spectra import product_spectrum, solve_pencil, sphere_spectrum
+from .spectra import product_spectrum, solve_pencil
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "newton_tensor", "operator_from_label", "plane_to_sphere",
     "product_spectrum", "product_spheres", "projective_icosphere",
     "pushforward_under_map", "rhs_integral", "ring_torus", "save_off",
-    "schrodinger_report", "solve_pencil", "sphere", "sphere_spectrum",
+    "schrodinger_report", "solve_pencil", "sphere",
     "t_minimality", "tilted_sum_minimum", "tilted_sum_minimum_sampled",
     "torus_grid", "veronese_rp2", "write_report_csv",
 ]

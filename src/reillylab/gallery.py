@@ -76,7 +76,8 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
             operator="identity", lambda2=lam2, rhs=lam2, equality=True,
             source="closed-form", center=center, sphere_curvature=1.0 / (a * a),
             radius=_geodesic_radius(a, c),
-            backend={"kind": "sphere", "dim": n, "radius": a, "scale": 1.0},
+            backend={"kind": "product",
+                     "factors": [{"t": 1.0, "dim": n, "radius": a}]},
             extras={"principal": {"curved": (k,) * n}, "k": k}),
     }
     if n >= 4 and k > 0.0:
@@ -85,7 +86,8 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
             operator="mean_curvature", lambda2=scale * lam2, rhs=scale * lam2,
             equality=True, source="closed-form", center=center,
             sphere_curvature=1.0 / (a * a), radius=_geodesic_radius(a, c),
-            backend={"kind": "sphere", "dim": n, "radius": a, "scale": scale},
+            backend={"kind": "product",
+                     "factors": [{"t": scale, "dim": n, "radius": a}]},
             extras={"trT": n * scale, "H2": k * k, "k": k})
     return ParametricImmersion(
         domain=SphereProduct((n,)), mapping=PolynomialMap(a0, a1), ambient=space,

@@ -25,12 +25,12 @@ import numpy as np
 
 from .ellipticity import _mean_scalars, mean_curvature_tensor
 from .errors import (ArgumentError, EllipticityError, InequalityViolation,
-                     UnsupportedConfiguration)
+                     TopologyError, UnsupportedConfiguration)
 from .fem import DiscreteGeometry, assemble_forms
 from .mesh import icosphere, projective_icosphere, torus_grid
 from .newton import newton_tensor
 from .secondform import rowdot
-from .spectra import product_spectrum, solve_pencil, sphere_spectrum
+from .spectra import product_spectrum, solve_pencil
 
 TOL_FEM = 0.03
 TOL_EXACT = 1e-9
@@ -305,7 +305,11 @@ def _sample_frames(immersion, samples, seed):
 def _mesh_forms(immersion, spec, level, mesh, potential=None):
     """Geometry and assembled stiffness and mass of a mesh report, plus
     the potential's vertex values (None without a potential), from one
-    potential call on the vertex frames."""
+    potential call on the vertex frames.  A mesh of several connected
+    components raises TopologyError: its lambda_2 is 0, which the first
+    value above the zero threshold would not report."""
+    from scipy.sparse import csgraph
+
     if mesh is None:
         mesh = mesh_for(immersion, level)
     geom = DiscreteGeometry(immersion, mesh)
@@ -313,6 +317,11 @@ def _mesh_forms(immersion, spec, level, mesh, potential=None):
     qvals = None if potential is None else np.broadcast_to(
         np.asarray(potential(geom.frames), dtype=float), geom.frames.point.shape[:-1])
     stiffness, mass = assemble_forms(geom, tensor_field, potential=qvals)
+    parts = csgraph.connected_components(mass, directed=False,
+                                         return_labels=False)
+    if parts > 1:
+        raise TopologyError("mesh has %d connected components; a report "
+                            "needs a connected surface" % parts)
     return geom, stiffness, mass, qvals
 
 
@@ -421,9 +430,9 @@ def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
 
 
 def _exact_record(immersion, label):
-    """Reference record of `label` carrying a sphere or product backend."""
+    """Reference record of `label` carrying a product backend."""
     record = immersion.reference.get(label)
-    if record is None or record.backend.get("kind") not in ("sphere", "product"):
+    if record is None or record.backend.get("kind") != "product":
         raise UnsupportedConfiguration(
             "no closed-form spectral backend for %s on %s"
             % (label, immersion.name))
@@ -431,14 +440,10 @@ def _exact_record(immersion, label):
 
 
 def _exact_lambda2(record):
-    """(lambda2, backend) from a record's weighted sphere or product data."""
-    back = record.backend
-    if back["kind"] == "sphere":
-        spectrum = sphere_spectrum(back["dim"], back["radius"])
-        return back.get("scale", 1.0) * spectrum.lambda2(), spectrum.backend
-    spectrum = product_spectrum(
-        [(f["dim"], f["radius"]) for f in back["factors"]],
-        weights=[f["t"] for f in back["factors"]])
+    """(lambda2, backend) from a record's weighted product data."""
+    factors = record.backend["factors"]
+    spectrum = product_spectrum([(f["dim"], f["radius"]) for f in factors],
+                                weights=[f["t"] for f in factors])
     return spectrum.lambda2(), spectrum.backend
 
 
@@ -446,9 +451,9 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
                        seed: int = 0, tol: float = TOL_EXACT) -> ReillyReport:
     """Bound report through an exact spectral backend (no mesh).
 
-    Requires a reference record for the operator label carrying either a
-    weighted sphere backend or per-factor product data.  The right side is
-    still evaluated independently from sampled frames.
+    Requires a reference record for the operator label carrying weighted
+    per-factor product data (one factor for a round sphere).  The right
+    side is still evaluated independently from sampled frames.
     """
     record = _exact_record(immersion, spec.label)
     space = immersion.ambient

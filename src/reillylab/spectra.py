@@ -1,4 +1,6 @@
-"""Eigenvalue extraction for the discrete pencil and closed-form spectra.
+"""Eigenvalue extraction: one shift-invert Lanczos solve for every
+discrete pencil, and the closed-form spectra of weighted products of
+round spheres, of which a round sphere is the one-factor case.
 
 scipy is imported by the functions that use it, so that importing the
 package (and a command that solves no pencil) does not load it.
@@ -12,7 +14,6 @@ import numpy as np
 
 from .errors import ArgumentError, ConvergenceError
 
-_DENSE_LIMIT = 2000
 _ZERO_REL_TOL = 1e-8
 _MULT_REL_TOL = 1e-3
 _ND_LEAF = 64
@@ -63,19 +64,21 @@ def solve_pencil(stiffness, mass, count: int = 4,
     shift-invert Lanczos run wants fewer solves for fewer values (on the
     unit sphere at 40962 vertices, 50 against 94 for 12 values).  No count
     certifies that a whole eigenspace below lambda_2 was not missed.
+    `count` is capped at n - 1, n the number of unknowns, because the
+    Lanczos solver returns fewer values than unknowns; a count below 1
+    or a pencil of fewer than 2 unknowns raises ArgumentError.
 
-    Dense below 2000 unknowns, otherwise shift-inverted Lanczos with a
-    fixed deterministic start vector and the shift
+    Every pencil takes shift-inverted Lanczos with a fixed deterministic
+    start vector and the shift
 
-        sigma = floor - |tr K / tr M - floor| / n,
+        sigma = floor - |tr K / tr M - floor| / n.
 
-    n the number of unknowns.  `floor` is a lower bound of the spectrum:
-    0 for a stiffness without a potential, which is positive
-    semidefinite.  A caller whose stiffness carries a potential q must
-    pass the minimum of q; the P1 potential form then satisfies
-    Q >= min(q) M, so lambda_1 >= min(q) > sigma, and the largest
-    eigenvalues of (K - sigma M)^-1 M belong to the lowest of the pencil.
-    The dense branch uses the floor only in the check below.
+    `floor` is a lower bound of the spectrum: 0 for a stiffness without a
+    potential, which is positive semidefinite.  A caller whose stiffness
+    carries a potential q must pass the minimum of q; the P1 potential
+    form then satisfies Q >= min(q) M, so lambda_1 >= min(q) > sigma, and
+    the largest eigenvalues of (K - sigma M)^-1 M belong to the lowest of
+    the pencil.
 
     A floor above lambda_1 would put the shift among the eigenvalues, and
     shift-invert would return values from above it.  Both the lowest
@@ -83,8 +86,8 @@ def solve_pencil(stiffness, mass, count: int = 4,
     1^T K 1 / 1^T M 1, are upper bounds of lambda_1; if either lies below
     the floor by more than the zero tolerance (taken at the larger of the
     spectrum's scale and |floor|), the floor is not a lower bound and
-    ConvergenceError is raised, on both branches.  A floor that passes
-    this check can still lie above lambda_1.
+    ConvergenceError is raised.  A floor that passes this check can still
+    lie above lambda_1.
 
     tr(K - floor M) / tr M grows like n, so sigma does not depend on the
     mesh size: about floor - 4 sqrt(3) / area for a near-equilateral
@@ -103,40 +106,34 @@ def solve_pencil(stiffness, mass, count: int = 4,
     instance because a floor above lambda_1 made K - sigma M singular,
     raises ConvergenceError.
     """
-    import scipy.linalg
-    import scipy.sparse as sp
     import scipy.sparse.linalg
 
     n = stiffness.shape[0]
-    count = min(count, n)
+    if n < 2 or count < 1:
+        raise ArgumentError("need a count of at least 1 and a pencil of at "
+                            "least 2 unknowns, got count %d and %d unknowns"
+                            % (count, n))
+    count = min(count, n - 1)
     scale = (stiffness.diagonal().sum()) / max(mass.diagonal().sum(), 1e-300)
-    if n <= _DENSE_LIMIT:
-        kd = stiffness.toarray() if sp.issparse(stiffness) else np.asarray(stiffness)
-        md = mass.toarray() if sp.issparse(mass) else np.asarray(mass)
-        vals = scipy.linalg.eigh(kd, md, eigvals_only=True,
-                                 subset_by_index=(0, count - 1))
-        backend = "fem-dense"
-    else:
-        v0 = np.cos(np.arange(n, dtype=float))  # deterministic, not in any kernel
-        sigma = floor - abs(scale - floor) / n
-        opinv = scipy.sparse.linalg.LinearOperator(
-            (n, n), dtype=float, matvec=functools.partial(
-                _shift_solve, *_shift_factor(stiffness, mass, sigma)))
-        try:
-            vals = scipy.sparse.linalg.eigsh(
-                stiffness, k=count, M=mass, sigma=sigma, which="LM",
-                v0=v0, maxiter=5000, OPinv=opinv, return_eigenvectors=False)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError("eigensolver stalled: %s" % exc) from exc
-        vals = np.sort(vals)
-        backend = "fem-arpack"
+    v0 = np.cos(np.arange(n, dtype=float))  # deterministic, not in any kernel
+    sigma = floor - abs(scale - floor) / n
+    opinv = scipy.sparse.linalg.LinearOperator(
+        (n, n), dtype=float, matvec=functools.partial(
+            _shift_solve, *_shift_factor(stiffness, mass, sigma)))
+    try:
+        vals = scipy.sparse.linalg.eigsh(
+            stiffness, k=count, M=mass, sigma=sigma, which="LM",
+            v0=v0, maxiter=5000, OPinv=opinv, return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError("eigensolver stalled: %s" % exc) from exc
+    vals = np.sort(vals)
     # the sums of K and M are 1^T K 1 and 1^T M 1
     top = min(float(vals[0]), float(stiffness.sum()) / max(float(mass.sum()), 1e-300))
     if top < floor - _ZERO_REL_TOL * max(abs(scale), abs(floor)):
         raise ConvergenceError(
             "floor %.17g is not a lower bound of the spectrum: lambda_1 <= "
             "%.17g" % (floor, top))
-    return SpectrumResult(values=np.asarray(vals), backend=backend,
+    return SpectrumResult(values=vals, backend="fem-arpack",
                           tol_zero=_ZERO_REL_TOL * abs(scale))
 
 
@@ -254,29 +251,14 @@ def sphere_multiplicity(n: int, k: int) -> int:
     return math.comb(n + k, n) - math.comb(n + k - 2, n)
 
 
-def sphere_spectrum(n: int, a: float, count: int = 12) -> SpectrumResult:
-    """Exact Laplace spectrum of the round sphere S^n(a)."""
-    if n < 1 or a <= 0:
-        raise ArgumentError("need n >= 1 and a > 0")
-    values, mults = [], []
-    k = 0
-    total = 0
-    while total < count:
-        values.append(sphere_eigenvalue(n, a, k))
-        mults.append(sphere_multiplicity(n, k))
-        total += mults[-1]
-        k += 1
-    return SpectrumResult(values=np.array(values), backend="sphere-exact",
-                          multiplicities=np.array(mults, dtype=int),
-                          tol_zero=1e-12 / a**2)
-
-
 def product_spectrum(factors, weights=None, count: int = 12) -> SpectrumResult:
     """Spectrum of sum_f t_f Laplace_f on a product of round spheres.
 
     factors: sequence of (n_f, a_f); weights: positive t_f, default 1.
     Levels per factor are enumerated far enough that the returned values
-    are provably the lowest `count`.
+    are provably the lowest `count`.  One factor is the weighted round
+    sphere t Laplace on S^n(a), labelled "sphere-exact"; more are
+    labelled "product-exact".
     """
     factors = [(int(n), float(a)) for n, a in factors]
     if weights is None:
@@ -314,5 +296,6 @@ def product_spectrum(factors, weights=None, count: int = 12) -> SpectrumResult:
     if values[keep - 1] > floor_missed:
         raise ConvergenceError("product spectrum enumeration too shallow")
     scale = min(t / a**2 for (n, a), t in zip(factors, weights))
-    return SpectrumResult(values=values[:keep], backend="product-exact",
+    backend = "sphere-exact" if len(factors) == 1 else "product-exact"
+    return SpectrumResult(values=values[:keep], backend=backend,
                           multiplicities=mults[:keep], tol_zero=1e-12 * scale)

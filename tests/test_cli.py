@@ -105,6 +105,20 @@ class TestLoadScenarios:
             load_scenarios(cfg)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("extra", [
+        {"outputs": None},
+        {"outputs": 5},
+        {"outputs": "report"},
+        {"levels": "12"},
+    ], ids=["outputs-null", "outputs-number", "outputs-string",
+            "levels-string"])
+    def test_list_field_must_be_a_list(self, tmp_path, extra):
+        # no traceback, and no string read as the list of its characters
+        cfg = write_config(tmp_path, {"scenarios": [sphere_scenario(**extra)]})
+        with pytest.raises(ConfigError, match=r"round_sphere.*must be a list"):
+            load_scenarios(cfg)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+
     def test_empty_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"scenarios": []})
         with pytest.raises(ConfigError, match="nonempty"):

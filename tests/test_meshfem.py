@@ -25,8 +25,7 @@ from reillylab.mesh import (_ICO_FACES, _ICO_VERTS, Mesh, check_mesh, icosphere,
                             torus_grid)
 from reillylab.reports import OperatorSpec, mesh_for
 from reillylab.spectra import (SpectrumResult, _dissection_order,
-                               _shift_factor, product_spectrum, solve_pencil,
-                               sphere_spectrum)
+                               _shift_factor, product_spectrum, solve_pencil)
 
 
 def diagonal(a, b):
@@ -293,7 +292,7 @@ class TestSphereSpectrum:
             assert quot >= res.lambda2() - 1e-10
 
     def test_dense_and_arpack_agree(self):
-        geom = DiscreteGeometry(flat_torus(), torus_grid(47))  # 2209 > dense limit
+        geom = DiscreteGeometry(flat_torus(), torus_grid(47))
         K, M = assemble_forms(geom)
         res = solve_pencil(K, M, count=8)
         assert res.backend == "fem-arpack"
@@ -322,7 +321,7 @@ class TestSphereSpectrum:
                    - (plain.lambda2() - 1000.0)) < 1e-8
 
     def test_arpack_matches_dense_on_sphere(self):
-        K, M = sphere_forms(4)  # 2562 unknowns, above the dense limit
+        K, M = sphere_forms(4)
         res = solve_pencil(K, M, count=12)
         assert res.backend == "fem-arpack"
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
@@ -383,13 +382,12 @@ class TestSphereSpectrum:
         solve_pencil(*forms[4], count=4, floor=-5.0)
         assert seen[2] < -5.0
 
-    @pytest.mark.parametrize("level,backend", [(4, "fem-arpack"),
-                                               (2, "fem-dense")])
-    def test_floor_above_lambda1_is_refused(self, level, backend):
+    @pytest.mark.parametrize("level", [4, 2])
+    def test_floor_above_lambda1_is_refused(self, level):
         # at level 4 the shift lands between the triple 2 and the fivefold 6,
         # and four values from the 6 cluster come back, all above the floor
         K, M = sphere_forms(level)
-        assert solve_pencil(K, M).backend == backend
+        assert solve_pencil(K, M).backend == "fem-arpack"
         with pytest.raises(ConvergenceError, match="not a lower bound"):
             solve_pencil(K, M, floor=5.0)
 
@@ -430,6 +428,61 @@ class TestFourValues:
         assert four.backend == "fem-arpack" and len(four.values) == 4
         want = twelve.lambda2(has_potential=has_q)
         assert abs(four.lambda2(has_potential=has_q) - want) <= 1e-12 * abs(want)
+
+
+def tetrahedron():
+    """The regular tetrahedron inscribed in the unit sphere: 4 vertices."""
+    points = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+                      dtype=float) / math.sqrt(3.0)
+    triangles = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+    return Mesh(points, triangles, name="tetrahedron")
+
+
+GALLERY_PENCILS = {
+    "sphere": (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
+    "hyperbolic-sphere": (hyperbolic_geodesic_sphere(1.0), OperatorSpec()),
+    "veronese": (veronese_rp2(), OperatorSpec()),
+    "ellipsoid": (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec()),
+    "ellipsoid-newton0": (ellipsoid((1.0, 1.0, 1.3)),
+                          OperatorSpec(kind="newton", degree=0)),
+    "ring-torus": (ring_torus(), OperatorSpec()),
+    "flat-torus": (flat_torus(), OperatorSpec()),
+    "potential-1000": (sphere(2, 1.0, 1, 0.0),
+                       OperatorSpec(potential=lambda fr: -1000.0)),
+}
+
+
+class TestOneSolvePath:
+    """Every pencil, down to the tetrahedron, takes the shift-invert solve,
+    and its values are those of a dense generalized eigensolve."""
+
+    @pytest.mark.parametrize("name,level", [
+        *((name, level) for name in GALLERY_PENCILS for level in range(4)),
+        ("veronese", 4), ("sphere", "tetrahedron")])
+    def test_matches_dense_eigh(self, name, level):
+        imm, spec = GALLERY_PENCILS[name]
+        mesh = tetrahedron() if level == "tetrahedron" else None
+        _, K, M, qvals = reports._mesh_forms(imm, spec, level, mesh,
+                                             spec.potential)
+        floor = 0.0 if qvals is None else float(np.min(qvals))
+        res = solve_pencil(K, M, floor=floor)
+        assert res.backend == "fem-arpack"
+        assert len(res.values) == min(4, K.shape[0] - 1)
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                                  subset_by_index=(0, len(res.values) - 1))
+        err = np.abs(res.values - dense)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(dense))), err
+
+    def test_count_is_capped_below_the_unknowns(self):
+        _, K, M, _ = reports._mesh_forms(sphere(2, 1.0, 1, 0.0), OperatorSpec(),
+                                         None, tetrahedron())
+        assert len(solve_pencil(K, M, count=12).values) == 3
+
+    @pytest.mark.parametrize("count,size", [(0, 10), (-1, 10), (1, 1), (4, 0)])
+    def test_degenerate_request_is_an_argument_error(self, count, size):
+        K = path_graph(size).tocsr() if size else sp.csr_matrix((0, 0))
+        with pytest.raises(ArgumentError):
+            solve_pencil(K, sp.identity(size, format="csr"), count=count)
 
 
 class TestOtherGeometries:
@@ -476,16 +529,17 @@ class TestOtherGeometries:
 
 class TestClosedFormSpectra:
     def test_sphere_spectrum_table(self):
-        res = sphere_spectrum(2, 1.0, count=12)
+        res = product_spectrum([(2, 1.0)], count=12)
         assert np.allclose(res.values[:4], [0.0, 2.0, 6.0, 12.0])
         assert list(res.multiplicities[:4]) == [1, 3, 5, 7]
         assert res.lambda2() == 2.0
-        res4 = sphere_spectrum(4, 0.8, count=8)
+        assert res.backend == "sphere-exact"
+        res4 = product_spectrum([(4, 0.8)], count=8)
         assert abs(res4.lambda2() - 4.0 / 0.64) < 1e-12
         assert res4.multiplicities[1] == 5
 
     def test_circle_multiplicities(self):
-        res = sphere_spectrum(1, 1.0, count=7)
+        res = product_spectrum([(1, 1.0)], count=7)
         assert list(res.multiplicities[:4]) == [1, 2, 2, 2]
         assert np.allclose(res.values[:3], [0.0, 1.0, 4.0])
 
@@ -515,7 +569,7 @@ class TestClosedFormSpectra:
 
     def test_argument_validation(self):
         with pytest.raises(ArgumentError):
-            sphere_spectrum(0, 1.0)
+            product_spectrum([(0, 1.0)])
         with pytest.raises(ArgumentError):
             product_spectrum([(2, 1.0)], weights=[1.0, 2.0])
         with pytest.raises(ArgumentError):

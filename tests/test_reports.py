@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from reillylab.errors import (ArgumentError, InequalityViolation,
-                              UnsupportedConfiguration)
+                              TopologyError, UnsupportedConfiguration)
 from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
                                hyperbolic_geodesic_sphere, product_spheres,
                                ring_torus, sphere, veronese_rp2)
+from reillylab.mesh import Mesh, icosphere
 from reillylab.moebius import ConformalChain, MoebiusParam
 from reillylab.reports import (OperatorSpec, check_inequality,
                                closed_form_report, fem_report,
@@ -72,7 +73,7 @@ class TestFemReports:
         assert abs(rep.equality["radius_estimate"] - 1.0) < 0.01
         assert rep.equality["trT_stddev"] < 1e-12
         assert rep.equality["Tminimal_residual"] < 1e-10
-        assert rep.backend in ("fem-dense", "fem-arpack")
+        assert rep.backend == "fem-arpack"
 
     def test_hyperbolic_sphere_equality(self):
         rep = fem_report(hyperbolic_geodesic_sphere(1.0), OperatorSpec(), level=3)
@@ -154,6 +155,21 @@ class TestTMinimality:
                             cprime=rep.lambda2 / rep.equality["trT_mean"])
         for key in ("Tminimal_residual", "takahashi_residual"):
             assert diag[key] == rep.equality[key]
+
+
+def disjoint_icospheres(copies):
+    """`copies` icosphere(1) meshes side by side, sharing no vertex."""
+    base = icosphere(1)
+    shift = base.vertex_count * np.arange(copies)[:, None, None]
+    return Mesh(np.tile(base.points, (copies, 1)),
+                (base.triangles + shift).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("entry", [fem_report, t_minimality])
+def test_disconnected_mesh_is_refused(entry):
+    with pytest.raises(TopologyError, match="4 connected components"):
+        entry(sphere(2, 1.0, 1, 0.0), OperatorSpec(),
+              mesh=disjoint_icospheres(4))
 
 
 class TestClosedFormReports:

@@ -10,8 +10,7 @@ from reillylab.gallery import ellipsoid, sphere
 from reillylab.immersion import PolynomialMap
 from reillylab.reports import fem_report, operator_from_label
 
-# level 4 has 2562 vertices: the shift-invert path, whose shift scales
-# like the spectrum, 1/t^2
+# the shift-invert solve's shift scales like the spectrum, 1/t^2
 LEVEL = 4
 CASES = {
     "sphere_identity": (sphere(2, 1.0, 1, 0.0), "identity"),
