@@ -41,10 +41,14 @@ def balance_measure(points, weights=None, tol_rel: float = 1e-8,
                     max_iter: int = 500, support: str = "sphere") -> BalanceResult:
     """Moebius parameter centering the weighted point measure.
 
-    Residual target is tol_rel times the total weight, in the max norm.
+    Residual target is tol_rel times the total weight, in the max norm;
+    tol_rel must be finite and positive.
     support "sphere" requires unit points; "ball" accepts interior points
     of the unit ball (the Moebius family acts on both).
     """
+    if not (np.isfinite(tol_rel) and tol_rel > 0.0):
+        raise ArgumentError("balance tolerance must be finite and positive, "
+                            "got %r" % (tol_rel,))
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ArgumentError("points must be an (m, N+1) array")

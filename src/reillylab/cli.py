@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from .balance import balance_measure
-from .errors import (ConfigError, InequalityViolation, ReillyLabError,
-                     UnsupportedConfiguration)
+from .errors import (ArgumentError, ConfigError, InequalityViolation,
+                     ReillyLabError, UnsupportedConfiguration)
 from .fem import element_metric
 from .gallery import GALLERY, gallery, list_gallery
 from .identities import (conformal_stretch_residual, identity_suite,
@@ -50,6 +50,14 @@ def _field(cfg, key, default, convert, where):
         return convert(value)
     except (TypeError, ValueError):
         raise ConfigError("%s: malformed %r: %r" % (where, key, value))
+
+
+def _finite_tol(tol, where):
+    """A report tolerance from outside the program: None or finite.  A
+    negative one stays allowed; it forces a failure."""
+    if tol is not None and not math.isfinite(tol):
+        raise ConfigError("%s: tolerance must be finite, got %r" % (where, tol))
+    return tol
 
 
 def _potential_from_config(cfg, where, coords):
@@ -132,6 +140,9 @@ def load_scenarios(path) -> list:
                               % (where, exc))
         spec = _operator_from_config(sc.get("operator", "identity"), where,
                                      imm.ambient.coords)
+        if spec.potential is not None and imm.n != 2:
+            raise ConfigError("%s: a potential needs a surface (n = 2), and "
+                              "%s has n = %d" % (where, imm.name, imm.n))
         for key in ("levels", "outputs"):
             if key in sc and not isinstance(sc[key], list):
                 raise ConfigError("%s: %r must be a list, got %s"
@@ -146,6 +157,10 @@ def load_scenarios(path) -> list:
             if any(b <= a for a, b in zip(levels, levels[1:])) or not levels:
                 raise ConfigError("%s: levels must be strictly increasing"
                                   % where)
+        count = _field(sc, "count", 100, int, where)
+        if count < 0:
+            raise ConfigError("%s: identity count must be nonnegative, got %d"
+                              % (where, count))
         outputs = sc.get("outputs", ["report"])
         bad = [o for o in outputs if o not in _OUTPUT_KINDS]
         if bad:
@@ -154,8 +169,8 @@ def load_scenarios(path) -> list:
         out.append({
             "name": name, "immersion": imm, "spec": spec, "level": level,
             "levels": levels, "outputs": outputs,
-            "tol": _field(sc, "tol", None, float, where),
-            "count": _field(sc, "count", 100, int, where),
+            "tol": _finite_tol(_field(sc, "tol", None, float, where), where),
+            "count": count,
         })
     return out
 
@@ -204,8 +219,7 @@ def convergence_plot(rows, reference, title):
     slope = fit_loglog_slope(hs, errs)
     series = [{"label": "slope %.2f" % slope, "x": hs, "y": errs}]
     return line_plot(series, title=title, xlabel="mesh size h",
-                     ylabel="|lambda2 - reference|", logx=True,
-                     logy=True), slope
+                     ylabel="|lambda2 - reference|"), slope
 
 
 def _balance_artifact(sc, outdir):
@@ -293,8 +307,9 @@ def run_scenario(sc, out_root, seed, tol_override):
 
 def cmd_run(args) -> int:
     scenarios = load_scenarios(args.config)
+    tol = _finite_tol(args.tol, "--tol")
     seed = default_seed(args.seed)
-    summaries = [run_scenario(sc, args.out, seed, args.tol)
+    summaries = [run_scenario(sc, args.out, seed, tol)
                  for sc in scenarios]
     ok = True
     for sm in summaries:
@@ -348,6 +363,8 @@ def identity_table(count, seed):
 
 
 def cmd_verify_identities(args) -> int:
+    if args.count < 0:
+        raise ConfigError("--count must be nonnegative, got %d" % args.count)
     seed = default_seed(args.seed)
     rows = identity_table(args.count, seed)
     print("%-56s %13s %9s %s" % ("identity", "max_residual", "bound",
@@ -413,7 +430,10 @@ def cmd_balance(args) -> int:
         if args.ambient == "sphere" and np.max(np.abs(norms - 1.0)) > 1e-6:
             raise ConfigError("mesh vertices do not lie on the unit sphere")
         points, support = points / norms[:, None], "sphere"
-    result = balance_measure(points, tol_rel=args.tol, support=support)
+    try:
+        result = balance_measure(points, tol_rel=args.tol, support=support)
+    except ArgumentError as exc:
+        raise ConfigError(str(exc))
     print("converged %s after %d iterations; residual %.3e; g = %s"
           % (result.converged, result.iterations, result.residual,
              np.array_str(result.param.g, precision=10)))

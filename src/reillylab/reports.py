@@ -5,12 +5,15 @@ A report evaluates both sides of the bound
     lambda_2 <= (1/V) integral of (c tr T + |H_T|^2 / tr T)
 
 for a chosen weight tensor T (plus the mean of q for Schrodinger-type
-operators), together with the equality-case diagnostics: constancy of
-tr T, T-minimality inside the estimated geodesic sphere, the geodesic
-radius recovered from (tr T / lambda_2)^(1/2), and a weak position-vector
-eigenfunction residual.  Positivity of T and semi-positivity of
-T' = (tr T) I - 2 T are reported as minimum eigenvalues over the sample
-set; when T is not positive the inequality is not asserted.
+operators) by one path: `_sample_pass` gives the integrand, tr T, H_T and
+the minimum eigenvalues of T and T' = (tr T) I - 2 T, `_average` takes
+every mean (P1 quadrature on mesh vertices, the plain mean over seeded
+samples), and `_report` adds the potential's mean, the tr T statistics
+and the geodesic radius from (tr T / lambda_2)^(1/2), then asserts the
+bound unless T is not positive.  Each kind adds its own diagnostics: the
+forms, solve, residuals, potential constancy and H_T alignment of a mesh,
+the exact spectrum and T-minimality of a reference record, and the H2
+guard and decomposition cross-check of the mean tensor.
 """
 
 from __future__ import annotations
@@ -276,6 +279,15 @@ def takahashi_residual(geom, stiffness, mass, trT_vertex, cprime, center):
     return float(np.sum(np.abs(lhs - rhs)))
 
 
+def _average(values, geom=None):
+    """Mean of per-point values by the one rule of every report: P1
+    quadrature over geom.volume on mesh vertices, or the plain mean over
+    seeded samples when geom is None."""
+    if geom is None:
+        return float(np.mean(values))
+    return geom.integrate(values) / geom.volume
+
+
 def rhs_integral(geom_or_immersion, spec: OperatorSpec, samples: int = 32,
                  seed: int = 0):
     """Mean of c trT + |H_T|^2/trT, by P1 quadrature or by frame sampling.
@@ -286,13 +298,12 @@ def rhs_integral(geom_or_immersion, spec: OperatorSpec, samples: int = 32,
     """
     if isinstance(geom_or_immersion, DiscreteGeometry):
         geom = geom_or_immersion
-        vals = _sample_pass(geom.frames, spec.tensors(geom.frames),
-                            geom.immersion.ambient.c)[0]
-        return geom.integrate(vals) / geom.volume, float(np.std(vals))
-    imm = geom_or_immersion
-    frames = _sample_frames(imm, samples, seed)
+        imm, frames = geom.immersion, geom.frames
+    else:
+        geom, imm = None, geom_or_immersion
+        frames = _sample_frames(imm, samples, seed)
     vals = _sample_pass(frames, spec.tensors(frames), imm.ambient.c)[0]
-    return float(np.mean(vals)), float(np.std(vals))
+    return _average(vals, geom), float(np.std(vals))
 
 
 def _sample_frames(immersion, samples, seed):
@@ -354,8 +365,8 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     _, trT_vertex, ht_ambient, ht, _ = _sample_pass(
         geom.frames, spec.tensors(geom.frames), immersion.ambient.c)
     if cprime is None:
-        trT_mean = geom.integrate(trT_vertex) / geom.volume
-        cprime = solve_pencil(stiffness, mass).lambda2() / trT_mean
+        cprime = solve_pencil(stiffness, mass).lambda2() / _average(
+            trT_vertex, geom)
     out = {"HT_max": float(np.max(ht))}
     out.update(_mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex,
                                cprime))
@@ -363,54 +374,60 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     return out
 
 
+def _report(immersion, label, lam2, backend, tol, sample, diagnose,
+            geom=None, qvals=None) -> ReillyReport:
+    """Build and assert one report from its lambda_2 and sample pass, with
+    every mean taken by `_average` over geom: adds the mean qbar of the
+    potential's values qvals (None without one), the mean and spread of
+    tr T, the radius estimate with its notes, and diagnose(cprime), the
+    kind's own equality diagnostics at cprime = (lambda_2 - qbar) / mean tr T.
+    """
+    integrand, trT, _, _, pre = sample
+    c = immersion.ambient.c
+    qbar = 0.0 if qvals is None else _average(qvals, geom)
+    rhs = _average(integrand, geom) + qbar
+    trT_mean = _average(trT, geom)
+    radius, notes = _radius_estimate(trT_mean, lam2 - qbar, c)
+    equality = {"trT_mean": trT_mean, "trT_stddev": float(np.std(trT)),
+                "radius_estimate": radius}
+    equality.update(diagnose((lam2 - qbar) / trT_mean))
+    report = ReillyReport(
+        name=immersion.name, c=c, operator=label, lambda2=lam2, rhs=rhs,
+        volume=math.nan if geom is None else geom.volume, backend=backend,
+        tolerance=tol, preconditions=pre, equality=equality, qbar=qbar,
+        notes=notes)
+    _assert_bound(report, tol)
+    return report
+
+
 def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
                tol: float = TOL_FEM, chain=None) -> ReillyReport:
     """Assemble, solve, and diagnose the bound on a triangle mesh."""
     geom, stiffness, mass, qvals = _mesh_forms(immersion, spec, level, mesh,
                                                spec.potential)
-    space = immersion.ambient
-    c = space.c
-
-    has_q = spec.potential is not None
+    has_q = qvals is not None
     # the potential's form is >= min(q) M and the rest of the stiffness is
     # positive semidefinite, so min(q) bounds the spectrum below
     spectrum = solve_pencil(stiffness, mass,
                             floor=float(np.min(qvals)) if has_q else 0.0)
     lam2 = spectrum.lambda2(has_potential=has_q)
-
     frames = geom.frames
-    integrand, trT_vertex, ht_ambient, _, pre = _sample_pass(
-        frames, spec.tensors(frames), c)
-    rhs = geom.integrate(integrand) / geom.volume
+    sample = _sample_pass(frames, spec.tensors(frames), immersion.ambient.c)
+    trT, ht_ambient = sample[1], sample[2]
 
-    qbar = 0.0
-    if has_q:
-        qbar = geom.integrate(qvals) / geom.volume
-        rhs += qbar
+    def diagnose(cprime):
+        out = _mesh_residuals(geom, stiffness, mass, ht_ambient, trT,
+                              None if has_q else cprime)
+        if has_q:
+            out["potential_constancy_stddev"] = float(np.std(
+                cprime * trT + qvals))
+        if chain is not None:
+            out["HT_alignment_residual"] = ht_alignment_residual(
+                frames, ht_ambient, trT, chain, immersion.ambient)
+        return out
 
-    trT_mean = geom.integrate(trT_vertex) / geom.volume
-    radius, notes = _radius_estimate(trT_mean, lam2 - qbar, c)
-    cprime = (lam2 - qbar) / trT_mean
-    equality = {
-        "trT_mean": trT_mean,
-        "trT_stddev": float(np.std(trT_vertex)),
-        "radius_estimate": radius,
-    }
-    equality.update(_mesh_residuals(geom, stiffness, mass, ht_ambient,
-                                    trT_vertex, None if has_q else cprime))
-    if has_q:
-        field_vals = cprime * trT_vertex + qvals
-        equality["potential_constancy_stddev"] = float(np.std(field_vals))
-    if chain is not None:
-        equality["HT_alignment_residual"] = ht_alignment_residual(
-            frames, ht_ambient, trT_vertex, chain, space)
-
-    report = ReillyReport(
-        name=immersion.name, c=c, operator=spec.label, lambda2=lam2, rhs=rhs,
-        volume=geom.volume, backend=spectrum.backend, tolerance=tol,
-        preconditions=pre, equality=equality, qbar=qbar, notes=notes)
-    _assert_bound(report, tol)
-    return report
+    return _report(immersion, spec.label, lam2, spectrum.backend, tol, sample,
+                   diagnose, geom, qvals)
 
 
 def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
@@ -429,22 +446,18 @@ def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
     return float(np.max(mag / np.maximum(1.0, size), initial=0.0))
 
 
-def _exact_record(immersion, label):
-    """Reference record of `label` carrying a product backend."""
+def _exact_spectrum(immersion, label):
+    """(record, lambda2, backend) of the reference record of `label`,
+    from its weighted per-factor product data."""
     record = immersion.reference.get(label)
     if record is None or record.backend.get("kind") != "product":
         raise UnsupportedConfiguration(
             "no closed-form spectral backend for %s on %s"
             % (label, immersion.name))
-    return record
-
-
-def _exact_lambda2(record):
-    """(lambda2, backend) from a record's weighted product data."""
     factors = record.backend["factors"]
     spectrum = product_spectrum([(f["dim"], f["radius"]) for f in factors],
                                 weights=[f["t"] for f in factors])
-    return spectrum.lambda2(), spectrum.backend
+    return record, spectrum.lambda2(), spectrum.backend
 
 
 def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
@@ -452,49 +465,43 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
     """Bound report through an exact spectral backend (no mesh).
 
     Requires a reference record for the operator label carrying weighted
-    per-factor product data (one factor for a round sphere).  The right
-    side is still evaluated independently from sampled frames.
+    per-factor product data (one factor for a round sphere), and a spec
+    without a potential.  The right side is still evaluated independently
+    from sampled frames.
     """
-    record = _exact_record(immersion, spec.label)
-    space = immersion.ambient
-    c = space.c
-
+    if spec.potential is not None:
+        raise UnsupportedConfiguration(
+            "a closed-form lambda_2 carries no potential; potentials need "
+            "the mesh solver of a surface, and %s has n = %d"
+            % (immersion.name, immersion.n))
+    record, lam2, backend = _exact_spectrum(immersion, spec.label)
     frames = _sample_frames(immersion, samples, seed)
-    vals, trs, ht_ambient, _, pre = _sample_pass(
-        frames, spec.tensors(frames), c)
-    rhs = float(np.mean(vals))
-    lam2, backend = _exact_lambda2(record)
+    sample = _sample_pass(frames, spec.tensors(frames), immersion.ambient.c)
 
-    trT_mean = float(np.mean(trs))
-    radius, notes = _radius_estimate(trT_mean, lam2, c)
-    equality = {
-        "trT_mean": trT_mean,
-        "trT_stddev": float(np.std(trs)),
-        "radius_estimate": radius,
-    }
-    if record.center is not None:
-        equality["Tminimal_residual"] = _t_minimal_residual(
-            frames, ht_ambient, np.asarray(record.center, dtype=float), space)
+    def diagnose(_):
+        if record.center is None:
+            return {}
+        return {"Tminimal_residual": _t_minimal_residual(
+            frames, sample[2], np.asarray(record.center, dtype=float),
+            immersion.ambient)}
 
-    report = ReillyReport(
-        name=immersion.name, c=c, operator=spec.label, lambda2=lam2, rhs=rhs,
-        volume=math.nan, backend=backend, tolerance=tol,
-        preconditions=pre, equality=equality, notes=notes)
-    _assert_bound(report, tol)
-    return report
+    return _report(immersion, spec.label, lam2, backend, tol, sample, diagnose)
 
 
 def check_inequality(immersion, spec: OperatorSpec, level: int = 4,
                      tol: float = None, **kw) -> ReillyReport:
     """Dispatch to the mesh solver (surfaces), to the mean-tensor report
     (the mean_curvature operator with n >= 4 and p >= 2, where `level`
-    is unused), or to exact spectra (n >= 3)."""
+    is unused), or to exact spectra (n >= 3).  A potential is refused
+    unless n = 2."""
     if immersion.n == 2:
         return fem_report(immersion, spec, level=level,
                           tol=TOL_FEM if tol is None else tol, **kw)
     tol = TOL_EXACT if tol is None else tol
-    if spec.kind == "mean_curvature" and immersion.n >= 4 and immersion.p >= 2:
+    if spec.kind == "mean_curvature" and immersion.n >= 4 and \
+            immersion.p >= 2 and spec.potential is None:
         return mean_tensor_report(immersion, tol=tol, **kw)
+    # closed_form_report refuses a potential
     return closed_form_report(immersion, spec, tol=tol, **kw)
 
 
@@ -562,28 +569,17 @@ def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,
         + (data.H2 + tau2 / (n * (n - 1))) ** 2 / H
         + cross / (n ** 2 * (n - 1) ** 2 * H))
     # tr T = n(n-1)|H| > 0 here, so the pass cannot fail on tr T
-    general, trs, _, _, pre = _sample_pass(frames, data.T, c)
+    sample = _sample_pass(frames, data.T, c)
 
-    agree = float(np.max(np.abs(general - split)))
-    if agree > 1e-10 * max(1.0, float(np.max(np.abs(general)))):
+    agree = float(np.max(np.abs(sample[0] - split)))
+    if agree > 1e-10 * max(1.0, float(np.max(np.abs(sample[0])))):
         raise InequalityViolation(
             "decomposed and general right sides disagree by %.3e" % agree)
 
-    lam2, backend = _exact_lambda2(_exact_record(immersion, "mean_curvature"))
-    rhs = float(np.mean(general))
-    trT_mean = float(np.mean(trs))
-    radius, notes = _radius_estimate(trT_mean, lam2, c)
-    report = ReillyReport(
-        name=immersion.name, c=c, operator="mean_curvature", lambda2=lam2,
-        rhs=rhs, volume=math.nan, backend=backend, tolerance=tol,
-        preconditions=pre,
-        equality={"trT_mean": trT_mean, "trT_stddev": float(np.std(trs)),
-                  "radius_estimate": radius,
-                  "H2_min": float(np.min(data.H2)),
-                  "decomposition_agreement": agree},
-        notes=notes)
-    _assert_bound(report, tol)
-    return report
+    _, lam2, backend = _exact_spectrum(immersion, "mean_curvature")
+    return _report(immersion, "mean_curvature", lam2, backend, tol, sample,
+                   lambda _: {"H2_min": float(np.min(data.H2)),
+                              "decomposition_agreement": agree})
 
 
 def reports_json(reports) -> str:

@@ -1,7 +1,7 @@
 """Minimal SVG line plots, written directly as path elements.
 
-Enough for convergence studies: linear or logarithmic axes, one polyline
-with markers per series, a legend, and an optional fitted-slope readout.
+Enough for convergence studies: logarithmic axes, one polyline with
+markers per series, a legend, and an optional fitted-slope readout.
 No plotting dependency; output is deterministic for identical input.
 """
 
@@ -31,27 +31,12 @@ def fit_loglog_slope(x, y):
     return sum((u - mx) * (v - my) for u, v in zip(lx, ly)) / denom
 
 
-def _ticks(lo, hi, log):
-    if log:
-        klo = math.floor(math.log10(lo) - 1e-12)
-        khi = math.ceil(math.log10(hi) + 1e-12)
-        vals = [10.0 ** k for k in range(int(klo), int(khi) + 1)]
-        return [v for v in vals if lo / 1.0001 <= v <= hi * 1.0001] or [lo, hi]
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / 4.0))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * max(1.0, abs(hi)):
-        out.append(v)
-        v += step
-    return out or [lo, hi]
+def _ticks(lo, hi):
+    """Powers of ten within [lo, hi] on a log axis, or the two ends."""
+    klo = math.floor(math.log10(lo) - 1e-12)
+    khi = math.ceil(math.log10(hi) + 1e-12)
+    vals = [10.0 ** k for k in range(int(klo), int(khi) + 1)]
+    return [v for v in vals if lo / 1.0001 <= v <= hi * 1.0001] or [lo, hi]
 
 
 def _esc(text):
@@ -59,24 +44,18 @@ def _esc(text):
             .replace(">", "&gt;"))
 
 
-def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
-    """Render series = [{label, x, y}] to an SVG document string."""
+def line_plot(series, title="", xlabel="", ylabel=""):
+    """Render series = [{label, x, y}] on log-log axes to an SVG document
+    string."""
     pts_all = [(float(px), float(py)) for s in series
                for px, py in zip(s["x"], s["y"])]
     if not pts_all:
         raise ValueError("nothing to plot")
-    for fx, fy in pts_all:
-        if (logx and fx <= 0) or (logy and fy <= 0):
-            raise ValueError("log axes need positive data")
+    if any(fx <= 0 or fy <= 0 for fx, fy in pts_all):
+        raise ValueError("log axes need positive data")
 
-    def tx(v):
-        return math.log(v) if logx else v
-
-    def ty(v):
-        return math.log(v) if logy else v
-
-    xs = [tx(px) for px, _ in pts_all]
-    ys = [ty(py) for _, py in pts_all]
+    xs = [math.log(px) for px, _ in pts_all]
+    ys = [math.log(py) for _, py in pts_all]
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     if xhi == xlo:
@@ -91,10 +70,10 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px_of(v):
-        return _MARGIN_L + (tx(v) - xlo) / (xhi - xlo) * plot_w
+        return _MARGIN_L + (math.log(v) - xlo) / (xhi - xlo) * plot_w
 
     def py_of(v):
-        return _MARGIN_T + (yhi - ty(v)) / (yhi - ylo) * plot_h
+        return _MARGIN_T + (yhi - math.log(v)) / (yhi - ylo) * plot_h
 
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -108,18 +87,14 @@ def line_plot(series, title="", xlabel="", ylabel="", logx=False, logy=False):
         out.append('<text x="%.1f" y="22" text-anchor="middle" '
                    'font-size="14">%s</text>' % (_WIDTH / 2, _esc(title)))
 
-    xlo_data = math.exp(xlo) if logx else xlo
-    xhi_data = math.exp(xhi) if logx else xhi
-    ylo_data = math.exp(ylo) if logy else ylo
-    yhi_data = math.exp(yhi) if logy else yhi
-    for v in _ticks(xlo_data, xhi_data, logx):
+    for v in _ticks(math.exp(xlo), math.exp(xhi)):
         x = px_of(v)
         out.append('<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" '
                    'stroke="#bbb" stroke-dasharray="3,3"/>'
                    % (x, _MARGIN_T, x, _MARGIN_T + plot_h))
         out.append('<text x="%.1f" y="%.1f" text-anchor="middle">%s</text>'
                    % (x, _MARGIN_T + plot_h + 18, _esc("%.3g" % v)))
-    for v in _ticks(ylo_data, yhi_data, logy):
+    for v in _ticks(math.exp(ylo), math.exp(yhi)):
         y = py_of(v)
         out.append('<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" '
                    'stroke="#bbb" stroke-dasharray="3,3"/>'

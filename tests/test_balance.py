@@ -48,6 +48,12 @@ class TestValidation:
         with pytest.raises(ArgumentError, match="finite"):
             balance_measure(pts, support=support)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(ArgumentError, match="finite and positive"):
+            balance_measure(pts, tol_rel=tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -98,6 +98,16 @@ class TestLoadScenarios:
         {"count": "x"},
         {"operator": {"kind": "identity",
                       "potential": {"kind": "coordinate", "axis": 3}}},
+        {"count": -5},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"geometry": {"gallery": "clifford_torus"},
+         "operator": {"kind": "newton", "degree": 2,
+                      "potential": {"kind": "constant", "value": 5}}},
+        {"geometry": {"gallery": "sphere",
+                      "params": {"n": 4, "a": 0.8, "codim": 2}},
+         "operator": {"kind": "mean_curvature",
+                      "potential": {"kind": "coordinate", "axis": 0}}},
     ])
     def test_malformed_field_is_config_error(self, tmp_path, extra):
         cfg = write_config(tmp_path, {"scenarios": [sphere_scenario(**extra)]})
@@ -361,11 +371,19 @@ class TestGallery:
     ["balance", "TMP/nan.off", "--ambient", "sphere"],
     ["balance", "TMP/inf.off", "--ambient", "euclidean"],
     ["balance", "TMP/badface.off", "--ambient", "sphere"],
+    ["run", BUNDLED, "--tol", "nan"],
+    ["run", BUNDLED, "--tol", "inf"],
+    ["verify-identities", "--count", "-3"],
+    ["balance", "TMP/octahedron.off", "--tol", "nan"],
+    ["balance", "TMP/octahedron.off", "--tol=-1"],
+    ["balance", "TMP/octahedron.off", "--tol", "0"],
+    ["balance", "TMP/octahedron.off", "--tol", "inf"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     (tmp_path / "truncated.off").write_text("OFF\n4 2 0\n0 0 1\n1 0 0\n")
     (tmp_path / "empty.off").write_text("OFF\n0 0 0\n")
     octahedron = "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
+    (tmp_path / "octahedron.off").write_text("OFF\n6 0 0\n" + octahedron)
     (tmp_path / "nan.off").write_text("OFF\n7 0 0\n" + octahedron + "nan 0 0\n")
     (tmp_path / "inf.off").write_text("OFF\n7 0 0\n" + octahedron + "inf 0 0\n")
     (tmp_path / "badface.off").write_text("OFF\n6 1 0\n" + octahedron + "3 0 1 7\n")

@@ -63,6 +63,43 @@ class TestRhsIntegral:
         assert abs(val - 8.0) < 1e-9
         assert std < 1e-9
 
+    @pytest.mark.parametrize("imm, label, level", [
+        (sphere(2, 1.0, 1, 0.0), "identity", 3),
+        (ellipsoid(), "newton:0", 2),
+    ], ids=["sphere-identity-L3", "ellipsoid-newton0-L2"])
+    def test_mesh_value_is_the_fem_report_rhs(self, imm, label, level):
+        from reillylab.fem import DiscreteGeometry
+        spec = operator_from_label(label)
+        geom = DiscreteGeometry(imm, mesh_for(imm, level))
+        assert rhs_integral(geom, spec)[0] == \
+            fem_report(imm, spec, level=level).rhs
+
+    def test_sampled_value_is_the_closed_form_rhs(self):
+        spec = OperatorSpec(kind="newton", degree=2)
+        assert rhs_integral(clifford_torus(), spec, 9, 4)[0] == \
+            closed_form_report(clifford_torus(), spec, 9, 4).rhs
+
+
+@pytest.mark.parametrize("kind", ["fem", "closed_form", "mean_tensor"])
+def test_every_kind_carries_trT_and_radius(kind, monkeypatch):
+    from reillylab import reports
+    make = {"fem": lambda: fem_report(sphere(2, 1.0, 1, 0.0), OperatorSpec(),
+                                      level=2),
+            "closed_form": lambda: closed_form_report(
+                clifford_torus(), OperatorSpec(kind="newton", degree=2)),
+            "mean_tensor": lambda: mean_tensor_report(sphere(4, 0.8, 2, 0.0))}
+    rep = make[kind]()
+    for key in ("trT_mean", "trT_stddev", "radius_estimate"):
+        assert key in rep.equality
+    assert rep.equality["trT_stddev"] < 1e-10
+    assert rep.equality["radius_estimate"] > 0
+    # the radius notes reach the report of every kind
+    monkeypatch.setattr(reports, "_radius_estimate",
+                        lambda trT_mean, lam2, c: (None, ["radius probe"]))
+    rep = make[kind]()
+    assert rep.equality["radius_estimate"] is None
+    assert rep.notes == ["radius probe"]
+
 
 class TestFemReports:
     def test_unit_sphere_equality(self):
@@ -195,6 +232,14 @@ class TestClosedFormReports:
         with pytest.raises(UnsupportedConfiguration):
             closed_form_report(ellipsoid(), OperatorSpec())
 
+    @pytest.mark.parametrize("entry", [closed_form_report, check_inequality])
+    def test_potential_refused(self, entry):
+        # a closed-form lambda_2 is that of L_T alone; it used to drop the
+        # potential and report lambda_2 = rhs = 8 with qbar = 0
+        spec = OperatorSpec(kind="newton", degree=2, potential=lambda fr: 5.0)
+        with pytest.raises(UnsupportedConfiguration, match="potential"):
+            entry(clifford_torus(), spec)
+
     def test_dispatch_by_dimension(self):
         rep = check_inequality(clifford_torus(),
                                OperatorSpec(kind="newton", degree=2))
@@ -249,6 +294,12 @@ class TestMeanTensorReports:
             mean_tensor_report(sphere(2, 1.0, 2, 0.0))
         with pytest.raises(UnsupportedConfiguration):
             mean_tensor_report(sphere(4, 0.8, 1, 0.0))
+
+    def test_potential_refused_before_dispatch(self):
+        spec = OperatorSpec(kind="mean_curvature",
+                            potential=lambda fr: fr.point[..., 0])
+        with pytest.raises(UnsupportedConfiguration, match="potential"):
+            check_inequality(sphere(4, 0.8, 2, 0.0), spec)
 
     def test_backend_required(self):
         # the flat-ambient Clifford torus passes the H2 > 0 hypothesis but
