@@ -175,17 +175,21 @@ def load_scenarios(path) -> list:
     return out
 
 
-def convergence_rows(immersion, spec, levels, tol=None):
-    """level, vertices, lambda2, rhs, gap per mesh level (FEM only)."""
+def convergence_rows(immersion, spec, levels, tol=None, done=None):
+    """level, vertices, lambda2, rhs, gap per mesh level (FEM only).  A
+    level's `fem_report` of the same immersion and operator in `done`
+    (level -> report) is read instead of solved again; the tolerance
+    does not move those values."""
     if immersion.n != 2:
         raise UnsupportedConfiguration(
             "convergence studies need a two-dimensional geometry")
+    done = done or {}
     rows = []
     for lvl in levels:
-        mesh = mesh_for(immersion, lvl)
-        rep = fem_report(immersion, spec, mesh=mesh,
-                         tol=1.0 if tol is None else tol)
-        rows.append((lvl, mesh.vertex_count, rep.lambda2, rep.rhs, rep.gap))
+        rep = done.get(lvl) or fem_report(immersion, spec, level=lvl,
+                                          tol=1.0 if tol is None else tol)
+        rows.append((lvl, mesh_for(immersion, lvl).vertex_count, rep.lambda2,
+                     rep.rhs, rep.gap))
     return rows
 
 
@@ -195,11 +199,12 @@ def write_convergence_csv(rows, path):
                for lvl, nv, lam, rhs, gap in rows], path)
 
 
-def _convergence_artifact(sc, levels, outdir):
+def _convergence_artifact(sc, levels, outdir, done=None):
     """Write convergence.csv and, when the scenario's operator has a
-    reference eigenvalue and there are two or more levels, plot.svg.
-    Returns (rows, fitted slope or None)."""
-    rows = convergence_rows(sc["immersion"], sc["spec"], levels)
+    reference eigenvalue and there are two or more levels, plot.svg; the
+    reports in `done` are reused as in `convergence_rows`.  Returns (rows,
+    fitted slope or None)."""
+    rows = convergence_rows(sc["immersion"], sc["spec"], levels, done=done)
     write_convergence_csv(rows, os.path.join(outdir, "convergence.csv"))
     record = sc["immersion"].reference.get(sc["spec"].label)
     if len(rows) < 2 or record is None or not record.lambda2:
@@ -273,8 +278,10 @@ def run_scenario(sc, out_root, seed, tol_override):
 
     if "convergence" in sc["outputs"]:
         levels = sc["levels"] or list(DEFAULT_LEVELS)
+        # a surface's report is the fem_report at the scenario's level
+        done = {sc["level"]: reports[0]} if reports else None
         try:
-            _, slope = _convergence_artifact(sc, levels, outdir)
+            _, slope = _convergence_artifact(sc, levels, outdir, done)
             if slope is not None:
                 summary["slope"] = slope
         except ReillyLabError as exc:

@@ -11,7 +11,11 @@ The Lovelock family is built from antisymmetrized curvature products:
 
 where each R factor couples two upper slots with the matching two lower
 slots.  E2 is the Einstein tensor for k = 1 and vanishes identically when
-2k + 1 > n.
+2k + 1 > n.  The sums add one term per orbit of the factors' slot
+symmetries (kronecker.term_offsets): R factors permuted whole, and each
+factor's upper or lower slots swapped.  That is the defining sum when R4's
+pair antisymmetries hold exactly, as they do for gauss_curvature and for
+the projection curvature_from_tensor stores.
 
 The printed source for the rank-(2k-1) contraction identity (the relation
 between sum_a T^a_{2k-1} h^a and the Lovelock data) drops a factor 2^(t+1)
@@ -71,16 +75,29 @@ def gauss_curvature(h, c: float) -> CurvatureData:
     return CurvatureData(R4=R4, Ric=Ric, scalar=float(np.trace(Ric)), c=float(c))
 
 
+# (axis permutation, sign) of pair antisymmetry and pair swap
+_SYMMETRIES = (((1, 0, 2, 3), -1.0), ((0, 1, 3, 2), -1.0), ((2, 3, 0, 1), 1.0))
+
+
 def curvature_from_tensor(R4: np.ndarray, c: float = 0.0) -> CurvatureData:
-    """Wrap a raw curvature tensor, enforcing its symmetries."""
+    """Wrap a raw curvature tensor that has its symmetries to 1e-10 of its
+    scale, stored projected onto them.
+
+    The Lovelock sums add one term per orbit of the pair antisymmetries,
+    which is the defining sum only when those hold exactly.  Each
+    projection step (A -/+ A^perm) / 2 keeps the earlier steps' exact
+    symmetries and leaves an exactly symmetric tensor bit for bit.
+    """
     R4 = np.asarray(R4, dtype=float)
     n = R4.shape[0]
     if R4.shape != (n, n, n, n):
         raise ShapeError("curvature tensor must have shape (n, n, n, n)")
     scale = max(1.0, float(np.max(np.abs(R4))))
-    for perm, sign in ((( 1, 0, 2, 3), -1.0), ((0, 1, 3, 2), -1.0), ((2, 3, 0, 1), 1.0)):
+    for perm, sign in _SYMMETRIES:
         if np.max(np.abs(R4 - sign * np.transpose(R4, perm))) > 1e-10 * scale:
             raise ShapeError("curvature tensor lacks the required symmetries")
+    for perm, sign in _SYMMETRIES:
+        R4 = (R4 + sign * np.transpose(R4, perm)) / 2.0
     Ric = np.einsum("ijkj->ik", R4)
     return CurvatureData(R4=R4, Ric=Ric, scalar=float(np.trace(Ric)), c=float(c))
 
@@ -114,7 +131,8 @@ def lovelock_scalar(curv: CurvatureData, k: int) -> float:
     n = curv.n
     if not 1 <= k <= n // 2:
         raise ArgumentError("order must satisfy 1 <= k <= n/2")
-    sg, *offsets = term_offsets(n, 2 * k, *_r_groups(2 * k, k))
+    sg, *offsets = term_offsets(n, 2 * k, *_r_groups(2 * k, k), pairs=k,
+                                split=True)
     return float(_r_product(curv.R4, sg, offsets).sum()) / 2 ** k
 
 
@@ -127,7 +145,7 @@ def lovelock_einstein(curv: CurvatureData, k: int):
         return None
     l = 2 * k + 1
     sg, target, *offsets = term_offsets(n, l, (2 * k, l + 2 * k),
-                                        *_r_groups(l, k))
+                                        *_r_groups(l, k), pairs=k, split=True)
     out = scatter_sum((n, n), target, _r_product(curv.R4, sg, offsets))
     return -out / 2 ** (k + 1)
 
@@ -137,9 +155,9 @@ def lovelock_p4(curv: CurvatureData, k: int) -> np.ndarray:
     n = curv.n
     if not 1 <= k <= n // 2:
         raise ArgumentError("order must satisfy 1 <= k <= n/2")
-    # the free slots form the last curvature group, the one lovelock_scalar
-    # gathers through, so both read the same cached offsets
-    sg, *offsets, target = term_offsets(n, 2 * k, *_r_groups(2 * k, k))
+    # the free slots form the last curvature group, which stays fixed
+    sg, *offsets, target = term_offsets(n, 2 * k, *_r_groups(2 * k, k),
+                                        pairs=k - 1, split=True)
     prod = _r_product(curv.R4, sg, offsets)
     return scatter_sum((n, n, n, n), target, prod) / 2 ** k
 

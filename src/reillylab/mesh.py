@@ -126,60 +126,66 @@ def projective_icosphere(level: int = 3) -> Mesh:
 
 
 def torus_grid(n1: int, n2: int = 0) -> Mesh:
-    """Periodic n1 x n2 grid on the angle torus, as points on S^1 x S^1."""
+    """Periodic n1 x n2 grid on the angle torus, as points on S^1 x S^1.
+
+    Node (i, j) is row i * n2 + j; grid cell (i, j) gives the triangles
+    (v00, v10, v11) and (v00, v11, v01), cell after cell in row order.
+    """
     n2 = n2 or n1
     if n1 < 3 or n2 < 3:
         raise ArgumentError("torus grid needs at least 3 nodes per circle")
     t1 = 2.0 * np.pi * np.arange(n1) / n1
     t2 = 2.0 * np.pi * np.arange(n2) / n2
-    pts = np.empty((n1 * n2, 4))
-    for i in range(n1):
-        for j in range(n2):
-            pts[i * n2 + j] = (math.cos(t1[i]), math.sin(t1[i]),
-                               math.cos(t2[j]), math.sin(t2[j]))
-    tris = []
-    for i in range(n1):
-        for j in range(n2):
-            v00 = i * n2 + j
-            v10 = ((i + 1) % n1) * n2 + j
-            v01 = i * n2 + (j + 1) % n2
-            v11 = ((i + 1) % n1) * n2 + (j + 1) % n2
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(points=pts, triangles=np.array(tris, dtype=int),
+    # math.cos and math.sin per angle, so the points do not depend on
+    # numpy's vectorised trigonometry
+    c1, s1, c2, s2 = (np.array([f(t) for t in ts])
+                      for ts in (t1, t2) for f in (math.cos, math.sin))
+    pts = np.column_stack([np.repeat(c1, n2), np.repeat(s1, n2),
+                           np.tile(c2, n1), np.tile(s2, n1)])
+    i = np.arange(n1)[:, None] * n2
+    inext = (np.arange(n1)[:, None] + 1) % n1 * n2
+    j = np.arange(n2)
+    jnext = (j + 1) % n2
+    v00, v10, v01, v11 = i + j, inext + j, i + jnext, inext + jnext
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    return Mesh(points=pts, triangles=tris,
                 topology="torus", name="torus-%dx%d" % (n1, n2),
                 metadata={"n1": n1, "n2": n2})
 
 
 def check_mesh(mesh: Mesh) -> dict:
-    """Validate closedness, orientation, and Euler characteristic.
+    """Validate closedness, orientation, connectedness and Euler
+    characteristic.
 
-    Returns summary statistics; raises TopologyError on any violation.
-    Orientation is not checked when the mesh declares itself unoriented.
+    Returns summary statistics; raises TopologyError on any violation,
+    naming the first triangle or edge met in triangle order (edges ab, bc,
+    ca of each triangle).  Orientation is not checked when the mesh
+    declares itself unoriented.
     """
-    tri = mesh.triangles
-    if tri.min() < 0 or tri.max() >= mesh.vertex_count:
+    from scipy.sparse import coo_matrix, csgraph
+
+    tri = np.asarray(mesh.triangles)
+    nv = mesh.vertex_count
+    if tri.min() < 0 or tri.max() >= nv:
         raise TopologyError("triangle index out of range")
-    directed = {}
-    for f, (a, b, c) in enumerate(tri):
-        if len({a, b, c}) != 3:
-            raise TopologyError("triangle %d is degenerate" % f)
-        for u, v in ((a, b), (b, c), (c, a)):
-            directed.setdefault((u, v), 0)
-            directed[u, v] += 1
-    undirected = {}
-    for (u, v), cnt in directed.items():
-        key = (u, v) if u < v else (v, u)
-        undirected[key] = undirected.get(key, 0) + cnt
-    for key, cnt in undirected.items():
-        if cnt != 2:
-            raise TopologyError("edge %s lies in %d triangles" % (key, cnt))
+    degenerate = ((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
+                  | (tri[:, 2] == tri[:, 0]))
+    if degenerate.any():
+        raise TopologyError("triangle %d is degenerate"
+                            % np.flatnonzero(degenerate)[0])
+    directed = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    undirected = np.sort(directed, axis=1)
+    e = _edge_count(undirected, nv, 2, "edge (%d, %d) lies in %d triangles")
     if mesh.oriented:
-        for (u, v), cnt in directed.items():
-            if cnt != 1:
-                raise TopologyError(
-                    "edge (%d, %d) traversed %d times in one direction" % (u, v, cnt))
-    v, e, f = mesh.vertex_count, len(undirected), mesh.triangle_count
+        _edge_count(directed, nv, 1,
+                    "edge (%d, %d) traversed %d times in one direction")
+    graph = coo_matrix((np.ones(len(directed)), directed.T), shape=(nv, nv))
+    parts = csgraph.connected_components(graph, directed=False,
+                                         return_labels=False)
+    if parts > 1:
+        raise TopologyError("mesh has %d connected components; a report "
+                            "needs a connected surface" % parts)
+    v, f = nv, mesh.triangle_count
     euler = v - e + f
     want = _EULER.get(mesh.topology)
     if want is not None and euler != want:
@@ -187,6 +193,20 @@ def check_mesh(mesh: Mesh) -> dict:
                             % (euler, want, mesh.topology))
     return {"vertices": v, "edges": e, "triangles": f, "euler": euler,
             "oriented": mesh.oriented}
+
+
+def _edge_count(edges, nv, want, message):
+    """Number of distinct edges (u, v) among the rows of edges; raises
+    TopologyError(message % (u, v, count)) for the first one in row order
+    that occurs a number of times other than want."""
+    _, first, counts = np.unique(edges[:, 0] * nv + edges[:, 1],
+                                 return_index=True, return_counts=True)
+    bad = counts != want
+    if bad.any():
+        k = np.argmin(np.where(bad, first, len(edges)))
+        u, v = edges[first[k]]
+        raise TopologyError(message % (u, v, counts[k]))
+    return len(counts)
 
 
 def save_off(path, points: np.ndarray, triangles: np.ndarray) -> None:

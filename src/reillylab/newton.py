@@ -71,10 +71,12 @@ def newton_kronecker(h, r: int) -> NewtonTensor:
     l = r + 1
     # offset groups: the scattered slot r, the gram factors
     # gram[I[2s], J[2s], I[2s+1], J[2s+1]] and, for odd r, the form
-    # factor h[I[r-1], J[r-1]]
+    # factor h[I[r-1], J[r-1]]; a gram factor is symmetric under swapping
+    # its two slot pairs, so the sum adds one term per orbit
     grams = [(2 * s, l + 2 * s, 2 * s + 1, l + 2 * s + 1) for s in range(r // 2)]
     sg, target, *offsets = term_offsets(n, l, (r, l + r), *grams,
-                                        *[(r - 1, l + r - 1)] * (r % 2))
+                                        *[(r - 1, l + r - 1)] * (r % 2),
+                                        pairs=r // 2)
     if len(sg) == 0:
         return NewtonTensor(r, np.zeros(lead + (p,) * vector + (n, n)), vector)
     nn = n * n

@@ -28,9 +28,9 @@ import numpy as np
 
 from .ellipticity import _mean_scalars, mean_curvature_tensor
 from .errors import (ArgumentError, EllipticityError, InequalityViolation,
-                     TopologyError, UnsupportedConfiguration)
+                     UnsupportedConfiguration)
 from .fem import DiscreteGeometry, assemble_forms
-from .mesh import icosphere, projective_icosphere, torus_grid
+from .mesh import check_mesh, icosphere, projective_icosphere, torus_grid
 from .newton import newton_tensor
 from .secondform import rowdot
 from .spectra import product_spectrum, solve_pencil
@@ -316,23 +316,21 @@ def _sample_frames(immersion, samples, seed):
 def _mesh_forms(immersion, spec, level, mesh, potential=None):
     """Geometry and assembled stiffness and mass of a mesh report, plus
     the potential's vertex values (None without a potential), from one
-    potential call on the vertex frames.  A mesh of several connected
-    components raises TopologyError: its lambda_2 is 0, which the first
-    value above the zero threshold would not report."""
-    from scipy.sparse import csgraph
-
+    potential call on the vertex frames.  A mesh passed in must pass
+    `check_mesh`: the bound is about closed connected surfaces; an open
+    mesh would solve a Neumann problem, and one of several components has
+    lambda_2 = 0, which the first value above the zero threshold would not
+    report.  The gallery families are closed and connected by
+    construction."""
     if mesh is None:
         mesh = mesh_for(immersion, level)
+    else:
+        check_mesh(mesh)
     geom = DiscreteGeometry(immersion, mesh)
     tensor_field = None if spec.kind == "identity" else spec.tensors
     qvals = None if potential is None else np.broadcast_to(
         np.asarray(potential(geom.frames), dtype=float), geom.frames.point.shape[:-1])
     stiffness, mass = assemble_forms(geom, tensor_field, potential=qvals)
-    parts = csgraph.connected_components(mass, directed=False,
-                                         return_labels=False)
-    if parts > 1:
-        raise TopologyError("mesh has %d connected components; a report "
-                            "needs a connected surface" % parts)
     return geom, stiffness, mass, qvals
 
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import reillylab
+from reillylab import cli
 from reillylab.cli import (_parse_levels, identity_table, load_scenarios,
                            main)
 from reillylab.errors import ConfigError
 from reillylab.mesh import icosphere, load_off, save_off
+from reillylab.reports import fem_report
 
 BUNDLED = os.path.join(os.path.dirname(reillylab.__file__), "configs",
                        "equality_cases.json")
@@ -202,6 +204,33 @@ class TestRunCommand:
         rows = list(csv.reader(
             open(os.path.join(out, "round_sphere", "balance.csv"))))
         assert rows[0] == ["iteration", "residual", "gnorm", "step"]
+
+
+    @pytest.mark.parametrize("flags,code,solved", [([], 0, [2]),
+                                                   (["--tol", "-0.5"], 2, [2, 3])])
+    def test_convergence_reads_the_report_level(self, tmp_path, monkeypatch,
+                                                flags, code, solved):
+        """run solves the report's level once when its report succeeded;
+        its convergence.csv is the one `convergence` writes by solving
+        every level."""
+        sc = sphere_scenario(outputs=["report", "convergence"], levels=[2, 3])
+        cfg = write_config(tmp_path, {"scenarios": [sc]})
+        calls = []
+
+        def counted(immersion, spec, level=4, **kw):
+            calls.append(level)
+            return fem_report(immersion, spec, level=level, **kw)
+        monkeypatch.setattr(cli, "fem_report", counted)
+        out = str(tmp_path / "run")
+        assert main(["run", cfg, "--out", out] + flags) == code
+        assert calls == solved
+        calls.clear()
+        assert main(["convergence", cfg, "--levels", "2,3",
+                     "--out", str(tmp_path / "conv")]) == 0
+        assert calls == [2, 3]
+        name = os.path.join("round_sphere", "convergence.csv")
+        assert (open(os.path.join(out, name), "rb").read()
+                == open(os.path.join(tmp_path, "conv", name), "rb").read())
 
 
 class TestVerifyIdentities:

@@ -12,8 +12,11 @@ from reillylab.curvature import (contraction_residual, contraction_lhs,
                                  gauss_curvature, lovelock_einstein,
                                  lovelock_p4, lovelock_scalar,
                                  random_curvature)
-from reillylab.kronecker import index_sum_terms
+from reillylab import curvature, newton
+from reillylab.newton import newton_kronecker
 from reillylab.secondform import SecondFundamentalForm
+
+from orbit_terms import orbit_terms
 
 
 def random_form(n, p, seed):
@@ -119,43 +122,129 @@ def test_lovelock_family_trace_relations(n, kmax):
         assert np.allclose(ptrace, -(n - 2 * k + 1) * Etr, atol=1e-10)
 
 
+def r_product(R4, terms, factors):
+    """Weighted signs times the first `factors` curvature factors, gathered
+    with four index arrays."""
+    up, lo, sg = terms
+    prod = sg.copy()
+    for s in range(factors):
+        prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
+    return prod
+
+
+# The defining sums of L_k, E2[k] and P4[k], scattered with np.add.at over
+# one term per orbit of the curvature factors' slot symmetries: the
+# reference for the gather and bincount scatter of the curvature module.
+# With reduced=False they run over every term.
+
+def defining_scalar(R4, k, reduced=True):
+    terms = orbit_terms(R4.shape[0], 2 * k, k if reduced else 0, split=True)
+    return float(r_product(R4, terms, k).sum()) / 2 ** k
+
+
+def defining_einstein(R4, k, reduced=True):
+    n = R4.shape[0]
+    up, lo, sg = terms = orbit_terms(n, 2 * k + 1, k if reduced else 0,
+                                     split=True)
+    e2 = np.zeros((n, n))
+    np.add.at(e2, (up[:, 2 * k], lo[:, 2 * k]), r_product(R4, terms, k))
+    return -e2 / 2 ** (k + 1)
+
+
+def defining_p4(R4, k, reduced=True):
+    n = R4.shape[0]
+    up, lo, sg = terms = orbit_terms(n, 2 * k, k - 1 if reduced else 0,
+                                     split=True)
+    p4 = np.zeros((n, n, n, n))
+    np.add.at(p4, (up[:, 2 * k - 2], up[:, 2 * k - 1],
+                   lo[:, 2 * k - 2], lo[:, 2 * k - 1]),
+              r_product(R4, terms, k - 1))
+    return p4 / 2 ** k
+
+
+def assert_orbit_sums_match_unreduced(curv):
+    """Every Lovelock sum within 1e-13 * max(1, max|ref|) of its unreduced
+    defining sum."""
+    R4 = curv.R4
+    for k in range(1, curv.n // 2 + 1):
+        pairs = [(lovelock_scalar(curv, k), defining_scalar(R4, k, False)),
+                 (lovelock_p4(curv, k), defining_p4(R4, k, False))]
+        if 2 * k + 1 <= curv.n:
+            pairs.append((lovelock_einstein(curv, k),
+                           defining_einstein(R4, k, False)))
+        for got, ref in pairs:
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-13 * max(1.0, np.max(np.abs(ref))), (curv.n, k, err)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_lovelock_scatters_bitwise_equal_add_at(n):
     """E2 and P4 against their defining sums scattered with np.add.at."""
     curv = random_curvature(n, np.random.default_rng(20 + n), c=0.5)
-    R4 = curv.R4
     for k in range(1, n // 2 + 1):
-        up, lo, sg = index_sum_terms(n, 2 * k)
-        prod = sg.copy()
-        for s in range(k - 1):
-            prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
-        p4 = np.zeros((n, n, n, n))
-        np.add.at(p4, (up[:, 2 * k - 2], up[:, 2 * k - 1],
-                       lo[:, 2 * k - 2], lo[:, 2 * k - 1]), prod)
-        assert np.array_equal(lovelock_p4(curv, k), p4 / 2 ** k), (n, k)
+        assert np.array_equal(lovelock_p4(curv, k),
+                              defining_p4(curv.R4, k)), (n, k)
         if 2 * k + 1 > n:
             continue
-        up, lo, sg = index_sum_terms(n, 2 * k + 1)
-        prod = sg.copy()
-        for s in range(k):
-            prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
-        e2 = np.zeros((n, n))
-        np.add.at(e2, (up[:, 2 * k], lo[:, 2 * k]), prod)
-        assert np.array_equal(lovelock_einstein(curv, k), -e2 / 2 ** (k + 1)), (n, k)
+        assert np.array_equal(lovelock_einstein(curv, k),
+                              defining_einstein(curv.R4, k)), (n, k)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_lovelock_scalar_bitwise_equals_index_arrays(n):
     """L_k against its defining sum gathered with four index arrays."""
     curv = random_curvature(n, np.random.default_rng(40 + n), c=-0.5)
-    R4 = curv.R4
     for k in range(1, n // 2 + 1):
-        up, lo, sg = index_sum_terms(n, 2 * k)
-        prod = sg.copy()
-        for s in range(k):
-            prod = prod * R4[up[:, 2 * s], up[:, 2 * s + 1], lo[:, 2 * s], lo[:, 2 * s + 1]]
         assert np.array_equal(lovelock_scalar(curv, k),
-                              float(prod.sum()) / 2 ** k), (n, k)
+                              defining_scalar(curv.R4, k)), (n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+def test_orbit_sums_match_unreduced_sums(n, c):
+    """One term per orbit, weighted by its size, is the defining sum."""
+    assert_orbit_sums_match_unreduced(
+        gauss_curvature(random_form(n, 2, seed=60 + n), c))
+
+
+def test_perturbed_tensor_is_projected_onto_its_symmetries():
+    """A tensor inside the acceptance tolerance is stored exactly
+    symmetric, so its orbit sums stay the defining sums."""
+    R4 = gauss_curvature(random_form(6, 2, seed=70), 1.0).R4
+    noise = np.random.default_rng(71).standard_normal(R4.shape)
+    raw = R4 + 1e-11 * np.max(np.abs(R4)) * noise
+    curv = curvature_from_tensor(raw, c=1.0)
+    stored = curv.R4
+    assert np.array_equal(stored, -stored.transpose(1, 0, 2, 3))
+    assert np.array_equal(stored, -stored.transpose(0, 1, 3, 2))
+    assert np.array_equal(stored, stored.transpose(2, 3, 0, 1))
+    assert np.max(np.abs(stored - raw)) < 1e-10 * np.max(np.abs(R4))
+    assert_orbit_sums_match_unreduced(curv)
+
+
+def test_exactly_symmetric_tensor_is_stored_bitwise():
+    R4 = gauss_curvature(random_form(5, 3, seed=72), -1.0).R4
+    assert np.array_equal(curvature_from_tensor(R4).R4, R4)
+
+
+def test_orbit_term_counts(monkeypatch):
+    """Timing-free guard: the sums gather one term per orbit."""
+    seen = []
+    for module in (curvature, newton):
+        real = module.term_offsets
+
+        def counted(*args, real=real, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(len(out[0]))
+            return out
+        monkeypatch.setattr(module, "term_offsets", counted)
+    h = random_form(6, 2, seed=73)
+    curv = gauss_curvature(h, 1.0)
+    lovelock_scalar(curv, 3)
+    lovelock_p4(curv, 3)
+    newton_kronecker(h, 5)
+    # 518 400 unreduced terms each, over orbits of 4^3 3!, 4^2 2! and 2^2 2!
+    assert seen == [1350, 16200, 64800]
 
 
 def test_lovelock_zeroth_einstein_convention():

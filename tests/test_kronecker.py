@@ -1,6 +1,7 @@
 """Generalized Kronecker delta: determinant oracle, contraction counting,
-the flattened term table and the cached flat offsets the heavy tensor
-sums gather and scatter through."""
+the flattened term table and the cached flat offsets, one term per orbit
+of the slot symmetries, that the heavy tensor sums gather and scatter
+through."""
 
 import itertools
 import math
@@ -12,6 +13,8 @@ from reillylab import kronecker
 from reillylab.errors import ShapeError
 from reillylab.kronecker import (contraction_factor, gen_kronecker,
                                  index_sum_terms, perm_sign, term_offsets)
+
+from orbit_terms import orbit_terms
 
 
 def test_perm_sign_basics():
@@ -141,6 +144,35 @@ def test_term_offsets_ravel_the_term_table(n):
                                         (n,) * len(group))
             assert got.dtype == np.intp
             assert np.array_equal(got, want), (n, l, group)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("split", [False, True])
+def test_orbit_offsets_ravel_the_orbit_representatives(n, split):
+    """Signs and offsets of the reduced sums are the rows of the unreduced
+    table that represent their orbits, in its order, each sign weighted
+    by the orbit size; the representatives number T / (orbit size)."""
+    for l in range(2, n + 1):
+        for pairs in range(1, l // 2 + 1):
+            up, lo, sg = orbit_terms(n, l, pairs, split)
+            table = np.concatenate([up, lo], axis=1)
+            size = 2 ** (pairs * (2 if split else 1)) * math.factorial(pairs)
+            assert len(sg) * size == math.comb(n, l) * math.factorial(l) ** 2
+            signs = kronecker._term_signs.__wrapped__(n, l, pairs, split)
+            assert np.array_equal(signs, sg), (n, l, pairs)
+            for group in offset_groups(l):
+                got = kronecker._group_offsets.__wrapped__(n, l, group,
+                                                           pairs, split)
+                want = np.ravel_multi_index(tuple(table[:, list(group)].T),
+                                            (n,) * len(group))
+                assert np.array_equal(got, want), (n, l, pairs, group)
+
+
+def test_orbit_pairs_must_fit_the_slots():
+    with pytest.raises(ShapeError):
+        term_offsets(5, 3, pairs=2)
+    with pytest.raises(ShapeError):
+        term_offsets(5, 3, pairs=-1)
 
 
 def test_term_offsets_are_cached_and_read_only():

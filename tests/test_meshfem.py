@@ -79,6 +79,24 @@ def projective_loop(level):
     return base.points[kept], np.array(sorted(seen.values()), dtype=int)
 
 
+def torus_loop(n1, n2):
+    """Reference: the double loop that `torus_grid` vectorises."""
+    t1 = 2.0 * np.pi * np.arange(n1) / n1
+    t2 = 2.0 * np.pi * np.arange(n2) / n2
+    pts = np.empty((n1 * n2, 4))
+    tris = []
+    for i in range(n1):
+        for j in range(n2):
+            pts[i * n2 + j] = (math.cos(t1[i]), math.sin(t1[i]),
+                               math.cos(t2[j]), math.sin(t2[j]))
+            v00 = i * n2 + j
+            v10 = ((i + 1) % n1) * n2 + j
+            v01 = i * n2 + (j + 1) % n2
+            v11 = ((i + 1) % n1) * n2 + (j + 1) % n2
+            tris += [(v00, v10, v11), (v00, v11, v01)]
+    return pts, np.array(tris, dtype=int)
+
+
 class TestMeshes:
     @pytest.mark.parametrize("level", range(6))
     def test_icosphere_equals_loop(self, level):
@@ -109,6 +127,50 @@ class TestMeshes:
         assert m.vertex_count == 80
         stats = check_mesh(m)
         assert stats["euler"] == 0 and stats["oriented"]
+
+    @pytest.mark.parametrize("n1,n2", [(3, 3), (3, 5), (8, 10), (96, 96)])
+    def test_torus_grid_equals_loop(self, n1, n2):
+        points, triangles = torus_loop(n1, n2)
+        m = torus_grid(n1, n2)
+        assert np.array_equal(m.points, points)
+        assert np.array_equal(m.triangles, triangles)
+        assert m.triangles.dtype == triangles.dtype
+
+    def test_check_mesh_names_the_first_open_edge(self):
+        m = icosphere(1)
+        tris = m.triangles[np.random.default_rng(3).permutation(
+            m.triangle_count)]
+        removed = {tuple(sorted(e)) for e in ((tris[-1][0], tris[-1][1]),
+                                              (tris[-1][1], tris[-1][2]),
+                                              (tris[-1][2], tris[-1][0]))}
+        first = next(key for a, b, c in tris[:-1]
+                     for key in (tuple(sorted(e)) for e in ((a, b), (b, c), (c, a)))
+                     if key in removed)
+        with pytest.raises(TopologyError,
+                           match=r"^edge \(%d, %d\) lies in 1 triangles$" % first):
+            check_mesh(Mesh(points=m.points, triangles=tris[:-1]))
+
+    def test_check_mesh_names_the_first_reversed_edge(self):
+        m = icosphere(1)
+        tris = m.triangles.copy()
+        tris[5] = tris[5][::-1]
+        counts = {}
+        for a, b, c in tris:
+            for edge in ((a, b), (b, c), (c, a)):
+                counts[edge] = counts.get(edge, 0) + 1
+        first = next(edge for edge, cnt in counts.items() if cnt != 1)
+        assert check_mesh(Mesh(points=m.points, triangles=tris,
+                               oriented=False))["euler"] == 2
+        with pytest.raises(TopologyError, match=r"^edge \(%d, %d\) traversed "
+                           r"2 times in one direction$" % first):
+            check_mesh(Mesh(points=m.points, triangles=tris))
+
+    def test_disconnected_mesh_rejected(self):
+        m = icosphere(1)
+        tris = np.concatenate([m.triangles, m.triangles + m.vertex_count])
+        two = Mesh(points=np.concatenate([m.points, m.points]), triangles=tris)
+        with pytest.raises(TopologyError, match="2 connected components"):
+            check_mesh(two)
 
     def test_projective_quotient(self):
         for level in (1, 2):

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from reillylab.kronecker import index_sum_terms
 from reillylab.newton import (mean_profile, newton_chain, newton_kronecker,
                               newton_tensor, weighted_mean_curvature)
 from reillylab.secondform import SecondFundamentalForm
+
+from orbit_terms import orbit_terms
 
 
 def esym(vals, r):
@@ -84,13 +85,15 @@ def test_recursion_matches_defining_sum(n, p):
                                                          abs=1e-10)
 
 
-def newton_kronecker_add_at(h, r):
-    """The defining sum scattered with np.add.at, kept as the reference
-    for the bincount scatter of newton_kronecker."""
+def newton_kronecker_add_at(h, r, reduced=True):
+    """The defining sum scattered with np.add.at over one term per orbit
+    of the gram factors' slot symmetries, kept as the reference for the
+    gather and bincount scatter of newton_kronecker; with reduced=False,
+    over every term."""
     n, p = h.n, h.p
     if r == 0:
         return np.eye(n)
-    up, lo, sg = index_sum_terms(n, r + 1)
+    up, lo, sg = orbit_terms(n, r + 1, r // 2 if reduced else 0)
     if len(sg) == 0:
         return np.zeros((n, n)) if (r % 2 == 0 or p == 1) else np.zeros((p, n, n))
     gram = np.einsum("xab,xcd->abcd", h.h, h.h)
@@ -117,6 +120,17 @@ def test_defining_sum_bitwise_equals_add_at(n, p):
         for r in range(n + 1):
             assert np.array_equal(newton_kronecker(h, r).data,
                                   newton_kronecker_add_at(h, r)), (n, p, r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_orbit_sum_matches_unreduced_sum(n, p):
+    """One term per orbit, weighted by its size, is the defining sum."""
+    h = random_form(n, p, seed=2000 * n + p)
+    for r in range(n + 1):
+        ref = newton_kronecker_add_at(h, r, reduced=False)
+        err = np.max(np.abs(newton_kronecker(h, r).data - ref))
+        assert err <= 1e-13 * max(1.0, np.max(np.abs(ref))), (n, p, r, err)
 
 
 def test_methods_agree_and_validate():

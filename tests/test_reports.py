@@ -209,6 +209,17 @@ def test_disconnected_mesh_is_refused(entry):
               mesh=disjoint_icospheres(4))
 
 
+@pytest.mark.parametrize("entry", [fem_report, t_minimality])
+def test_open_mesh_is_refused(entry):
+    """An icosphere with the cap around one vertex removed is open: its
+    boundary edges lie in one triangle each."""
+    base = icosphere(3)
+    open_mesh = Mesh(base.points,
+                     base.triangles[~np.any(base.triangles == 0, axis=1)])
+    with pytest.raises(TopologyError, match="lies in 1 triangles"):
+        entry(sphere(2, 1.0, 1, 0.0), OperatorSpec(), mesh=open_mesh)
+
+
 class TestClosedFormReports:
     def test_clifford_newton2_equality(self):
         rep = closed_form_report(clifford_torus(),
