@@ -186,10 +186,10 @@ def convergence_rows(immersion, spec, levels, tol=None, done=None):
     done = done or {}
     rows = []
     for lvl in levels:
-        rep = done.get(lvl) or fem_report(immersion, spec, level=lvl,
+        mesh = mesh_for(immersion, lvl)
+        rep = done.get(lvl) or fem_report(immersion, spec, mesh=mesh,
                                           tol=1.0 if tol is None else tol)
-        rows.append((lvl, mesh_for(immersion, lvl).vertex_count, rep.lambda2,
-                     rep.rhs, rep.gap))
+        rows.append((lvl, mesh.vertex_count, rep.lambda2, rep.rhs, rep.gap))
     return rows
 
 

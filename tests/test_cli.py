@@ -206,8 +206,9 @@ class TestRunCommand:
         assert rows[0] == ["iteration", "residual", "gnorm", "step"]
 
 
-    @pytest.mark.parametrize("flags,code,solved", [([], 0, [2]),
-                                                   (["--tol", "-0.5"], 2, [2, 3])])
+    # solved levels by vertex count: 162 at level 2, 642 at level 3
+    @pytest.mark.parametrize("flags,code,solved", [([], 0, [162]),
+                                                   (["--tol", "-0.5"], 2, [162, 642])])
     def test_convergence_reads_the_report_level(self, tmp_path, monkeypatch,
                                                 flags, code, solved):
         """run solves the report's level once when its report succeeded;
@@ -217,9 +218,9 @@ class TestRunCommand:
         cfg = write_config(tmp_path, {"scenarios": [sc]})
         calls = []
 
-        def counted(immersion, spec, level=4, **kw):
-            calls.append(level)
-            return fem_report(immersion, spec, level=level, **kw)
+        def counted(immersion, spec, mesh, **kw):
+            calls.append(mesh.vertex_count)
+            return fem_report(immersion, spec, mesh=mesh, **kw)
         monkeypatch.setattr(cli, "fem_report", counted)
         out = str(tmp_path / "run")
         assert main(["run", cfg, "--out", out] + flags) == code
@@ -227,7 +228,7 @@ class TestRunCommand:
         calls.clear()
         assert main(["convergence", cfg, "--levels", "2,3",
                      "--out", str(tmp_path / "conv")]) == 0
-        assert calls == [2, 3]
+        assert calls == [162, 642]
         name = os.path.join("round_sphere", "convergence.csv")
         assert (open(os.path.join(out, name), "rb").read()
                 == open(os.path.join(tmp_path, "conv", name), "rb").read())
