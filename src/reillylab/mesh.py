@@ -166,6 +166,9 @@ def check_mesh(mesh: Mesh) -> dict:
 
     tri = np.asarray(mesh.triangles)
     nv = mesh.vertex_count
+    if tri.ndim != 2 or tri.shape[1] != 3 or len(tri) == 0:
+        raise TopologyError("triangles must be a nonempty (F, 3) index "
+                            "array, got shape %s" % (tri.shape,))
     if tri.min() < 0 or tri.max() >= nv:
         raise TopologyError("triangle index out of range")
     degenerate = ((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])

@@ -165,6 +165,13 @@ class TestMeshes:
                            r"2 times in one direction$" % first):
             check_mesh(Mesh(points=m.points, triangles=tris))
 
+    @pytest.mark.parametrize("columns", [(), (0, 1), (0, 1, 2, 0)])
+    def test_triangles_must_be_a_nonempty_three_column_array(self, columns):
+        m = icosphere(1)
+        tris = m.triangles[:0] if not columns else m.triangles[:, columns]
+        with pytest.raises(TopologyError, match="nonempty \\(F, 3\\)"):
+            check_mesh(Mesh(points=m.points, triangles=tris))
+
     def test_disconnected_mesh_rejected(self):
         m = icosphere(1)
         tris = np.concatenate([m.triangles, m.triangles + m.vertex_count])
