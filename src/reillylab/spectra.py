@@ -1,4 +1,4 @@
-"""Eigenvalue extraction: one shift-invert Lanczos solve for every
+"""Eigenvalue extraction: one block shift-invert Lanczos run for every
 discrete pencil, and the closed-form spectra of weighted products of
 round spheres, of which a round sphere is the one-factor case.
 
@@ -6,7 +6,7 @@ scipy is imported by the functions that use it, so that importing the
 package (and a command that solves no pencil) does not load it.
 """
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,16 +18,30 @@ _ZERO_REL_TOL = 1e-8
 _MULT_REL_TOL = 1e-3
 _ND_LEAF = 64
 _ND_LANDMARKS = 4
+_BLOCK_STEPS = 15
+_RANK_TOL = 1e-10
+# 1e-14 relative in theta: two digits inside the 1e-12 that the dense
+# reference tests hold; machine epsilon would take a block or two more on
+# a cluster split by the count (ring torus L4: 14 against 12) for digits
+# below the rounding of T itself
+_KATO_TEMPLE_EPS = 1e-14
 
 
 @dataclass
 class SpectrumResult:
-    """Lowest eigenvalues of an operator, sorted ascending."""
+    """Lowest eigenvalues of an operator, sorted ascending.
+
+    From `solve_pencil`, `solves` is the number of block applications of
+    (K - sigma M)^-1 M and `residuals` each value's Lanczos residual (see
+    `_block_lanczos`); a closed form has 0 and None.
+    """
 
     values: np.ndarray
     backend: str
     tol_zero: float = 0.0
     multiplicities: np.ndarray = field(default=None)
+    solves: int = 0
+    residuals: np.ndarray = field(default=None)
 
     def lambda2(self, has_potential: bool = False) -> float:
         """First nonzero eigenvalue, or the second one under a potential."""
@@ -60,16 +74,14 @@ def solve_pencil(stiffness, mass, count: int = 4,
     The default of 4 is what a report reads: lambda_2 is the first value
     above zero, or the second under a potential, and 4 values hold
     lambda_1 and the whole triple lambda_2 of a round sphere.  Losing a
-    member of a cluster past lambda_2 leaves lambda_2 as it is, and a
-    shift-invert Lanczos run wants fewer solves for fewer values (on the
-    unit sphere at 40962 vertices, 50 against 94 for 12 values).  No count
-    certifies that a whole eigenspace below lambda_2 was not missed.
-    `count` is capped at n - 1, n the number of unknowns, because the
-    Lanczos solver returns fewer values than unknowns; a count below 1
-    or a pencil of fewer than 2 unknowns raises ArgumentError.
+    member of a cluster past lambda_2 leaves lambda_2 as it is, and fewer
+    values take a narrower block.  `count` is capped at n - 1, n the
+    number of unknowns; a count below 1 or a pencil of fewer than 2
+    unknowns raises ArgumentError.
 
-    Every pencil takes shift-inverted Lanczos with a fixed deterministic
-    start vector and the shift
+    Every pencil takes one block shift-invert Lanczos run (see
+    `_block_lanczos`) of block width `count`, from the deterministic
+    start block cos(j i), j = 1..count, and the shift
 
         sigma = floor - |tr K / tr M - floor| / n.
 
@@ -77,12 +89,12 @@ def solve_pencil(stiffness, mass, count: int = 4,
     potential, which is positive semidefinite.  A caller whose stiffness
     carries a potential q must pass the minimum of q; the P1 potential
     form then satisfies Q >= min(q) M, so lambda_1 >= min(q) > sigma, and
-    the largest eigenvalues of (K - sigma M)^-1 M belong to the lowest of
-    the pencil.
+    the largest eigenvalues theta = 1 / (lambda - sigma) of
+    S = (K - sigma M)^-1 M belong to the lowest of the pencil.
 
     A floor above lambda_1 would put the shift among the eigenvalues, and
-    shift-invert would return values from above it.  Both the lowest
-    returned value and the Rayleigh quotient of the constant vector,
+    the run would return values from above it.  Both the lowest returned
+    value and the Rayleigh quotient of the constant vector,
     1^T K 1 / 1^T M 1, are upper bounds of lambda_1; if either lies below
     the floor by more than the zero tolerance (taken at the larger of the
     spectrum's scale and |floor|), the floor is not a lower bound and
@@ -91,23 +103,28 @@ def solve_pencil(stiffness, mass, count: int = 4,
 
     tr(K - floor M) / tr M grows like n, so sigma does not depend on the
     mesh size: about floor - 4 sqrt(3) / area for a near-equilateral
-    mesh (-0.56 on the unit sphere), just below the wanted values.  A
-    shift on the scale of the mesh (-1e-2 tr K / tr M, -228 on the unit
-    sphere at 40962 vertices) needs about three times the solves.
+    mesh (-0.56 on the unit sphere), just below the wanted values.
 
-    Lanczos applies (K - sigma M)^-1 through one SuperLU factor, made
-    once per call.  Below the spectrum K - sigma M is positive definite,
-    so SuperLU runs in symmetric mode: diagonal pivots only, no column
-    ordering of its own (perm_r == perm_c).  The unknowns are put in a
+    S is applied through one SuperLU factor of K - sigma M, made once per
+    call.  Below the spectrum K - sigma M is positive definite, so SuperLU
+    runs in symmetric mode: diagonal pivots only, no column ordering of
+    its own (perm_r == perm_c).  The unknowns are put in a
     nested-dissection order of the pencil's sparsity graph first (see
     `_dissection_order`), which on a surface mesh leaves about a third
     less fill than SuperLU's default COLAMD ordering, so both the factor
     and every solve through it are cheaper.  A factor that fails, for
     instance because a floor above lambda_1 made K - sigma M singular,
     raises ConvergenceError.
-    """
-    import scipy.sparse.linalg
 
+    What the run checks: each returned theta = 1 / (lambda - sigma) meets
+    the Kato-Temple bound r^2 / gap <= 1e-14 theta, r its residual
+    (`residuals`) and gap its distance to the next Ritz value outside its
+    cluster.  What it does not certify: that no eigenvalue was missed.
+    A block of width `count` resolves a cluster of up to `count` copies,
+    but the gap is taken to a Ritz value, not to a proven bound of the
+    rest of the spectrum, and no count or residual proves that a whole
+    eigenspace below lambda_2 was not missed.
+    """
     n = stiffness.shape[0]
     if n < 2 or count < 1:
         raise ArgumentError("need a count of at least 1 and a pencil of at "
@@ -115,26 +132,163 @@ def solve_pencil(stiffness, mass, count: int = 4,
                             % (count, n))
     count = min(count, n - 1)
     scale = (stiffness.diagonal().sum()) / max(mass.diagonal().sum(), 1e-300)
-    v0 = np.cos(np.arange(n, dtype=float))  # deterministic, not in any kernel
     sigma = floor - abs(scale - floor) / n
-    opinv = scipy.sparse.linalg.LinearOperator(
-        (n, n), dtype=float, matvec=functools.partial(
-            _shift_solve, *_shift_factor(stiffness, mass, sigma)))
-    try:
-        vals = scipy.sparse.linalg.eigsh(
-            stiffness, k=count, M=mass, sigma=sigma, which="LM",
-            v0=v0, maxiter=5000, OPinv=opinv, return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceError("eigensolver stalled: %s" % exc) from exc
-    vals = np.sort(vals)
+    order, factor = _shift_factor(stiffness, mass, sigma)
+    theta, residuals, solves = _block_lanczos(
+        lambda block: _shift_solve(order, factor, block), mass, count)
+    vals = sigma + 1.0 / theta
+    rank = np.argsort(vals)
+    vals, residuals = vals[rank], residuals[rank]
     # the sums of K and M are 1^T K 1 and 1^T M 1
     top = min(float(vals[0]), float(stiffness.sum()) / max(float(mass.sum()), 1e-300))
     if top < floor - _ZERO_REL_TOL * max(abs(scale), abs(floor)):
         raise ConvergenceError(
             "floor %.17g is not a lower bound of the spectrum: lambda_1 <= "
             "%.17g" % (floor, top))
-    return SpectrumResult(values=vals, backend="fem-arpack",
-                          tol_zero=_ZERO_REL_TOL * abs(scale))
+    return SpectrumResult(values=vals, backend="fem-block",
+                          tol_zero=_ZERO_REL_TOL * abs(scale),
+                          solves=solves, residuals=residuals)
+
+
+def _block_lanczos(solve, mass, count: int):
+    """(theta, residuals, solves): the `count` largest eigenvalues theta of
+    S = (K - sigma M)^-1 M in descending order, their Lanczos residuals
+    and the number of block applications of S, from a block Lanczos run
+    (Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 1994) of
+    width `count`.  `solve` applies (K - sigma M)^-1 to an (n, b) block.
+
+    S is self-adjoint in the M inner product.  The Lanczos vectors are
+    kept M-orthonormal, one (b, n) array of rows per block.  Each step
+    applies S to the last block V_j, takes the result W out of every
+    earlier vector by two classical Gram-Schmidt passes (full
+    reorthogonalization), and orthonormalizes what is left row by row
+    into V_(j+1) = W B^-1.  T = V^T M S V is built one block column per
+    step: its diagonal block (M V_j)^T W, its subdiagonal block B.  The
+    residual of a Ritz pair (theta, y) of T is r = |B y_last|_2 =
+    |W y_last|_M, y_last the rows of y on the last block, which the Gram
+    matrix W^T M W gives before the new block is made.
+
+    The run stops when every wanted theta_i meets the Kato-Temple bound
+    r_i^2 <= eps |theta_i| (theta_i - theta_g), eps = `_KATO_TEMPLE_EPS`
+    and theta_g the largest Ritz value past the wanted ones whose
+    residual interval [theta - r, theta + r] does not meet theta_i's, so
+    that a cluster split by `count` is measured to the next value
+    outside it.  theta_i is then within eps of an eigenvalue, relatively,
+    if theta_g is at or below the next eigenvalue of S; residuals at
+    rounding level would take several more steps for no digits.
+
+    A row that keeps no more than `_RANK_TOL` of its M-norm through the
+    projections means that the Krylov space is invariant, as a cluster
+    of more copies than the block is wide makes it on a symmetric mesh.
+    Its remainder is dropped, and the block is completed with fresh
+    deterministic vectors cos(j i), j = count + 1, count + 2, and so on.
+    Once the basis holds all n vectors, T is exact.  Past `_BLOCK_STEPS`
+    blocks ConvergenceError is raised.
+    """
+    n = mass.shape[0]
+    rows = min(n, _BLOCK_STEPS * count)
+    tri = np.zeros((rows, rows))  # the lower triangle of T
+    freqs = itertools.count(1)
+    block = _cosines(freqs, count, n)
+    blocks = [_orthonormalize([], block, *_project([], block, mass), count,
+                              mass, freqs)[0]]
+    end = count
+    for solves in range(1, _BLOCK_STEPS + 1):
+        start = end - len(blocks[-1])
+        rhs = mass @ blocks[-1].T
+        block = np.ascontiguousarray(solve(rhs).T)
+        tri[start:end, start:end] = rhs.T @ block.T
+        norms, products = _project(blocks, block, mass)
+        theta, vecs = np.linalg.eigh(tri[:end, :end], UPLO="L")
+        theta, last = theta[::-1], vecs[start:end, ::-1]
+        resid = np.sqrt(np.maximum(np.einsum(
+            "ij,ik,kj->j", last, block @ products.T, last), 0.0))
+        if end == n or (end > count and _kato_temple(theta, resid, count)):
+            return theta[:count], resid[:count], solves
+        new, tri[end:end + count, start:end] = _orthonormalize(
+            blocks, block, norms, products, min(count, rows - end), mass,
+            freqs)
+        blocks.append(new)
+        end += len(new)
+    raise ConvergenceError("block Lanczos found no %d converged values in "
+                           "%d block solves" % (count, _BLOCK_STEPS))
+
+
+def _cosines(freqs, count: int, n: int) -> np.ndarray:
+    """(count, n) rows cos(j i), i = 0..n-1, for the next `count` j of
+    `freqs`: any n of them with distinct cos j are independent."""
+    return np.cos(np.outer([next(freqs) for _ in range(count)],
+                           np.arange(n, dtype=float)))
+
+
+def _project(blocks, block, mass):
+    """Take the rows of `block` out of the rows of every array in
+    `blocks`, in place, by two classical Gram-Schmidt passes in the M
+    inner product.
+
+    Returns the rows' M-norms before, and M times the rows after the
+    first pass, as rows.  Those products differ from M times the rows
+    returned by M times a combination of `blocks`, to which the rows and
+    every vector made from them are M-orthogonal, so they give those
+    inner products exactly, and no further M product is needed.
+    """
+    product = mass @ block.T
+    norms = np.sqrt(np.maximum(np.einsum("ij,ji->i", block, product), 0.0))
+    for sweep in range(2):
+        if sweep:
+            product = mass @ block.T
+        for basis in blocks:
+            block -= (basis @ product).T @ basis
+    return norms, np.ascontiguousarray(product.T)
+
+
+def _orthonormalize(blocks, block, norms, products, room: int, mass, freqs):
+    """(new, B): a (room, n) array of M-orthonormal rows spanning the rows
+    of `block`, which are already out of `blocks`, made by two classical
+    Gram-Schmidt passes per row, and the (room, b) coefficients B of the
+    block on them.  `norms` and `products` are `_project`'s for the
+    block; both arrays are overwritten.
+
+    A row that keeps no more than `_RANK_TOL` of its M-norm is dropped;
+    fresh vectors from `freqs`, taken out of `blocks` and the rows
+    before them, fill the rows left, with zero coefficients.
+    """
+    new = np.empty((room, block.shape[1]))
+    coupling = np.zeros((room, len(block)))
+    top = 0
+    for col, (row, product) in enumerate(zip(block, products)):
+        for _ in range(2):
+            step = new[:top] @ product
+            row -= step @ new[:top]
+            product -= step @ products[:top]
+            coupling[:top, col] += step
+        kept = math.sqrt(max(row @ product, 0.0))
+        if top < room and kept > _RANK_TOL * norms[col]:
+            new[top] = row / kept
+            products[top] = product / kept
+            coupling[top, col] = kept
+            top += 1
+    while top < room:
+        row = _cosines(freqs, 1, block.shape[1])
+        norm, product = _project([*blocks, new[:top]], row, mass)
+        kept = math.sqrt(max(float(row[0] @ product[0]), 0.0))
+        if kept > _RANK_TOL * norm[0]:
+            new[top] = row[0] / kept
+            top += 1
+    return new, coupling
+
+
+def _kato_temple(theta, resid, count: int) -> bool:
+    """Whether the first `count` of the descending Ritz values `theta`
+    meet r_i^2 <= eps |theta_i| (theta_i - theta_g), theta_g the largest
+    later value whose residual interval is apart from theta_i's."""
+    wanted, rest = theta[:count], theta[count:]
+    apart = (rest + resid[count:])[None, :] < (wanted - resid[:count])[:, None]
+    if not apart.any(axis=1).all():
+        return False
+    nearest = np.where(apart, rest[None, :], -np.inf).max(axis=1)
+    return bool(np.all(resid[:count] ** 2 <= _KATO_TEMPLE_EPS
+                       * np.abs(wanted) * (wanted - nearest)))
 
 
 def _shift_factor(stiffness, mass, sigma: float):

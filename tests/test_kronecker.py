@@ -53,13 +53,17 @@ def test_delta_vanishes_on_repeats_and_mismatch():
 
 @pytest.mark.parametrize("n,l", [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4)])
 def test_delta_equals_determinant_of_deltas(n, l):
-    """delta^I_J must equal det[delta_{i_a j_b}], checked exhaustively."""
-    for upper in itertools.product(range(n), repeat=l):
-        for lower in itertools.product(range(n), repeat=l):
-            mat = np.array([[1.0 if i == j else 0.0 for j in lower]
-                            for i in upper])
-            det = round(float(np.linalg.det(mat)))
-            assert gen_kronecker(upper, lower) == det
+    """delta^I_J must equal det[delta_{i_a j_b}], checked exhaustively:
+    the (N, l, l) matrices of every (upper, lower) pair in one batch."""
+    tuples = list(itertools.product(range(n), repeat=l))
+    index = np.array(tuples)
+    mats = index[:, None, :, None] == index[None, :, None, :]
+    dets = np.rint(np.linalg.det(mats.reshape(-1, l, l).astype(float)))
+    deltas = np.array([gen_kronecker(upper, lower)
+                       for upper in tuples for lower in tuples])
+    wrong = np.flatnonzero(deltas != dets)
+    assert wrong.size == 0, [(tuples[k // len(tuples)], tuples[k % len(tuples)])
+                             for k in wrong[:5]]
 
 
 @pytest.mark.parametrize("n,l", [(3, 1), (4, 2), (5, 2), (5, 3)])

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, strategies as st
 
-from reillylab import reports
+from reillylab import reports, spectra
 from reillylab.errors import (ArgumentError, ConvergenceError,
                               EllipticityError, TopologyError,
                               UnsupportedConfiguration)
@@ -364,7 +364,7 @@ class TestSphereSpectrum:
         geom = DiscreteGeometry(flat_torus(), torus_grid(47))
         K, M = assemble_forms(geom)
         res = solve_pencil(K, M, count=8)
-        assert res.backend == "fem-arpack"
+        assert res.backend == "fem-block"
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                                   subset_by_index=(0, 7))
         assert np.max(np.abs(res.values - dense)) < 1e-8 * max(1.0, dense[-1])
@@ -385,14 +385,14 @@ class TestSphereSpectrum:
         Kq, _ = assemble_forms(geom, potential=np.full(K.shape[0], -1000.0))
         plain = solve_pencil(K, M, count=4)
         shifted = solve_pencil(Kq, M, count=4, floor=-1000.0)
-        assert shifted.backend == "fem-arpack"
+        assert shifted.backend == "fem-block"
         assert abs(shifted.lambda2(has_potential=True)
                    - (plain.lambda2() - 1000.0)) < 1e-8
 
     def test_arpack_matches_dense_on_sphere(self):
         K, M = sphere_forms(4)
         res = solve_pencil(K, M, count=12)
-        assert res.backend == "fem-arpack"
+        assert res.backend == "fem-block"
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                                   subset_by_index=(0, 11))
         assert np.max(np.abs(res.values - dense)) < 1e-10
@@ -419,7 +419,7 @@ class TestSphereSpectrum:
         (K1, M1), (K2, M2) = sphere_forms(4), ellipsoid_forms(4)
         merged = solve_pencil(sp.block_diag([K1, K2]), sp.block_diag([M1, M2]),
                               count=12)
-        assert merged.backend == "fem-arpack"
+        assert merged.backend == "fem-block"
         apart = np.sort(np.concatenate([solve_pencil(K1, M1, count=12).values,
                                         solve_pencil(K2, M2, count=12).values]))
         assert np.max(np.abs(merged.values - apart[:12])) < 1e-10
@@ -434,13 +434,13 @@ class TestSphereSpectrum:
 
     def test_shift_does_not_depend_on_mesh_size(self, monkeypatch):
         seen = []
-        eigsh = scipy.sparse.linalg.eigsh
+        factor = spectra._shift_factor
 
-        def recording(*args, **kw):
-            seen.append(kw["sigma"])
-            return eigsh(*args, **kw)
+        def recording(stiffness, mass, sigma):
+            seen.append(sigma)
+            return factor(stiffness, mass, sigma)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        monkeypatch.setattr(spectra, "_shift_factor", recording)
         imm = sphere(2, 1.0, 1, 0.0)
         forms = {level: assemble_forms(DiscreteGeometry(imm, icosphere(level)))
                  for level in (4, 5)}
@@ -456,7 +456,7 @@ class TestSphereSpectrum:
         # at level 4 the shift lands between the triple 2 and the fivefold 6,
         # and four values from the 6 cluster come back, all above the floor
         K, M = sphere_forms(level)
-        assert solve_pencil(K, M).backend == "fem-arpack"
+        assert solve_pencil(K, M).backend == "fem-block"
         with pytest.raises(ConvergenceError, match="not a lower bound"):
             solve_pencil(K, M, floor=5.0)
 
@@ -494,7 +494,7 @@ class TestFourValues:
         floor = float(np.min(qvals)) if has_q else 0.0
         four = solve_pencil(K, M, floor=floor)
         twelve = solve_pencil(K, M, count=12, floor=floor)
-        assert four.backend == "fem-arpack" and len(four.values) == 4
+        assert four.backend == "fem-block" and len(four.values) == 4
         want = twelve.lambda2(has_potential=has_q)
         assert abs(four.lambda2(has_potential=has_q) - want) <= 1e-12 * abs(want)
 
@@ -535,7 +535,7 @@ class TestOneSolvePath:
                                              spec.potential)
         floor = 0.0 if qvals is None else float(np.min(qvals))
         res = solve_pencil(K, M, floor=floor)
-        assert res.backend == "fem-arpack"
+        assert res.backend == "fem-block"
         assert len(res.values) == min(4, K.shape[0] - 1)
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                                   subset_by_index=(0, len(res.values) - 1))
@@ -552,6 +552,79 @@ class TestOneSolvePath:
         K = path_graph(size).tocsr() if size else sp.csr_matrix((0, 0))
         with pytest.raises(ArgumentError):
             solve_pencil(K, sp.identity(size, format="csr"), count=count)
+
+
+class TestBlockLanczos:
+    """The block shift-invert Lanczos run: a cluster of up to its width
+    in one run, breakdown on invariant Krylov spaces, and its solve
+    count."""
+
+    def test_sphere_triple_comes_whole(self):
+        res = solve_pencil(*sphere_forms(4))
+        lam2 = res.lambda2()
+        assert np.ptp(res.values[1:4]) <= 1e-12 * lam2
+        assert res.multiplicity_of(lam2) == 3
+        # each copy carries a residual that met the stop rule
+        assert res.residuals.shape == (4,) and np.all(res.residuals <= 1e-7)
+
+    def test_fivefold_cluster_at_six(self):
+        res = solve_pencil(*sphere_forms(4), count=9)
+        five = res.values[4:9]
+        assert np.ptp(five) <= 1e-12 * five[0]
+        assert abs(five[0] - 6.0) < 0.03 * 6.0
+        assert res.multiplicity_of(five[0]) == 5
+        assert res.solves <= 12
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("count", [4, 12])
+    def test_doubled_pencil_matches_dense_eigh(self, level, count):
+        # two copies of one sphere pencil: every eigenvalue doubles, so a
+        # cluster can hold more copies than the block is wide, and at
+        # level 0 the Krylov space is invariant before it reaches n
+        K, M = sphere_forms(level)
+        K, M = sp.block_diag([K, K]).tocsr(), sp.block_diag([M, M]).tocsr()
+        res = solve_pencil(K, M, count=count)
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                                  subset_by_index=(0, count - 1))
+        err = np.abs(res.values - dense)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(dense))), err
+
+    @pytest.mark.parametrize("along", [1.0, 7.0])
+    def test_two_unknowns_match_dense_eigh(self, along):
+        # the start vector (1, cos 1) is an eigenvector, of value `along`:
+        # the first block spans an invariant space, and at 7 the lowest
+        # value 5 is reached only through a fresh vector
+        start = np.array([1.0, math.cos(1.0)])
+        turn = np.array([[start[0], -start[1]], [start[1], start[0]]])
+        turn /= np.linalg.norm(start)
+        K = sp.csr_matrix(turn @ np.diag([along, 5.0]) @ turn.T)
+        M = sp.identity(2, format="csr")
+        res = solve_pencil(K, M)
+        dense = scipy.linalg.eigh(K.toarray(), eigvals_only=True)
+        # a fresh vector completes the basis, and T is then exact
+        assert len(res.values) == 1 and res.solves == 2
+        assert abs(res.values[0] - dense[0]) <= 1e-12 * dense[0]
+
+    @pytest.mark.parametrize("imm,spec", [
+        (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
+        (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0)),
+        (ring_torus(), OperatorSpec()),
+        (hyperbolic_geodesic_sphere(1.0), OperatorSpec()),
+    ], ids=["sphere", "ellipsoid-newton0", "ring-torus", "hyperbolic-sphere"])
+    def test_few_block_solves(self, monkeypatch, imm, spec):
+        # ARPACK took 49 one-vector solves on the sphere at this level
+        blocks = []
+        solve = spectra._shift_solve
+
+        def counting(order, factor, rhs):
+            blocks.append(rhs.shape)
+            return solve(order, factor, rhs)
+
+        monkeypatch.setattr(spectra, "_shift_solve", counting)
+        _, K, M, _ = reports._mesh_forms(imm, spec, 4, None)
+        res = solve_pencil(K, M)
+        assert blocks == [(K.shape[0], 4)] * len(blocks)
+        assert res.solves == len(blocks) <= 12
 
 
 class TestOtherGeometries:

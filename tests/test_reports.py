@@ -110,7 +110,7 @@ class TestFemReports:
         assert abs(rep.equality["radius_estimate"] - 1.0) < 0.01
         assert rep.equality["trT_stddev"] < 1e-12
         assert rep.equality["Tminimal_residual"] < 1e-10
-        assert rep.backend == "fem-arpack"
+        assert rep.backend == "fem-block"
 
     def test_hyperbolic_sphere_equality(self):
         rep = fem_report(hyperbolic_geodesic_sphere(1.0), OperatorSpec(), level=3)
@@ -335,7 +335,7 @@ class TestSchrodinger:
         rep = schrodinger_report(sphere(2, 1.0, 1, 0.0),
                                  OperatorSpec(potential=lambda fr: -1000.0),
                                  level=4)
-        assert rep.backend == "fem-arpack"
+        assert rep.backend == "fem-block"
         assert rep.asserted and rep.passed
         assert rep.lambda2 == pytest.approx(-997.99711, abs=1e-5)
         assert rep.rhs == pytest.approx(-998.0, abs=1e-10)

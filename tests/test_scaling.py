@@ -37,7 +37,7 @@ def test_scaling_covariance(name, t):
     imm, label = CASES[name]
     base = unscaled_report(name)
     moved = fem_report(scaled(imm, t), operator_from_label(label), level=LEVEL)
-    assert moved.backend == base.backend == "fem-arpack"
+    assert moved.backend == base.backend == "fem-block"
     for key in ("lambda2", "rhs"):
         a, b = getattr(base, key) / t**2, getattr(moved, key)
         assert abs(a - b) <= 1e-10 * abs(a), (key, t)
