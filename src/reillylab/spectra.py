@@ -18,7 +18,9 @@ _ZERO_REL_TOL = 1e-8
 _MULT_REL_TOL = 1e-3
 _ND_LEAF = 64
 _ND_LANDMARKS = 4
-_BLOCK_STEPS = 15
+# a linear potential q = a z on the sphere takes 16 blocks at levels 2-5
+# and every a from 20 to 1000; the test suite's other pencils take at most 14
+_BLOCK_STEPS = 20
 _RANK_TOL = 1e-10
 # 1e-14 relative in theta: two digits inside the 1e-12 that the dense
 # reference tests hold; machine epsilon would take a block or two more on

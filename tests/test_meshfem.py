@@ -605,6 +605,18 @@ class TestBlockLanczos:
         assert len(res.values) == 1 and res.solves == 2
         assert abs(res.values[0] - dense[0]) <= 1e-12 * dense[0]
 
+    def test_linear_potential_matches_dense_eigh(self):
+        # q = 160 z squeezes the wanted values together after the shift:
+        # 16 blocks, past a cap of 15
+        spec = OperatorSpec(potential=lambda fr: 160.0 * fr.point[..., 2])
+        _, K, M, qvals = reports._mesh_forms(sphere(2, 1.0, 1, 0.0), spec, 3,
+                                             None, spec.potential)
+        res = solve_pencil(K, M, floor=float(np.min(qvals)))
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                                  subset_by_index=(0, 3))
+        err = np.abs(res.values - dense)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(dense))), err
+
     @pytest.mark.parametrize("imm,spec", [
         (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
         (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0)),
