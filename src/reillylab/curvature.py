@@ -102,17 +102,6 @@ def curvature_from_tensor(R4: np.ndarray, c: float = 0.0) -> CurvatureData:
     return CurvatureData(R4=R4, Ric=Ric, scalar=float(np.trace(Ric)), c=float(c))
 
 
-def random_curvature(n: int, rng, c: float = 0.0) -> CurvatureData:
-    """Random tensor with curvature symmetries (pair antisymmetry and pair
-    swap), for exercising the purely combinatorial Lovelock identities."""
-    A = rng.standard_normal((n, n, n, n))
-    A = A - np.transpose(A, (1, 0, 2, 3))
-    A = A - np.transpose(A, (0, 1, 3, 2))
-    A = A + np.transpose(A, (2, 3, 0, 1))
-    A /= max(1.0, np.linalg.norm(A))
-    return curvature_from_tensor(A, c=c)
-
-
 def _r_groups(l: int, pairs: int):
     """Offset groups of the first `pairs` curvature factors of an l-slot
     sum: factor s is R4[I[2s], I[2s+1], J[2s], J[2s+1]]."""
@@ -204,11 +193,3 @@ def contraction_lhs(h, k: int) -> np.ndarray:
     if not isinstance(h, SecondFundamentalForm):
         h = SecondFundamentalForm(np.asarray(h, dtype=float))
     return newton_contraction(newton_kronecker(h, 2 * k - 1), h)
-
-
-def contraction_residual(h, c: float, k: int) -> float:
-    """Max-abs residual between the two sides of the contraction identity."""
-    if not isinstance(h, SecondFundamentalForm):
-        h = SecondFundamentalForm(np.asarray(h, dtype=float))
-    curv = gauss_curvature(h, c)
-    return float(np.max(np.abs(contraction_lhs(h, k) - contraction_rhs(curv, k))))

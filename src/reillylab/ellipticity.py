@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateNormalError, EllipticityError
-from .secondform import SecondFundamentalForm, form_array, rowdot
+from .secondform import form_array, rowdot
 
 
 @dataclass(frozen=True)
@@ -143,21 +143,6 @@ def tilted_sum_minimum_sampled(a: float, b: float, samples: int = 200000,
     res = minimize(chart, np.zeros(2), method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
     return float(min(f[i0], res.fun))
-
-
-def convex_slack(h, r: int):
-    """For a hypersurface Newton family: the tensor S_r I - T_r, which is
-    positive semidefinite whenever the principal curvatures are positive.
-    Returned together with its minimum eigenvalue."""
-    from .newton import newton_chain
-
-    if not isinstance(h, SecondFundamentalForm):
-        h = SecondFundamentalForm(np.asarray(h, dtype=float))
-    if h.p != 1:
-        raise ArgumentError("convexity slack applies to hypersurfaces only")
-    tensors, scalars, _ = newton_chain(h, r)
-    slack = scalars[r] * np.eye(h.n) - tensors[r].data
-    return slack, float(np.min(np.linalg.eigvalsh(slack)))
 
 
 def require_positive(eigmin: float, label: str, tol: float = 1e-10):

@@ -6,12 +6,15 @@ whole-mesh arrays.  The weight tensor T is evaluated at element centroids in
 the orthonormal surface frame and rotated into the element's local flat
 coordinates; the centroid frames come from one batched frame_at call, made
 only for a tensor field, and the field is evaluated once on that batch.
-The potential q is interpolated from vertex values.
+The potential q is interpolated from vertex values.  Element forms are
+batched 2x2 and 3x3 matrix products, with closed-form 2x2 polar factors
+and eigenvalues.
 """
 
 import numpy as np
 
 from .errors import EllipticityError, TopologyError, UnsupportedConfiguration
+from .immersion import _dot
 
 _MASS_LOCAL = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
 
@@ -23,6 +26,16 @@ _QUAD_BARY = np.array([[2.0 / 3, 1.0 / 6, 1.0 / 6],
 _ELLIPTIC_REL_TOL = 1e-10
 
 
+def _orthogonal_polar(a):
+    """Orthogonal polar factors of 2x2 matrices a (F, 2, 2) in closed form,
+    (a + sgn(det a) cof a) / sqrt(|a|_F^2 + 2 |det a|): u @ vt of the SVD."""
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    cof = np.stack([a[:, 1, ::-1], a[:, 0, ::-1]], axis=1) * [[1, -1], [-1, 1]]
+    sign = np.where(det < 0.0, -1.0, 1.0)[:, None, None]
+    norm = np.sqrt(np.sum(a * a, axis=(1, 2)) + 2.0 * np.abs(det))
+    return (a + sign * cof) / norm[:, None, None]
+
+
 def element_metric(positions, triangles, metric_diag):
     """Per triangle of `triangles` over the vertex `positions` (V, C):
     the edges e1, e2 (F, C) from corner 0 to corners 1 and 2, their
@@ -32,9 +45,9 @@ def element_metric(positions, triangles, metric_diag):
     definite."""
     e1 = positions[triangles[:, 1]] - positions[triangles[:, 0]]
     e2 = positions[triangles[:, 2]] - positions[triangles[:, 0]]
-    g11 = np.sum(e1 * e1 * metric_diag, axis=1)
-    g12 = np.sum(e1 * e2 * metric_diag, axis=1)
-    g22 = np.sum(e2 * e2 * metric_diag, axis=1)
+    g11 = _dot(e1.T, e1.T, metric_diag)
+    g12 = _dot(e1.T, e2.T, metric_diag)
+    g22 = _dot(e2.T, e2.T, metric_diag)
     det = g11 * g22 - g12 * g12
     bad = np.flatnonzero((g11 <= 0.0) | (det <= 0.0))
     if bad.size:
@@ -95,6 +108,9 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     element.  potential: the values (V,) of q at the vertices, added to K
     through the quadratic form integral of q f g.  Raises EllipticityError
     at the first element whose weight matrix is not positive definite.
+    The tensor reaches each element's local axes by the orthogonal polar
+    factor of the map from the centroid frame, a reflection where that map
+    reverses orientation (on the projective plane's quotient meshes).
     """
     import scipy.sparse as sp  # here, so that importing reillylab skips scipy
 
@@ -117,14 +133,17 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
         centroids = imm.domain.centroid(corners)
         frames = imm.frame_at(centroids)
         # orthogonal maps from centroid-frame components to local coordinates
-        raw = np.einsum("fan,fin,n->fai", geom._local_axes, frames.tangent,
-                        imm.ambient.metric_diag)
-        u, _, vt = np.linalg.svd(raw)
-        rot = u @ vt
+        raw = geom._local_axes @ np.swapaxes(
+            frames.tangent * imm.ambient.metric_diag, 1, 2)
+        rot = _orthogonal_polar(raw)
         tmats = np.broadcast_to(np.asarray(tensor_field(frames), dtype=float),
                                 frames.metric.shape)
         t_local = rot @ tmats @ np.swapaxes(rot, 1, 2)
-        eig = np.linalg.eigvalsh(t_local)
+        # ascending eigenvalues, from the lower triangle as eigvalsh reads it
+        mean = 0.5 * (t_local[:, 0, 0] + t_local[:, 1, 1])
+        radius = np.hypot(0.5 * (t_local[:, 0, 0] - t_local[:, 1, 1]),
+                          t_local[:, 1, 0])
+        eig = np.stack([mean - radius, mean + radius], axis=1)
         scale = np.maximum.accumulate(np.abs(eig[:, -1]))
         bad = np.flatnonzero(eig[:, 0] <= _ELLIPTIC_REL_TOL * scale)
         if bad.size:
@@ -133,15 +152,18 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
                 "weight tensor not positive definite at element %d "
                 "(domain point %s): eigenvalues %s"
                 % (f, np.array_str(centroids[f], precision=6), eig[f]))
-    k_loc = np.einsum("f,fai,fab,fbj->fij", geom.areas, geom.grads,
-                      t_local, geom.grads)
-    m_loc = np.einsum("f,ij->fij", geom.areas, _MASS_LOCAL)
+    # the area scales the gradients first: as area * (grads^T T grads),
+    # the zero eigenvalue of the level-3 flat torus rounds 2e-12 from 0
+    k_loc = np.swapaxes(geom.grads, 1, 2) @ (
+        t_local @ (geom.areas[:, None, None] * geom.grads))
+    m_loc = geom.areas[:, None, None] * _MASS_LOCAL
     if potential is not None:
         qv = np.asarray(potential, dtype=float)[tri]  # (F, 3)
         qpt = qv @ _QUAD_BARY.T  # value at each quadrature point
-        phi = _QUAD_BARY  # hat function values at quadrature points
-        q_loc = np.einsum("f,fq,qi,qj->fij", geom.areas / 3.0, qpt, phi, phi)
-        k_loc = k_loc + q_loc
+        # sum over quadrature points of q phi_i phi_j, phi the hat values
+        q_loc = qpt @ (_QUAD_BARY[:, :, None] * _QUAD_BARY[:, None, :]).reshape(3, 9)
+        q_loc = q_loc.reshape(nf, 3, 3)
+        k_loc = k_loc + (geom.areas / 3.0)[:, None, None] * q_loc
 
     rows = np.repeat(tri, 3, axis=1).reshape(nf, 3, 3)
     cols = np.stack([tri] * 3, axis=1)

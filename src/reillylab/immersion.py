@@ -1,7 +1,7 @@
 """Parametric immersions into space forms with orthonormal frames.
 
-A ParametricImmersion couples a parameter domain (products of unit spheres
-or a flat patch) with an ambient-valued map and a target space form.  The
+A ParametricImmersion couples a parameter domain (a product of unit
+spheres) with an ambient-valued map and a target space form.  The
 frame machinery produces, at domain points, an orthonormal tangent and
 normal frame together with the second fundamental form expressed in that
 frame, which is the raw material for every curvature and eigenvalue
@@ -9,12 +9,16 @@ computation downstream.
 
 frame_at takes one point (embed_dim,) or a batch (K, embed_dim) and returns
 a FrameBatch of arrays, with no leading axis for one point; one point is
-the one-row case of the same pass.  Gram-Schmidt over a batch is masked:
-every candidate vector is projected against every slot of the basis being
-built, slots not yet filled hold zeros (so projecting against them changes
-nothing), and a row takes the candidate only while it still needs vectors
-and the candidate's norm passes the threshold.  Each row so gets the bits
-of the one-point loop, whatever the batch around it.
+the one-row case of the same pass.  The pass works on coordinate-major
+arrays (..., K): short loops over n, p and the ambient coordinates of
+elementwise products over all points, plus one matrix product per chart
+direction with a PolynomialMap's constant hessian, so each row gets the
+bits of its one-point call whatever the batch.  Tangents and coeff = L^-1
+(g = L L^T) come from a Gram-Schmidt recurrence over the chart
+derivatives.  Normals and sphere-chart tangents come from masked
+Gram-Schmidt: a candidate is projected against the basis slots that can
+be filled (unfilled ones hold zeros), and a row takes it only while it
+still needs vectors and the candidate's norm passes the threshold.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ImmersionError, ShapeError
-from .secondform import rowdot, symmetrized
+from .secondform import symmetrized
 
 _EPS = np.finfo(float).eps
 _FD_FIRST = _EPS ** 0.5
@@ -69,7 +73,8 @@ class AmbientSpace:
 
     def inner(self, u, v) -> float:
         """Ambient inner product (Lorentz-aware); broadcasts over leading axes."""
-        return np.sum(np.asarray(u) * np.asarray(v) * self.metric_diag, axis=-1)
+        return _dot(np.moveaxis(np.asarray(u), -1, 0),
+                    np.moveaxis(np.asarray(v), -1, 0), self.metric_diag)
 
     def constraint_residual(self, x):
         """Deviation of x (..., coords) from the model constraint (0 for
@@ -193,28 +198,41 @@ class SphereProduct(ParamDomain):
         return mean
 
 
-class FlatPatch(ParamDomain):
-    """Open patch of R^dim with the identity chart."""
+def _dot(u, v, weights) -> np.ndarray:
+    """Sum over the first axis of u * v * weights, left to right as np.sum
+    adds: dot products of coordinate-major vectors (C, ...), far cheaper
+    per row than a reduction over a short last axis."""
+    total = u[0] * v[0] * weights[0]
+    for i in range(1, len(weights)):
+        total = total + u[i] * v[i] * weights[i]
+    return total
 
-    def __init__(self, dim: int, halfwidth: float = 0.8):
-        if dim < 1:
-            raise ArgumentError("patch dimension must be positive")
-        self.dim = int(dim)
-        self.embed_dim = self.dim
-        self.halfwidth = float(halfwidth)
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-self.halfwidth, self.halfwidth, size=self.dim)
+def _point_major(a) -> np.ndarray:
+    """A coordinate-major array (..., K) as a contiguous (K, ...)."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
-    def chart(self, w: np.ndarray) -> np.ndarray:
-        lead = np.shape(w)[:-1]
-        return np.broadcast_to(np.eye(self.dim), lead + (self.dim, self.dim)).copy()
 
-    def chart_point(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(w, dtype=float) + np.asarray(u, dtype=float)
+def _coord_major(a) -> np.ndarray:
+    """A point-major array (K, ...) as a contiguous (..., K)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
-    def chart_second(self, w: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(w)[:-1] + (self.dim, self.dim, self.dim))
+
+def _take_candidate(v, k, basis, found, weights, tol) -> None:
+    """Step k of a masked Gram-Schmidt: the candidate v (C, K) is made
+    orthogonal to the slots of basis (m, C, K) that can be filled, then
+    stored, unit, in slot found of each row still short of vectors whose
+    squared norm passes tol; basis and found are updated in place."""
+    slots = basis.shape[0]
+    for s in range(min(k, slots)):
+        v = v - _dot(v, basis[s], weights) * basis[s]
+    norm2 = _dot(v, v, weights)
+    take = (found < slots) & (norm2 > tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = v / np.sqrt(norm2)
+    for s in range(min(k + 1, slots)):
+        basis[s] = np.where(take & (found == s), unit, basis[s])
+    found += take
 
 
 def _sphere_tangents(w: np.ndarray) -> np.ndarray:
@@ -222,26 +240,18 @@ def _sphere_tangents(w: np.ndarray) -> np.ndarray:
     the points w (..., d + 1): masked Gram-Schmidt on the coordinate axes
     in ascending order, each made orthogonal to w first."""
     size = w.shape[-1]
-    flat = w.reshape(-1, size)
-    count = flat.shape[0]
-    basis = np.zeros((count, size - 1, size))
-    found = np.zeros(count, dtype=int)
+    at = np.ascontiguousarray(w.reshape(-1, size).T)
+    basis = np.zeros((size - 1,) + at.shape)
+    found = np.zeros(at.shape[1], dtype=int)
     for k in range(size):
-        v = np.zeros((count, size))
-        v[:, k] = 1.0
-        v = v - rowdot(v, flat)[:, None] * flat
-        for slot in range(size - 1):
-            b = basis[:, slot]
-            v = v - rowdot(v, b)[:, None] * b
-        norm = np.sqrt(rowdot(v, v))
-        rows = np.flatnonzero((found < size - 1) & (norm > 1e-7))
-        basis[rows, found[rows]] = v[rows] / norm[rows, None]
-        found[rows] += 1
         if np.all(found == size - 1):
             break
+        v = -at[k] * at
+        v[k] += 1.0
+        _take_candidate(v, k, basis, found, np.ones(size), 1e-14)
     if np.any(found != size - 1):
         raise ImmersionError("failed to span the sphere tangent plane")
-    return basis.reshape(w.shape[:-1] + (size - 1, size))
+    return _point_major(basis).reshape(w.shape[:-1] + (size - 1, size))
 
 
 class AmbientMap:
@@ -281,15 +291,18 @@ class PolynomialMap(AmbientMap):
             raise ShapeError("a2 must have shape (out, in, in)")
         self.a2 = 0.5 * (a2 + np.swapaxes(a2, 1, 2))
 
+    def _a2_w(self, w: np.ndarray) -> np.ndarray:
+        """a2[c, i, j] w_j as (..., out, in): one product over all points."""
+        return (w @ self.a2.reshape(-1, w.shape[-1]).T).reshape(
+            w.shape[:-1] + self.a1.shape)
+
     def value(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        # per-row matrix-vector products, bitwise equal to a1 @ w
         return (self.a0 + (self.a1 @ w[..., None])[..., 0]
-                + np.einsum("nij,...i,...j->...n", self.a2, w, w))
+                + (self._a2_w(w) @ w[..., None])[..., 0])
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
-        return self.a1 + 2.0 * np.einsum("nij,...j->...ni", self.a2,
-                                         np.asarray(w, dtype=float))
+        return self.a1 + 2.0 * self._a2_w(np.asarray(w, dtype=float))
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * self.a2
@@ -426,14 +439,26 @@ class ParametricImmersion:
         hess = self.mapping.hessian(w)
         n = self.domain.dim
         if jac is not None and hess is not None:
-            tau = self.domain.chart(w)
-            sec = self.domain.chart_second(w)
-            jac = np.asarray(jac, dtype=float)
-            hess = np.asarray(hess, dtype=float)
-            d1 = tau @ np.swapaxes(jac, -1, -2)
-            d2 = (np.einsum("...nde,...ad,...be->...abn", hess, tau, tau)
-                  + np.einsum("...abd,...nd->...abn", sec, jac))
-            return x, d1, d2
+            size = w.shape[-1]
+            coords = x.shape[-1]
+            lead = w.shape[:-1]
+            tau = _coord_major(self.domain.chart(w).reshape(-1, n, size))
+            sec = _coord_major(self.domain.chart_second(w).reshape(-1, n, n, size))
+            jac = _coord_major(np.asarray(jac, dtype=float).reshape(-1, coords, size))
+            # constant (C, e, e): only a PolynomialMap comes here with a batch;
+            # hess(tau_a, e_f) as (C, e, K), one product over all points per a
+            hess = np.asarray(hess, dtype=float).transpose(0, 2, 1).reshape(-1, size)
+            half = np.stack([(hess @ tau[a]).reshape(coords, size, -1)
+                             for a in range(n)])
+            d1 = np.zeros((n, coords) + tau.shape[-1:])
+            d2 = np.zeros((n, n, coords) + tau.shape[-1:])
+            for i in range(size):
+                d1 += tau[:, None, i] * jac[None, :, i]
+                d2 += half[:, None, :, i] * tau[None, :, None, i]
+                d2 += sec[:, :, None, i] * jac[None, None, :, i]
+            # point-major views; _frames takes their coordinate-major base
+            return (x, np.moveaxis(d1, -1, 0).reshape(lead + (n, coords)),
+                    np.moveaxis(d2, -1, 0).reshape(lead + (n, n, coords)))
 
         def chart_value(u):
             return self.position(self.domain.chart_point(w, u))
@@ -483,7 +508,10 @@ class ParametricImmersion:
 
     def _frames(self, x, d1, d2) -> FrameBatch:
         """Batched orthonormalization of jets x (K, C), d1 (K, n, C) and
-        d2 (K, n, n, C)."""
+        d2 (K, n, n, C).  A row's chart is singular when lambda_min(g) <=
+        1e-10 max(1, lambda_max(g)); the Gram-Schmidt pivots bound
+        lambda_min from below, and only rows that bound leaves in doubt
+        get eigvalsh."""
         space = self.ambient
         if x.shape[-1] != space.coords:
             raise ShapeError("map output does not match the ambient coordinates")
@@ -495,65 +523,77 @@ class ParametricImmersion:
                 % resid[bad[0]])
         diag = space.metric_diag
         count, n, coords = d1.shape
-        g = np.sum(d1[:, :, None, :] * d1[:, None, :, :] * diag, axis=-1)
-        eigs = np.linalg.eigvalsh(g)
+        p = self.p
+        xc = _coord_major(x)
+        d1c = _coord_major(d1)
+        d2c = _coord_major(d2)
+        g = np.empty((n, n, count))
+        for a in range(n):
+            for b in range(a, n):
+                g[a, b] = g[b, a] = _dot(d1c[a], d1c[b], diag)
+
+        # Gram-Schmidt on the chart derivatives in parameter order; coeff
+        # (lower triangular) is L^-1 for g = L L^T, so tangent = coeff d1,
+        # and the pivots are the squared diagonal of L
+        tangent = np.empty((n, coords, count))
+        coeff = np.zeros((n, n, count))
+        pivot = np.empty((n, count))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in range(n):
+                v = d1c[a]
+                row = np.zeros((n, count))
+                row[a] = 1.0
+                for b in range(a):
+                    dot = _dot(v, tangent[b], diag)
+                    v = v - dot * tangent[b]
+                    row = row - dot * coeff[b]
+                pivot[a] = _dot(v, v, diag)
+                norm = np.sqrt(pivot[a])
+                tangent[a] = v / norm
+                coeff[a] = row / norm
+        # lambda_min(g) >= det g / tr(g)^(n-1) once every pivot is positive;
+        # only the rows this bound does not clear get their eigenvalues
+        trace = sum(g[a, a] for a in range(n))
+        doubt = ~(np.all(pivot > 0.0, axis=0) & (np.prod(pivot, axis=0) > 2.0
+                  * _RANK_TOL * np.maximum(1.0, trace) * trace ** (n - 1)))
+        eigs = np.linalg.eigvalsh(_point_major(g[..., doubt]))
         if np.any(eigs[:, 0] <= _RANK_TOL * np.maximum(1.0, eigs[:, -1])):
             raise ImmersionError("singular chart: induced metric is rank deficient")
-        lower = np.linalg.cholesky(g)
-        coeff = np.linalg.solve(lower, np.broadcast_to(np.eye(n), g.shape))
-        tangent = coeff @ d1
 
-        p = self.p
-        normal = np.zeros((count, p, coords))
+        # normals: masked Gram-Schmidt on the coordinate axes in ascending
+        # order, each without its radial and tangent parts first
+        normal = np.zeros((p, coords, count))
         found = np.zeros(count, dtype=int)
         for k in range(coords):
-            v = np.zeros((count, coords))
-            v[:, k] = 1.0
-            v = space.project_radial_out(x, v)
-            for t in range(n):
-                v = v - space.inner(v, tangent[:, t])[:, None] * tangent[:, t]
-            for m in range(p):
-                v = v - space.inner(v, normal[:, m])[:, None] * normal[:, m]
-            norm2 = space.inner(v, v)
-            rows = np.flatnonzero((found < p) & (norm2 > 1e-10))
-            normal[rows, found[rows]] = v[rows] / np.sqrt(norm2[rows])[:, None]
-            found[rows] += 1
             if np.all(found == p):
                 break
+            v = np.zeros((coords, count))
+            v[k] = 1.0
+            if space.c != 0.0:
+                v = v - space.c * _dot(v, xc, diag) * xc
+            for t in range(n):
+                v = v - _dot(v, tangent[t], diag) * tangent[t]
+            _take_candidate(v, k, normal, found, diag, 1e-10)
         if np.any(found != p):
             raise ImmersionError("failed to complete the normal frame")
 
-        proj = np.einsum("kabn,kcn,n->kcab", d2, normal, diag)
-        hmat = np.einsum("kia,kjb,kcab->kcij", coeff, coeff, proj)
-        flip = np.trace(hmat, axis1=-2, axis2=-1) < -1e-9
-        hmat = np.where(flip[..., None, None], -hmat, hmat)
-        normal = np.where(flip[..., None], -normal, normal)
-        return FrameBatch(point=x, metric=g, tangent=tangent, normal=normal,
-                          h=symmetrized(hmat), coeff=coeff)
-
-    def structure_residual(self, w) -> float:
-        """Deviation of the chart second derivatives from their tangential
-        + normal + curvature-term decomposition.
-
-        After removing tangential and normal projections of each second
-        derivative, the remainder must be -c g_ab x; the returned value is
-        the largest coordinate norm of what is left over.
-        """
-        space = self.ambient
-        frame = self.frame_at(w)
-        x, d1, d2 = self.jets(w)
-        worst = 0.0
-        n = self.domain.dim
-        for a in range(n):
-            for b in range(n):
-                v = d2[a, b].copy()
-                for t in frame.tangent:
-                    v = v - space.inner(v, t) * t
-                for m in frame.normal:
-                    v = v - space.inner(v, m) * m
-                v = v + space.c * frame.metric[a, b] * x
-                worst = max(worst, float(np.linalg.norm(v)))
-        return worst
+        # h^c = coeff <d2, nu_c> coeff^T, coeff lower triangular
+        hmat = np.empty((p, n, n, count))
+        for c in range(p):
+            proj = [[_dot(d2c[a, b], normal[c], diag) for b in range(n)]
+                    for a in range(n)]
+            half = [[sum(coeff[i, a] * proj[a][b] for a in range(i + 1))
+                     for b in range(n)] for i in range(n)]
+            for i, j in np.ndindex(n, n):
+                hmat[c, i, j] = sum(half[i][b] * coeff[j, b] for b in range(j + 1))
+        flip = sum(hmat[:, i, i] for i in range(n)) < -1e-9
+        hmat = np.where(flip[:, None, None], -hmat, hmat)
+        normal = np.where(flip[:, None], -normal, normal)
+        return FrameBatch(point=x, metric=_point_major(g),
+                          tangent=_point_major(tangent),
+                          normal=_point_major(normal),
+                          h=symmetrized(_point_major(hmat)),
+                          coeff=_point_major(coeff))
 
     def sample_points(self, count: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedConfiguration
 from .kronecker import scatter_sum, term_offsets
-from .secondform import MeanCurvatureProfile, SecondFundamentalForm, form_array
+from .secondform import SecondFundamentalForm, form_array
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,3 @@ def weighted_mean_curvature(T, h) -> np.ndarray:
     if T.shape[-2:] != h.shape[-2:]:
         raise ShapeError("weight tensor must be n x n")
     return np.einsum("...xij,...ij->...x", h, T)
-
-
-def mean_profile(h) -> MeanCurvatureProfile:
-    """All curvature scalars/vectors S_r, mean curvatures and the squared
-    norm split relative to the principal normal direction."""
-    sff = h if isinstance(h, SecondFundamentalForm) else SecondFundamentalForm(h)
-    n = sff.n
-    _, scalars, vectors = newton_chain(sff, n)
-    hvec = sff.mean_vector()
-    hlen = float(np.linalg.norm(hvec))
-    norm2 = sff.norm2()
-    tau2 = None
-    if hlen > 1e-14:
-        principal = np.einsum("x,xij->ij", hvec / hlen, sff.h)
-        tau2 = norm2 - float(np.sum(principal * principal))
-    return MeanCurvatureProfile(n=n, p=sff.p, scalars=scalars, vectors=vectors,
-                                hvec=hvec, hlen=hlen, norm2=norm2, tau2=tau2)

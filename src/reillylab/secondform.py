@@ -1,9 +1,8 @@
-"""Pointwise second fundamental form data and mean curvature profiles."""
+"""Pointwise second fundamental form data."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +24,20 @@ def symmetrized(h) -> np.ndarray:
     if h.shape[-1] < 2:
         raise ShapeError("need intrinsic dimension n >= 2")
     ht = np.swapaxes(h, -1, -2)
-    axes = (-3, -2, -1)
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=axes))
-    if np.any(np.max(np.abs(h - ht), axis=axes) > _SYM_TOL * scale):
+    scale = np.maximum(1.0, _form_max(np.abs(h)))
+    if np.any(_form_max(np.abs(h - ht)) > _SYM_TOL * scale):
         raise ShapeError("each h[alpha] must be symmetric")
     return 0.5 * (h + ht)
+
+
+def _form_max(a) -> np.ndarray:
+    """Largest entry of each set of forms a (..., p, n, n), entry by entry
+    (a reduction over short trailing axes costs far more per row)."""
+    flat = a.reshape(a.shape[:-3] + (-1,))
+    top = flat[..., 0]
+    for i in range(1, flat.shape[-1]):
+        top = np.maximum(top, flat[..., i])
+    return top
 
 
 def form_array(h) -> np.ndarray:
@@ -83,24 +91,3 @@ class SecondFundamentalForm:
     def norm2(self) -> float:
         """Squared length of the full form, sum over all components."""
         return float(np.sum(self.h * self.h))
-
-@dataclass(frozen=True)
-class MeanCurvatureProfile:
-    """Symmetric-function data of a second fundamental form.
-
-    scalars[r] holds S_r for even r (and for every r when p = 1, the
-    hypersurface scalar convention).  vectors[r] holds the normal components
-    of the vector-valued S_r for odd r.  means[r] = S_r / C(n, r).
-    """
-
-    n: int
-    p: int
-    scalars: dict = field(default_factory=dict)
-    vectors: dict = field(default_factory=dict)
-    hvec: np.ndarray = None
-    hlen: float = 0.0
-    norm2: float = 0.0
-    tau2: float = None
-
-    def mean(self, r: int) -> float:
-        return self.scalars[r] / math.comb(self.n, r)

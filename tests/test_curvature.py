@@ -7,16 +7,34 @@ import math
 import numpy as np
 import pytest
 
-from reillylab.curvature import (contraction_residual, contraction_lhs,
-                                 contraction_rhs, curvature_from_tensor,
-                                 gauss_curvature, lovelock_einstein,
-                                 lovelock_p4, lovelock_scalar,
-                                 random_curvature)
+from reillylab.curvature import (contraction_lhs, contraction_rhs,
+                                 curvature_from_tensor, gauss_curvature,
+                                 lovelock_einstein, lovelock_p4,
+                                 lovelock_scalar)
 from reillylab import curvature, newton
 from reillylab.newton import newton_kronecker
 from reillylab.secondform import SecondFundamentalForm
 
 from orbit_terms import orbit_terms
+
+
+def random_curvature(n: int, rng, c: float = 0.0):
+    """Random tensor with curvature symmetries (pair antisymmetry and pair
+    swap), for exercising the purely combinatorial Lovelock identities."""
+    A = rng.standard_normal((n, n, n, n))
+    A = A - np.transpose(A, (1, 0, 2, 3))
+    A = A - np.transpose(A, (0, 1, 3, 2))
+    A = A + np.transpose(A, (2, 3, 0, 1))
+    A /= max(1.0, np.linalg.norm(A))
+    return curvature_from_tensor(A, c=c)
+
+
+def contraction_residual(h, c: float, k: int) -> float:
+    """Max-abs residual between the two sides of the contraction identity."""
+    if not isinstance(h, SecondFundamentalForm):
+        h = SecondFundamentalForm(np.asarray(h, dtype=float))
+    curv = gauss_curvature(h, c)
+    return float(np.max(np.abs(contraction_lhs(h, k) - contraction_rhs(curv, k))))
 
 
 def random_form(n, p, seed):

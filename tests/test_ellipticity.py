@@ -6,12 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from reillylab.ellipticity import (convex_slack, mean_curvature_tensor,
-                                   require_positive, tilted_sum_minimum,
+from reillylab.ellipticity import (mean_curvature_tensor, require_positive,
+                                   tilted_sum_minimum,
                                    tilted_sum_minimum_sampled)
 from reillylab.errors import (ArgumentError, DegenerateNormalError,
                               EllipticityError)
+from reillylab.newton import newton_chain
 from reillylab.secondform import SecondFundamentalForm
+
+
+def convex_slack(h: SecondFundamentalForm, r: int):
+    """For a hypersurface Newton family: the tensor S_r I - T_r, which is
+    positive semidefinite whenever the principal curvatures are positive,
+    and its minimum eigenvalue."""
+    tensors, scalars, _ = newton_chain(h, r)
+    slack = scalars[r] * np.eye(h.n) - tensors[r].data
+    return slack, float(np.min(np.linalg.eigvalsh(slack)))
 
 
 def test_umbilic_weight_tensor():

@@ -12,11 +12,39 @@ from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus, gallery,
                                hyperbolic_geodesic_sphere, list_gallery,
                                product_spheres, ring_torus, sphere,
                                veronese_rp2)
-from reillylab.immersion import (AmbientSpace, CallableMap, FlatPatch,
-                                 FrameBatch, ParametricImmersion, PolynomialMap,
-                                 SphereProduct,
+from reillylab.immersion import (AmbientSpace, CallableMap, FrameBatch,
+                                 ParamDomain, ParametricImmersion,
+                                 PolynomialMap, SphereProduct,
                                  pushforward_under_map)
+from reillylab.mesh import icosphere, torus_grid
 from reillylab.newton import newton_kronecker
+
+from frame_oracle import structure_residual
+
+
+class FlatPatch(ParamDomain):
+    """Open patch of R^dim with the identity chart: a domain besides the
+    sphere products, with no chart curvature."""
+
+    def __init__(self, dim: int, halfwidth: float = 0.8):
+        if dim < 1:
+            raise ArgumentError("patch dimension must be positive")
+        self.dim = int(dim)
+        self.embed_dim = self.dim
+        self.halfwidth = float(halfwidth)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-self.halfwidth, self.halfwidth, size=self.dim)
+
+    def chart(self, w: np.ndarray) -> np.ndarray:
+        lead = np.shape(w)[:-1]
+        return np.broadcast_to(np.eye(self.dim), lead + (self.dim, self.dim)).copy()
+
+    def chart_point(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.asarray(w, dtype=float) + np.asarray(u, dtype=float)
+
+    def chart_second(self, w: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(w)[:-1] + (self.dim, self.dim, self.dim))
 
 
 def frame_cases():
@@ -117,7 +145,7 @@ class TestFrames:
     def test_structure_decomposition(self, imm):
         rng = np.random.default_rng(11)
         for _ in range(2):
-            res = imm.structure_residual(imm.domain.random_point(rng))
+            res = structure_residual(imm, imm.domain.random_point(rng))
             assert res < 1e-10
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
@@ -474,6 +502,44 @@ class TestFrameBatch:
         sub = imm.frame_at(points[3:9])
         for name in ("point", "metric", "tangent", "normal", "h", "coeff"):
             assert np.array_equal(getattr(sub, name), getattr(batch, name)[3:9])
+
+    @pytest.mark.parametrize("case", ["ellipsoid-vertices", "ellipsoid-centroids",
+                                      "hyperbolic-vertices", "ring-torus-vertices"])
+    def test_rows_equal_one_point_calls_at_scale(self, case):
+        # products whose blocking could follow the batch size: rows of a
+        # level-5 mesh point set against one-point calls and a sub-batch
+        mesh = icosphere(5)
+        if case.startswith("ring"):
+            # a quadratic map: its constant hessian enters a product
+            imm = ring_torus(1.0, 0.4)
+            mesh = torus_grid(96)
+        elif case.startswith("ellipsoid"):
+            base = ellipsoid((1.0, 1.0, 1.3))
+            q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+            m = base.mapping
+            imm = ParametricImmersion(
+                domain=base.domain, ambient=base.ambient, name="rotated",
+                mapping=PolynomialMap(q @ m.a0, q @ m.a1,
+                                      np.tensordot(q, m.a2, axes=1)))
+        else:
+            imm = hyperbolic_geodesic_sphere(1.0)
+            assert imm.ambient.lorentz
+        points = mesh.points
+        if case.endswith("centroids"):
+            points = imm.domain.centroid(points[mesh.triangles])
+        assert len(points) >= 4096
+        batch = imm.frame_at(points)
+        rows = np.random.default_rng(2).choice(len(points), 12, replace=False)
+        names = ("point", "metric", "tangent", "normal", "h", "coeff")
+        for k in [0, len(points) - 1, *rows]:
+            one = imm.frame_at(points[k])
+            for name in names:
+                assert np.array_equal(getattr(one, name), getattr(batch, name)[k])
+        start = int(rows[0]) // 2
+        sub = imm.frame_at(points[start:start + 4096])
+        for name in names:
+            assert np.array_equal(getattr(sub, name),
+                                  getattr(batch, name)[start:start + 4096])
 
     def test_composed_map_batch_matches_points(self):
         from reillylab.moebius import ConformalChain, MoebiusParam

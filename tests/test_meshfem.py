@@ -329,6 +329,22 @@ class TestAssembly:
         with pytest.raises(UnsupportedConfiguration):
             DiscreteGeometry(clifford_torus(2, 4, 0.7, 0.0), icosphere(1))
 
+    @pytest.mark.parametrize("imm", [
+        sphere(2, 1.0, 1, 0.0),
+        ellipsoid((1.0, 1.0, 1.3)),
+        ring_torus(1.0, 0.4),
+        hyperbolic_geodesic_sphere(1.0),
+    ], ids=lambda im: im.name)
+    @pytest.mark.parametrize("label", ["identity", "newton:0"])
+    def test_stiffness_annihilates_constants(self, imm, label):
+        # the hat gradients of an element sum to zero: constants span the
+        # kernel of K up to rounding, whatever the weight tensor
+        geom = DiscreteGeometry(imm, mesh_for(imm, 4))
+        spec = reports.operator_from_label(label)
+        K, _ = assemble_forms(geom, None if label == "identity" else spec.tensors)
+        ones = np.ones(geom.mesh.vertex_count)
+        assert np.max(np.abs(K @ ones)) <= 1e-13 * np.max(np.abs(K.data))
+
 
 class TestSphereSpectrum:
     def test_fem_eigenvalue_and_multiplicity(self):

@@ -3,15 +3,51 @@ defining sum against the mixed recursion, trace bookkeeping, and the
 curvature profile helpers."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from reillylab.newton import (mean_profile, newton_chain, newton_kronecker,
-                              newton_tensor, weighted_mean_curvature)
+from reillylab.newton import (newton_chain, newton_kronecker, newton_tensor,
+                              weighted_mean_curvature)
 from reillylab.secondform import SecondFundamentalForm
 
 from orbit_terms import orbit_terms
+
+
+@dataclass(frozen=True)
+class MeanCurvatureProfile:
+    """Symmetric-function data of a second fundamental form: scalars[r]
+    holds S_r for even r (for every r when p = 1), vectors[r] the normal
+    components of the vector-valued S_r for odd r."""
+
+    n: int
+    p: int
+    scalars: dict
+    vectors: dict
+    hvec: np.ndarray
+    hlen: float
+    norm2: float
+    tau2: float
+
+    def mean(self, r: int) -> float:
+        return self.scalars[r] / math.comb(self.n, r)
+
+
+def mean_profile(h) -> MeanCurvatureProfile:
+    """All curvature scalars/vectors S_r, mean curvatures and the squared
+    norm split relative to the principal normal direction."""
+    sff = h if isinstance(h, SecondFundamentalForm) else SecondFundamentalForm(h)
+    _, scalars, vectors = newton_chain(sff, sff.n)
+    hvec = sff.mean_vector()
+    hlen = float(np.linalg.norm(hvec))
+    norm2 = sff.norm2()
+    tau2 = None
+    if hlen > 1e-14:
+        principal = np.einsum("x,xij->ij", hvec / hlen, sff.h)
+        tau2 = norm2 - float(np.sum(principal * principal))
+    return MeanCurvatureProfile(sff.n, sff.p, scalars, vectors, hvec, hlen,
+                                norm2, tau2)
 
 
 def esym(vals, r):
