@@ -114,15 +114,7 @@ def assemble_forms(geom, tensor_field=None, potential=None):
         t_local = np.tile(np.eye(2), (nf, 1, 1))
     else:
         imm = geom.immersion
-        corners = mesh.points[tri]
-        if mesh.topology == "projective_plane":
-            dif = corners[:, 1:] - corners[:, :1]
-            tot = corners[:, 1:] + corners[:, :1]
-            flip = (np.linalg.norm(dif, axis=-1)
-                    > np.linalg.norm(tot, axis=-1))[..., None]
-            corners[:, 1:] = np.where(flip, -corners[:, 1:], corners[:, 1:])
-        centroids = imm.domain.centroid(corners)
-        fr = frames(imm, centroids)
+        fr = frames(imm, element_centroids(imm, mesh))
         raw = polar_input(geom, fr["tangent"])
         u, _, vt = np.linalg.svd(raw)
         rot = u @ vt
@@ -149,6 +141,19 @@ def assemble_forms(geom, tensor_field=None, potential=None):
     mass = sp.coo_matrix(
         (m_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)).tocsr()
     return stiffness, mass
+
+
+def element_centroids(imm, mesh):
+    """Domain centroids of the triangles, the corners of a projective
+    plane's triangle first sign-aligned with corner 0 across the quotient."""
+    corners = mesh.points[mesh.triangles]
+    if mesh.topology == "projective_plane":
+        dif = corners[:, 1:] - corners[:, :1]
+        tot = corners[:, 1:] + corners[:, :1]
+        flip = (np.linalg.norm(dif, axis=-1)
+                > np.linalg.norm(tot, axis=-1))[..., None]
+        corners[:, 1:] = np.where(flip, -corners[:, 1:], corners[:, 1:])
+    return imm.domain.centroid(corners)
 
 
 def polar_input(geom, tangent):
