@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedConfiguration
 from .kronecker import scatter_sum, term_offsets
-from .secondform import SecondFundamentalForm, form_array
+from .secondform import form_array
 
 
 @dataclass(frozen=True)
