@@ -198,13 +198,14 @@ class SphereProduct(ParamDomain):
         return mean
 
 
-def _dot(u, v, weights) -> np.ndarray:
-    """Sum over the first axis of u * v * weights, left to right as np.sum
-    adds: dot products of coordinate-major vectors (C, ...), far cheaper
-    per row than a reduction over a short last axis."""
-    total = u[0] * v[0] * weights[0]
-    for i in range(1, len(weights)):
-        total = total + u[i] * v[i] * weights[i]
+def _dot(u, v, signs) -> np.ndarray:
+    """Sum over the first axis of u * v * signs (signs +-1, a metric
+    diagonal), left to right as np.sum adds and with its bits: dot products
+    of coordinate-major vectors (C, ...), far cheaper per row than a
+    reduction over a short last axis."""
+    total = u[0] * v[0] if signs[0] > 0 else -(u[0] * v[0])
+    for i in range(1, len(signs)):
+        total = total + u[i] * v[i] if signs[i] > 0 else total - u[i] * v[i]
     return total
 
 
@@ -218,15 +219,15 @@ def _coord_major(a) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
-def _take_candidate(v, k, basis, found, weights, tol) -> None:
+def _take_candidate(v, k, basis, found, signs, tol) -> None:
     """Step k of a masked Gram-Schmidt: the candidate v (C, K) is made
     orthogonal to the slots of basis (m, C, K) that can be filled, then
     stored, unit, in slot found of each row still short of vectors whose
     squared norm passes tol; basis and found are updated in place."""
     slots = basis.shape[0]
     for s in range(min(k, slots)):
-        v = v - _dot(v, basis[s], weights) * basis[s]
-    norm2 = _dot(v, v, weights)
+        v = v - _dot(v, basis[s], signs) * basis[s]
+    norm2 = _dot(v, v, signs)
     take = (found < slots) & (norm2 > tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = v / np.sqrt(norm2)
@@ -527,10 +528,8 @@ class ParametricImmersion:
         xc = _coord_major(x)
         d1c = _coord_major(d1)
         d2c = _coord_major(d2)
-        g = np.empty((n, n, count))
-        for a in range(n):
-            for b in range(a, n):
-                g[a, b] = g[b, a] = _dot(d1c[a], d1c[b], diag)
+        d1m = np.moveaxis(d1c, 1, 0)
+        g = _dot(d1m[:, :, None], d1m[:, None], diag)
 
         # Gram-Schmidt on the chart derivatives in parameter order; coeff
         # (lower triangular) is L^-1 for g = L L^T, so tangent = coeff d1,
@@ -577,15 +576,11 @@ class ParametricImmersion:
         if np.any(found != p):
             raise ImmersionError("failed to complete the normal frame")
 
-        # h^c = coeff <d2, nu_c> coeff^T, coeff lower triangular
-        hmat = np.empty((p, n, n, count))
-        for c in range(p):
-            proj = [[_dot(d2c[a, b], normal[c], diag) for b in range(n)]
-                    for a in range(n)]
-            half = [[sum(coeff[i, a] * proj[a][b] for a in range(i + 1))
-                     for b in range(n)] for i in range(n)]
-            for i, j in np.ndindex(n, n):
-                hmat[c, i, j] = sum(half[i][b] * coeff[j, b] for b in range(j + 1))
+        # h^c = coeff <d2, nu_c> coeff^T, all (c, a, b) at once per term
+        proj = _dot(np.moveaxis(d2c, 2, 0)[:, None],
+                    np.moveaxis(normal, 1, 0)[:, :, None, None], diag)
+        half = sum(coeff[:, a, None] * proj[:, None, a] for a in range(n))
+        hmat = sum(half[:, :, b, None] * coeff[:, b] for b in range(n))
         flip = sum(hmat[:, i, i] for i in range(n)) < -1e-9
         hmat = np.where(flip[:, None, None], -hmat, hmat)
         normal = np.where(flip[:, None], -normal, normal)
