@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateNormalError, EllipticityError
+from .errors import ArgumentError, DegenerateNormalError
 from .secondform import form_array, rowdot
 
 
@@ -143,9 +143,3 @@ def tilted_sum_minimum_sampled(a: float, b: float, samples: int = 200000,
     res = minimize(chart, np.zeros(2), method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
     return float(min(f[i0], res.fun))
-
-
-def require_positive(eigmin: float, label: str, tol: float = 1e-10):
-    if eigmin <= tol:
-        raise EllipticityError("%s must be positive definite (min eigenvalue %.3e)"
-                               % (label, eigmin))

@@ -11,9 +11,8 @@ frame_at takes one point (embed_dim,) or a batch (K, embed_dim) and returns
 a FrameBatch of arrays, with no leading axis for one point; one point is
 the one-row case of the same pass.  The pass works on coordinate-major
 arrays (..., K): short loops over n, p and the ambient coordinates of
-elementwise products over all points, plus one matrix product per chart
-direction with a PolynomialMap's constant hessian, so each row gets the
-bits of its one-point call whatever the batch.  Tangents and coeff = L^-1
+elementwise products over all points, so each row gets the bits of its
+one-point call whatever the batch.  Tangents and coeff = L^-1
 (g = L L^T) come from a Gram-Schmidt recurrence over the chart
 derivatives.  Normals and sphere-chart tangents come from masked
 Gram-Schmidt: a candidate is projected against the basis slots that can
@@ -30,9 +29,6 @@ import numpy as np
 from .errors import ArgumentError, ImmersionError, ShapeError
 from .secondform import symmetrized
 
-_EPS = np.finfo(float).eps
-_FD_FIRST = _EPS ** 0.5
-_FD_SECOND = _EPS ** (1.0 / 3.0)
 _CONSTRAINT_TOL = 1e-8
 _RANK_TOL = 1e-10
 
@@ -256,21 +252,22 @@ def _sphere_tangents(w: np.ndarray) -> np.ndarray:
 
 
 class AmbientMap:
-    """Map from domain embedding coordinates to ambient coordinates.
+    """Map from domain embedding coordinates to ambient coordinates, with
+    exact jets.
 
-    Subclasses provide value() and, when available, analytic jacobian()
-    and hessian(); returning None from either signals that finite
-    differences should be used for the whole jet.
+    value, jacobian and hessian take one point (in,) or a batch (..., in)
+    and return (..., out), (..., out, in) and (..., out, in, in).  A jet
+    with no leading axis is constant, the same at every point of a batch.
     """
 
     def value(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, w: np.ndarray):
-        return None
+    def jacobian(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
-    def hessian(self, w: np.ndarray):
-        return None
+    def hessian(self, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
 
 class PolynomialMap(AmbientMap):
@@ -310,9 +307,12 @@ class PolynomialMap(AmbientMap):
 
 
 class CallableMap(AmbientMap):
-    """Wrap a plain function, with optional analytic derivative callbacks."""
+    """Wrap a plain function and its analytic derivative callbacks, each
+    taking one point or a batch as AmbientMap's methods do."""
 
     def __init__(self, fn, jacobian_fn=None, hessian_fn=None):
+        if jacobian_fn is None or hessian_fn is None:
+            raise ArgumentError("an ambient map needs both derivative callbacks")
         self.fn = fn
         self.jacobian_fn = jacobian_fn
         self.hessian_fn = hessian_fn
@@ -321,18 +321,15 @@ class CallableMap(AmbientMap):
         return np.asarray(self.fn(w), dtype=float)
 
     def jacobian(self, w):
-        return None if self.jacobian_fn is None else np.asarray(self.jacobian_fn(w), dtype=float)
+        return np.asarray(self.jacobian_fn(w), dtype=float)
 
     def hessian(self, w):
-        return None if self.hessian_fn is None else np.asarray(self.hessian_fn(w), dtype=float)
+        return np.asarray(self.hessian_fn(w), dtype=float)
 
 
 class ComposedMap(AmbientMap):
-    """Composition outer(inner(w)) with chain-rule jets.
-
-    Each jet is exact when both maps have it and None otherwise; a None
-    hessian sends ParametricImmersion.jets to its finite-difference path.
-    """
+    """Composition outer(inner(w)) with exact chain-rule jets over the
+    leading axes of a batch; a constant jet of either map broadcasts."""
 
     def __init__(self, outer, inner: AmbientMap):
         self.outer = outer
@@ -342,25 +339,15 @@ class ComposedMap(AmbientMap):
         return np.asarray(self.outer.value(self.inner.value(w)), dtype=float)
 
     def jacobian(self, w):
-        ji = self.inner.jacobian(w)
-        if ji is None:
-            return None
-        jo = self.outer.jacobian(self.inner.value(w))
-        if jo is None:
-            return None
-        return np.asarray(jo, dtype=float) @ ji
+        return self.outer.jacobian(self.inner.value(w)) @ self.inner.jacobian(w)
 
     def hessian(self, w):
-        ji = self.inner.jacobian(w)
-        hi = self.inner.hessian(w)
-        if ji is None or hi is None:
-            return None
         x = self.inner.value(w)
-        jo, ho = self.outer.jacobian(x), self.outer.hessian(x)
-        if jo is None or ho is None:
-            return None
-        return (np.einsum("nd,dab->nab", jo, hi)
-                + np.einsum("nde,da,eb->nab", ho, ji, ji))
+        ji = self.inner.jacobian(w)
+        return (np.einsum("...nd,...dab->...nab", self.outer.jacobian(x),
+                          self.inner.hessian(w))
+                + np.einsum("...nde,...da,...eb->...nab",
+                            self.outer.hessian(x), ji, ji))
 
 
 @dataclass(frozen=True)
@@ -426,64 +413,32 @@ class ParametricImmersion:
         derivatives at w, or (K, C), (K, n, C), (K, n, n, C) for a batch
         w (K, embed_dim).
 
-        Uses analytic map jets through the domain chart when both are
-        available, finite differences of the chart composition otherwise.
-        A PolynomialMap evaluates a batch in one pass; other maps take
-        their one-point jets row by row, stacked.
+        The exact jets of the map, pushed through the domain chart in one
+        batched pass; a constant map jet (no leading axis) broadcasts over
+        the batch and is never copied per point.
         """
         w = np.asarray(w, dtype=float)
-        if w.ndim == 2 and not isinstance(self.mapping, PolynomialMap):
-            x, d1, d2 = zip(*(self.jets(row) for row in w))
-            return np.array(x), np.array(d1), np.array(d2)
         x = self.position(w)
-        jac = self.mapping.jacobian(w)
-        hess = self.mapping.hessian(w)
         n = self.domain.dim
-        if jac is not None and hess is not None:
-            size = w.shape[-1]
-            coords = x.shape[-1]
-            lead = w.shape[:-1]
-            tau = _coord_major(self.domain.chart(w).reshape(-1, n, size))
-            sec = _coord_major(self.domain.chart_second(w).reshape(-1, n, n, size))
-            jac = _coord_major(np.asarray(jac, dtype=float).reshape(-1, coords, size))
-            # constant (C, e, e): only a PolynomialMap comes here with a batch;
-            # hess(tau_a, e_f) as (C, e, K), one product over all points per a
-            hess = np.asarray(hess, dtype=float).transpose(0, 2, 1).reshape(-1, size)
-            half = np.stack([(hess @ tau[a]).reshape(coords, size, -1)
-                             for a in range(n)])
-            d1 = np.zeros((n, coords) + tau.shape[-1:])
-            d2 = np.zeros((n, n, coords) + tau.shape[-1:])
-            for i in range(size):
-                d1 += tau[:, None, i] * jac[None, :, i]
-                d2 += half[:, None, :, i] * tau[None, :, None, i]
-                d2 += sec[:, :, None, i] * jac[None, None, :, i]
-            # point-major views; _frames takes their coordinate-major base
-            return (x, np.moveaxis(d1, -1, 0).reshape(lead + (n, coords)),
-                    np.moveaxis(d2, -1, 0).reshape(lead + (n, n, coords)))
-
-        def chart_value(u):
-            return self.position(self.domain.chart_point(w, u))
-
-        d1 = np.empty((n, x.size))
-        h1 = _FD_FIRST
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h1
-            d1[a] = (chart_value(e) - chart_value(-e)) / (2.0 * h1)
-        d2 = np.empty((n, n, x.size))
-        h2 = _FD_SECOND
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = h2
-            d2[a, a] = (chart_value(ea) - 2.0 * x + chart_value(-ea)) / (h2 * h2)
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = h2
-                mixed = (chart_value(ea + eb) - chart_value(ea - eb)
-                         - chart_value(-ea + eb) + chart_value(-ea - eb)) / (4.0 * h2 * h2)
-                d2[a, b] = mixed
-                d2[b, a] = mixed
-        return x, d1, d2
+        size = w.shape[-1]
+        coords = x.shape[-1]
+        lead = w.shape[:-1]
+        tau = _coord_major(self.domain.chart(w).reshape(-1, n, size))
+        sec = _coord_major(self.domain.chart_second(w).reshape(-1, n, n, size))
+        # (C, e, K) and (C, e, e, K), or (..., 1) for a constant jet
+        jac = _coord_major(self.mapping.jacobian(w).reshape(-1, coords, size))
+        hess = _coord_major(self.mapping.hessian(w).reshape(-1, coords, size, size))
+        # hess(tau_a, e_f) as (n, C, e, K)
+        half = sum(tau[:, None, i, None] * hess[None, :, i] for i in range(size))
+        d1 = np.zeros((n, coords) + tau.shape[-1:])
+        d2 = np.zeros((n, n, coords) + tau.shape[-1:])
+        for i in range(size):
+            d1 += tau[:, None, i] * jac[None, :, i]
+            d2 += half[:, None, :, i] * tau[None, :, None, i]
+            d2 += sec[:, :, None, i] * jac[None, None, :, i]
+        # point-major views; _frames takes their coordinate-major base
+        return (x, np.moveaxis(d1, -1, 0).reshape(lead + (n, coords)),
+                np.moveaxis(d2, -1, 0).reshape(lead + (n, n, coords)))
 
     def frame_at(self, w):
         """Orthonormal tangent/normal frames and second fundamental forms.
@@ -599,10 +554,8 @@ def pushforward_under_map(imm: ParametricImmersion, gamma,
                           ambient: AmbientSpace, name: str = None) -> ParametricImmersion:
     """Immersion obtained by composing an ambient transform after the map.
 
-    gamma is an AmbientMap on ambient points.  When it has an analytic
-    jacobian() and hessian(), the composed jets are exact chain-rule jets;
-    otherwise the composed jet falls back to finite differences through
-    the chart.
+    gamma is an AmbientMap on ambient points; the composed jets are its
+    exact chain-rule jets with the immersion's map, for a point or a batch.
     """
     composed = ComposedMap(gamma, imm.mapping)
     return ParametricImmersion(

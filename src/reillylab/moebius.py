@@ -9,8 +9,7 @@ as does its tangential gradient.  gamma_g and its derivatives take one
 point (N,) or a batch (..., N) and share one evaluation of gamma_g(x).
 The chain and the chart values and Jacobians take a point or a batch
 through one code path, and a batch row has the bits of the one-point
-call; the chart Hessians and the ball_to_hyperboloid references take one
-point.
+call; the ball_to_hyperboloid references take one point.
 """
 
 import math
@@ -142,17 +141,15 @@ def plane_to_sphere_jacobian(x: np.ndarray) -> np.ndarray:
 
 
 def plane_to_sphere_hessian(x: np.ndarray) -> np.ndarray:
+    """Hessian (..., N+1, N, N) of the inverse stereographic projection."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    s = 1.0 + float(x @ x)
-    eye = np.eye(n)
-    hess = np.empty((n + 1, n, n))
-    hess[:n] = (-4.0 * (np.einsum("ij,k->ijk", eye, x)
-                        + np.einsum("ik,j->ijk", eye, x)
-                        + np.einsum("i,jk->ijk", x, eye)) / s**2
-                + 16.0 * np.einsum("i,j,k->ijk", x, x, x) / s**3)
-    hess[n] = 4.0 * eye / s**2 - 16.0 * np.outer(x, x) / s**3
-    return hess
+    s = 1.0 + rowdot(x, x)[..., None, None, None]
+    s2, s3 = s * s, s * s * s
+    eye = np.eye(x.shape[-1])
+    xi, xj, xk = x[..., :, None, None], x[..., None, :, None], x[..., None, None, :]
+    top = (-4.0 * (eye[:, :, None] * xk + eye[:, None, :] * xj + xi * eye) / s2
+           + 16.0 * xi * xj * xk / s3)
+    return np.concatenate([top, 4.0 * eye / s2 - 16.0 * xj * xk / s3], axis=-3)
 
 
 def plane_to_sphere() -> CallableMap:
@@ -222,13 +219,14 @@ def hyperboloid_to_ball_jacobian(x: np.ndarray) -> np.ndarray:
 
 
 def hyperboloid_to_ball_hessian(x: np.ndarray) -> np.ndarray:
+    """Hessian (..., N, N+1, N+1) of the chart at x (..., N+1)."""
     x = np.asarray(x, dtype=float)
-    n = x.size - 1
-    den = 1.0 + x[-1]
-    hess = np.zeros((n, n + 1, n + 1))
-    for i in range(n):
-        hess[i, i, n] = hess[i, n, i] = -1.0 / den**2
-        hess[i, n, n] = 2.0 * x[i] / den**3
+    n = x.shape[-1] - 1
+    den = 1.0 + x[..., -1, None]
+    hess = np.zeros(x.shape[:-1] + (n, n + 1, n + 1))
+    diag = np.arange(n)
+    hess[..., diag, diag, n] = hess[..., diag, n, diag] = -1.0 / (den * den)
+    hess[..., diag, n, n] = 2.0 * x[..., :n] / (den * den * den)
     return hess
 
 

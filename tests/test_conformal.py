@@ -23,6 +23,7 @@ from reillylab.moebius import (ConformalChain, MoebiusParam,
                                gamma_jacobian, gamma_map,
                                gamma_parameter_jacobian,
                                gamma_value, hyperboloid_to_ball,
+                               hyperboloid_to_ball_hessian,
                                hyperboloid_to_ball_jacobian, plane_to_sphere,
                                plane_to_sphere_hessian,
                                plane_to_sphere_jacobian, plane_to_sphere_value,
@@ -362,14 +363,16 @@ def test_chain_batch_rows_equal_point_calls(c, seed):
     chain = ConformalChain(c, MoebiusParam(rng.uniform(-0.3, 0.3, 4)), 3)
     x = space_form_points(c, rng, (2, 6))
     for fn in (chain.sphere_point, chain.value, chain.rho, chain.factor,
-               chain.grad_rho, chain.test_map().jacobian):
+               chain.grad_rho, chain.test_map().jacobian, chain.test_map().hessian):
         assert rows_equal_point_calls(fn, x), fn
     assert np.shape(chain.rho(x[0, 0])) == ()
     flat = space_form_points(0.0, rng, (2, 6))
-    assert rows_equal_point_calls(plane_to_sphere_value, flat)
-    assert rows_equal_point_calls(plane_to_sphere_jacobian, flat)
-    assert rows_equal_point_calls(hyperboloid_to_ball_jacobian,
-                                  space_form_points(-1.0, rng, (2, 6)))
+    for fn in (plane_to_sphere_value, plane_to_sphere_jacobian,
+               plane_to_sphere_hessian):
+        assert rows_equal_point_calls(fn, flat), fn
+    hyper = space_form_points(-1.0, rng, (2, 6))
+    for fn in (hyperboloid_to_ball_jacobian, hyperboloid_to_ball_hessian):
+        assert rows_equal_point_calls(fn, hyper), fn
 
 
 @pytest.mark.parametrize("c,pole", [

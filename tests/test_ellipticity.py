@@ -6,11 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from reillylab.ellipticity import (mean_curvature_tensor, require_positive,
-                                   tilted_sum_minimum,
+from reillylab.ellipticity import (mean_curvature_tensor, tilted_sum_minimum,
                                    tilted_sum_minimum_sampled)
-from reillylab.errors import (ArgumentError, DegenerateNormalError,
-                              EllipticityError)
+from reillylab.errors import ArgumentError, DegenerateNormalError
 from reillylab.newton import newton_chain
 from reillylab.secondform import SecondFundamentalForm
 
@@ -158,9 +156,3 @@ def test_convex_slack_positive_for_convex_spectra():
         for r in range(1, 5):
             _, emin = convex_slack(h, r)
             assert emin > -1e-12, (seed, r)
-
-
-def test_require_positive_guard():
-    require_positive(0.5, "T")
-    with pytest.raises(EllipticityError):
-        require_positive(-0.1, "T")

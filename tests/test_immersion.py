@@ -208,18 +208,6 @@ class TestFrames:
         assert np.max(np.abs(data.T - expected)) < 1e-10
         assert abs(data.H2 - rec.extras["H2"]) < 1e-12
 
-    def test_finite_difference_frames_agree(self):
-        base = ring_torus(1.0, 0.4)
-        fd = ParametricImmersion(domain=base.domain,
-                                 mapping=CallableMap(base.mapping.value),
-                                 ambient=base.ambient, name="fd-torus")
-        rng = np.random.default_rng(12)
-        for _ in range(3):
-            w = base.domain.random_point(rng)
-            fa, fb = base.frame_at(w), fd.frame_at(w)
-            assert np.max(np.abs(fa.h - fb.h)) < 1e-4
-            assert np.max(np.abs(fa.metric - fb.metric)) < 1e-8
-
 
 def chart_metric(imm, w, u):
     """Induced metric in the fixed chart at w, evaluated at offset u.
@@ -395,7 +383,7 @@ class TestPushforward:
         rot = np.array([[math.cos(theta), -math.sin(theta), 0],
                         [math.sin(theta), math.cos(theta), 0],
                         [0, 0, 1.0]])
-        gamma = CallableMap(lambda x: rot @ x, jacobian_fn=lambda x: rot,
+        gamma = CallableMap(lambda x: x @ rot.T, jacobian_fn=lambda x: rot,
                             hessian_fn=lambda x: np.zeros((3, 3, 3)))
         out = pushforward_under_map(imm, gamma, imm.ambient)
         rng = np.random.default_rng(43)
@@ -404,18 +392,13 @@ class TestPushforward:
         eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h[0]))
         assert np.max(np.abs(ea - eb)) < 1e-8
 
-    def test_outer_without_hessian_differences_the_chart(self):
-        # the composed hessian is absent, so the jets of the pushforward
-        # come from finite differences through the chart
-        imm = ring_torus(1.0, 0.4)
-        rot = np.linalg.qr(np.random.default_rng(44).standard_normal((3, 3)))[0]
-        gamma = CallableMap(lambda x: rot @ x, jacobian_fn=lambda x: rot)
-        out = pushforward_under_map(imm, gamma, imm.ambient)
-        w = imm.domain.random_point(np.random.default_rng(45))
-        assert out.mapping.hessian(w) is None
-        ea = np.sort(np.linalg.eigvalsh(imm.frame_at(w).h[0]))
-        eb = np.sort(np.linalg.eigvalsh(out.frame_at(w).h[0]))
-        assert np.max(np.abs(ea - eb)) < 1e-4
+    @pytest.mark.parametrize("missing", ["jacobian_fn", "hessian_fn"])
+    def test_map_without_a_derivative_is_refused(self, missing):
+        callbacks = {"jacobian_fn": lambda x: np.eye(3),
+                     "hessian_fn": lambda x: np.zeros((3, 3, 3))}
+        del callbacks[missing]
+        with pytest.raises(ArgumentError):
+            CallableMap(lambda x: x, **callbacks)
 
 
 class TestGalleryContracts:
@@ -486,8 +469,21 @@ class TestGalleryContracts:
         assert np.max(np.abs(data.T - 3 * k * np.eye(4))) < 1e-10
 
 
+def pushforward_cases():
+    """Round spheres in each space form carried into S^3 by a conformal
+    chain: composed jets, batched through every map of the chain."""
+    from reillylab.moebius import ConformalChain, MoebiusParam
+    g = np.array([0.2, -0.1, 0.3, 0.1])
+    return [pushforward_under_map(
+                base, ConformalChain(base.ambient.c, MoebiusParam(g), 3).test_map(),
+                AmbientSpace(1.0, 3), name="pushforward-c%g" % base.ambient.c)
+            for base in (sphere(2, 0.6, 1, 1.0), sphere(2, 1.0, 1, 0.0),
+                         hyperbolic_geodesic_sphere(1.0))]
+
+
 class TestFrameBatch:
-    @pytest.mark.parametrize("imm", frame_cases(), ids=lambda im: im.name)
+    @pytest.mark.parametrize("imm", frame_cases() + pushforward_cases(),
+                             ids=lambda im: im.name)
     def test_rows_equal_one_point_calls(self, imm):
         rng = np.random.default_rng(21)
         points = np.array([imm.domain.random_point(rng) for _ in range(17)])
