@@ -3,7 +3,7 @@ divergence-form operators on immersed submanifolds of space forms."""
 
 from .balance import BalanceResult, balance_measure
 from .ellipticity import (WeightTensorData, mean_curvature_tensor,
-                          tilted_sum_minimum, tilted_sum_minimum_sampled)
+                          tilted_sum_minimum)
 from .errors import (ArgumentError, ConfigError, ConvergenceError,
                      DegenerateNormalError, EllipticityError, ImmersionError,
                      InequalityViolation, PoleProximityError, ReillyLabError,
@@ -48,6 +48,6 @@ __all__ = [
     "product_spectrum", "product_spheres", "projective_icosphere",
     "pushforward_under_map", "rhs_integral", "ring_torus", "save_off",
     "schrodinger_report", "solve_pencil", "sphere",
-    "t_minimality", "tilted_sum_minimum", "tilted_sum_minimum_sampled",
-    "torus_grid", "veronese_rp2", "write_report_csv",
+    "t_minimality", "tilted_sum_minimum", "torus_grid", "veronese_rp2",
+    "write_report_csv",
 ]

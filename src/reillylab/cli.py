@@ -32,6 +32,8 @@ from .svgplot import fit_loglog_slope, line_plot
 
 DEFAULT_LEVELS = (3, 4, 5)
 _OUTPUT_KINDS = ("report", "convergence", "balance", "identities")
+# largest residual an identity of the suite may leave
+IDENTITY_BOUND = 1e-10
 
 
 def default_seed(explicit=None) -> int:
@@ -305,7 +307,7 @@ def run_scenario(sc, out_root, seed, tol_override):
                   [(key, "%.17g" % suite[key]) for key in sorted(suite)],
                   os.path.join(outdir, "identities.csv"))
         worst = max(suite.values()) if suite else 0.0
-        if worst > 1e-10:
+        if worst > IDENTITY_BOUND:
             summary["ok"] = False
             summary["failures"].append("identity residual %.3e over bound"
                                        % worst)
@@ -338,7 +340,7 @@ def identity_table(count, seed):
     if count > 0:
         suite = identity_suite(instances=count, seed=seed)
         for key in sorted(suite):
-            rows.append((key, suite[key], 1e-10, "le"))
+            rows.append((key, suite[key], IDENTITY_BOUND, "le"))
         from .gallery import clifford_torus, ring_torus, sphere
         from .identities import factor_curvature_residual
         from .mesh import icosphere

@@ -14,17 +14,20 @@ slots.  E2 is the Einstein tensor for k = 1 and vanishes identically when
 2k + 1 > n.  The sums add one term per orbit of the factors' slot
 symmetries (kronecker.term_offsets): R factors permuted whole, and each
 factor's upper or lower slots swapped.  That is the defining sum when R4's
-pair antisymmetries hold exactly, as they do for gauss_curvature and for
-the projection curvature_from_tensor stores.
+pair antisymmetries hold exactly, as they do for gauss_curvature; a
+CurvatureData built from another tensor stores it as given, so the caller
+projects it onto those symmetries first (the tests do so for random
+tensors).
 
 The printed source for the rank-(2k-1) contraction identity (the relation
 between sum_a T^a_{2k-1} h^a and the Lovelock data) drops a factor 2^(t+1)
 when collapsing antisymmetrized curvature blocks into P4, and its k = 1
 specialization contradicts the directly verifiable relation
 sum_a T^a_1 h^a = Ric - (n-1) c I.  The coefficients implemented in
-contraction_rhs below are re-derived from scratch; tests pin them against
-the independent antisymmetrized-sum evaluation of the left-hand side for
-k = 1..3 and all ambient curvatures.  In the same spirit the convention
+contraction_rhs below are re-derived from scratch; the identity suite and
+the tests pin them against the independent antisymmetrized-sum evaluation
+of the left-hand side (newton_contraction of newton.newton_kronecker's
+T_{2k-1}) for k = 1..3 and all ambient curvatures.  In the same spirit the convention
 E2[0] = -I/2 (rather than -I) is what makes the trace relation
 sum_s P4[k][s,i,s,j] = -(n-2k+1) E2[k-1][i,j] hold at k = 1.
 """
@@ -36,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError
 from .kronecker import scatter_sum, term_offsets
-from .newton import newton_kronecker
 from .secondform import SecondFundamentalForm
 
 
@@ -55,11 +57,6 @@ class CurvatureData:
     def n(self) -> int:
         return self.Ric.shape[0]
 
-    def sectional(self, i: int, j: int) -> float:
-        """Sectional curvature of the coordinate plane (i, j), orthonormal
-        frame assumed."""
-        return float(self.R4[i, j, i, j])
-
 
 def gauss_curvature(h, c: float) -> CurvatureData:
     """Curvature of the induced metric from the Gauss equations in an
@@ -71,33 +68,6 @@ def gauss_curvature(h, c: float) -> CurvatureData:
     dd = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
     hh = np.einsum("xik,xjl->ijkl", h.h, h.h) - np.einsum("xil,xjk->ijkl", h.h, h.h)
     R4 = c * dd + hh
-    Ric = np.einsum("ijkj->ik", R4)
-    return CurvatureData(R4=R4, Ric=Ric, scalar=float(np.trace(Ric)), c=float(c))
-
-
-# (axis permutation, sign) of pair antisymmetry and pair swap
-_SYMMETRIES = (((1, 0, 2, 3), -1.0), ((0, 1, 3, 2), -1.0), ((2, 3, 0, 1), 1.0))
-
-
-def curvature_from_tensor(R4: np.ndarray, c: float = 0.0) -> CurvatureData:
-    """Wrap a raw curvature tensor that has its symmetries to 1e-10 of its
-    scale, stored projected onto them.
-
-    The Lovelock sums add one term per orbit of the pair antisymmetries,
-    which is the defining sum only when those hold exactly.  Each
-    projection step (A -/+ A^perm) / 2 keeps the earlier steps' exact
-    symmetries and leaves an exactly symmetric tensor bit for bit.
-    """
-    R4 = np.asarray(R4, dtype=float)
-    n = R4.shape[0]
-    if R4.shape != (n, n, n, n):
-        raise ShapeError("curvature tensor must have shape (n, n, n, n)")
-    scale = max(1.0, float(np.max(np.abs(R4))))
-    for perm, sign in _SYMMETRIES:
-        if np.max(np.abs(R4 - sign * np.transpose(R4, perm))) > 1e-10 * scale:
-            raise ShapeError("curvature tensor lacks the required symmetries")
-    for perm, sign in _SYMMETRIES:
-        R4 = (R4 + sign * np.transpose(R4, perm)) / 2.0
     Ric = np.einsum("ijkj->ik", R4)
     return CurvatureData(R4=R4, Ric=Ric, scalar=float(np.trace(Ric)), c=float(c))
 
@@ -187,9 +157,3 @@ def newton_contraction(T, h: SecondFundamentalForm) -> np.ndarray:
     payload = T.data if T.data.ndim == 3 else T.data[None]
     return np.einsum("xmj,xmi->ij", payload, h.h)
 
-
-def contraction_lhs(h, k: int) -> np.ndarray:
-    """sum_{m,a} T^a_{2k-1, mj} h^a_{mi} from the defining sum."""
-    if not isinstance(h, SecondFundamentalForm):
-        h = SecondFundamentalForm(np.asarray(h, dtype=float))
-    return newton_contraction(newton_kronecker(h, 2 * k - 1), h)

@@ -78,12 +78,6 @@ class SecondFundamentalForm:
     def p(self) -> int:
         return self.h.shape[0]
 
-    @classmethod
-    def from_principal(cls, curvatures) -> "SecondFundamentalForm":
-        """Hypersurface (p = 1) form with the given principal curvatures."""
-        k = np.asarray(curvatures, dtype=float)
-        return cls(np.diag(k)[None, :, :])
-
     def mean_vector(self) -> np.ndarray:
         """Mean curvature vector components (trace average per normal)."""
         return np.einsum("xii->x", self.h) / self.n

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ArgumentError, ConvergenceError
 
 _ZERO_REL_TOL = 1e-8
-_MULT_REL_TOL = 1e-3
 _ND_LEAF = 64
 _ND_LANDMARKS = 4
 # a linear potential q = a z on the sphere takes 16 blocks at levels 2-5
@@ -62,11 +61,6 @@ class SpectrumResult:
         if self.multiplicities is None:
             return np.asarray(self.values)
         return np.repeat(self.values, self.multiplicities)
-
-    def multiplicity_of(self, value: float) -> int:
-        vals = self.expanded()
-        ref = max(abs(value), 1e-30)
-        return int(np.sum(np.abs(vals - value) <= _MULT_REL_TOL * ref))
 
 
 def solve_pencil(stiffness, mass, count: int = 4,

@@ -13,8 +13,7 @@ import numpy as np
 
 from reillylab.balance import balance_measure
 from reillylab.cli import default_seed
-from reillylab.ellipticity import (tilted_sum_minimum,
-                                   tilted_sum_minimum_sampled)
+from reillylab.ellipticity import tilted_sum_minimum
 from reillylab.gallery import (clifford_torus, ellipsoid,
                                hyperbolic_geodesic_sphere, sphere,
                                veronese_rp2)
@@ -31,6 +30,7 @@ from reillylab.newton import newton_tensor
 from reillylab.reports import (OperatorSpec, closed_form_report, fem_report,
                                mean_tensor_report, schrodinger_report,
                                t_minimality)
+from tilted_sum_oracle import tilted_sum_minimum_sampled
 
 IDENTITY = OperatorSpec()
 NEWTON2 = OperatorSpec(kind="newton", degree=2)

@@ -54,8 +54,7 @@ def test_mean_curvature_tensor_rows_equal_one_form_calls(n, p):
     batch = mean_curvature_tensor(h)
     for k in range(ROWS):
         one = mean_curvature_tensor(h[k])
-        for name in ("T", "trace", "H", "H2", "eigmin_T", "eigmin_Tprime",
-                     "principal", "principal_curvatures"):
+        for name in ("T", "H", "H2", "principal"):
             same_rows(getattr(batch, name), getattr(one, name), k)
 
 

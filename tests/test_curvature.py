@@ -7,15 +7,49 @@ import math
 import numpy as np
 import pytest
 
-from reillylab.curvature import (contraction_lhs, contraction_rhs,
-                                 curvature_from_tensor, gauss_curvature,
-                                 lovelock_einstein, lovelock_p4,
-                                 lovelock_scalar)
+from reillylab.curvature import (CurvatureData, contraction_rhs,
+                                 gauss_curvature, lovelock_einstein,
+                                 lovelock_p4, lovelock_scalar,
+                                 newton_contraction)
 from reillylab import curvature, newton
+from reillylab.errors import ShapeError
 from reillylab.newton import newton_kronecker
 from reillylab.secondform import SecondFundamentalForm
 
 from orbit_terms import orbit_terms
+
+# (axis permutation, sign) of pair antisymmetry and pair swap
+_SYMMETRIES = (((1, 0, 2, 3), -1.0), ((0, 1, 3, 2), -1.0), ((2, 3, 0, 1), 1.0))
+
+
+def curvature_from_tensor(R4: np.ndarray, c: float = 0.0) -> CurvatureData:
+    """Wrap a raw curvature tensor that has its symmetries to 1e-10 of its
+    scale, stored projected onto them.
+
+    The Lovelock sums add one term per orbit of the pair antisymmetries,
+    which is the defining sum only when those hold exactly.  Each
+    projection step (A -/+ A^perm) / 2 keeps the earlier steps' exact
+    symmetries and leaves an exactly symmetric tensor bit for bit.
+    """
+    R4 = np.asarray(R4, dtype=float)
+    n = R4.shape[0]
+    if R4.shape != (n, n, n, n):
+        raise ShapeError("curvature tensor must have shape (n, n, n, n)")
+    scale = max(1.0, float(np.max(np.abs(R4))))
+    for perm, sign in _SYMMETRIES:
+        if np.max(np.abs(R4 - sign * np.transpose(R4, perm))) > 1e-10 * scale:
+            raise ShapeError("curvature tensor lacks the required symmetries")
+    for perm, sign in _SYMMETRIES:
+        R4 = (R4 + sign * np.transpose(R4, perm)) / 2.0
+    Ric = np.einsum("ijkj->ik", R4)
+    return CurvatureData(R4=R4, Ric=Ric, scalar=float(np.trace(Ric)), c=float(c))
+
+
+def contraction_lhs(h, k: int) -> np.ndarray:
+    """sum_{m,a} T^a_{2k-1, mj} h^a_{mi} from the defining sum."""
+    if not isinstance(h, SecondFundamentalForm):
+        h = SecondFundamentalForm(np.asarray(h, dtype=float))
+    return newton_contraction(newton_kronecker(h, 2 * k - 1), h)
 
 
 def random_curvature(n: int, rng, c: float = 0.0):
@@ -48,7 +82,7 @@ def test_round_sphere_curvature():
     n, a = 4, 1.3
     h = SecondFundamentalForm((1.0 / a) * np.eye(n)[None, :, :])
     curv = gauss_curvature(h, c=0.0)
-    assert curv.sectional(0, 1) == pytest.approx(1.0 / a**2, rel=1e-13)
+    assert curv.R4[0, 1, 0, 1] == pytest.approx(1.0 / a**2, rel=1e-13)
     assert np.allclose(curv.Ric, (n - 1) / a**2 * np.eye(n), atol=1e-13)
     assert curv.scalar == pytest.approx(n * (n - 1) / a**2, rel=1e-13)
 
@@ -61,9 +95,9 @@ def test_product_sphere_sectional_split():
     h[0, 0, 0] = h[0, 1, 1] = 1.0 / a
     h[1, 2, 2] = h[1, 3, 3] = 1.0 / b
     curv = gauss_curvature(SecondFundamentalForm(h), c=0.0)
-    assert curv.sectional(0, 1) == pytest.approx(1.0 / a**2)
-    assert curv.sectional(2, 3) == pytest.approx(1.0 / b**2)
-    assert curv.sectional(0, 2) == pytest.approx(0.0, abs=1e-14)
+    assert curv.R4[0, 1, 0, 1] == pytest.approx(1.0 / a**2)
+    assert curv.R4[2, 3, 2, 3] == pytest.approx(1.0 / b**2)
+    assert curv.R4[0, 2, 0, 2] == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])

@@ -1,16 +1,18 @@
 """Positivity of the mean curvature weight tensor and the constrained
 minimum controlling it in dimension four."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from reillylab.ellipticity import (mean_curvature_tensor, tilted_sum_minimum,
-                                   tilted_sum_minimum_sampled)
+from reillylab.ellipticity import (WeightTensorData, mean_curvature_tensor,
+                                   tilted_sum_minimum)
 from reillylab.errors import ArgumentError, DegenerateNormalError
 from reillylab.newton import newton_chain
 from reillylab.secondform import SecondFundamentalForm
+from tilted_sum_oracle import tilted_sum_minimum_sampled
 
 
 def convex_slack(h: SecondFundamentalForm, r: int):
@@ -22,17 +24,26 @@ def convex_slack(h: SecondFundamentalForm, r: int):
     return slack, float(np.min(np.linalg.eigvalsh(slack)))
 
 
+def eigmin(a) -> float:
+    return float(np.linalg.eigvalsh(a)[0])
+
+
+def eigmin_tprime(T) -> float:
+    """Smallest eigenvalue of T' = (tr T) I - 2 T."""
+    return eigmin(np.trace(T) * np.eye(T.shape[-1]) - 2.0 * T)
+
+
 def test_umbilic_weight_tensor():
     n, k = 4, 0.7
     h = SecondFundamentalForm(k * np.eye(n)[None, :, :])
     w = mean_curvature_tensor(h)
     assert np.allclose(w.T, (n - 1) * k * np.eye(n))
-    assert w.trace == pytest.approx(n * (n - 1) * w.H)
+    assert np.trace(w.T) == pytest.approx(n * (n - 1) * w.H)
     assert w.H == pytest.approx(k)
     assert w.H2 == pytest.approx(k * k)
-    assert w.eigmin_T == pytest.approx((n - 1) * k)
+    assert eigmin(w.T) == pytest.approx((n - 1) * k)
     # T' = tr T I - 2T = (n-1)(n-2) k I - ... for umbilic: (n-1)k(n-2)
-    assert w.eigmin_Tprime == pytest.approx((n - 1) * (n - 2) * k)
+    assert eigmin_tprime(w.T) == pytest.approx((n - 1) * (n - 2) * k)
 
 
 def test_weight_tensor_eigenvalues_from_principal_curvatures():
@@ -40,14 +51,27 @@ def test_weight_tensor_eigenvalues_from_principal_curvatures():
     rng = np.random.default_rng(2)
     for n in (4, 5):
         k = np.sort(rng.uniform(0.1, 1.5, size=n))
-        h = SecondFundamentalForm.from_principal(k)
+        h = SecondFundamentalForm(np.diag(k))
         w = mean_curvature_tensor(h)
         H = k.mean()
         assert w.H == pytest.approx(H, rel=1e-12)
-        assert w.eigmin_T == pytest.approx(n * H - k[-1], rel=1e-11)
-        assert w.eigmin_Tprime == pytest.approx(n * (n - 3) * H + 2 * k[0],
-                                                rel=1e-11)
-        assert np.allclose(w.principal_curvatures, k)
+        assert eigmin(w.T) == pytest.approx(n * H - k[-1], rel=1e-11)
+        assert eigmin_tprime(w.T) == pytest.approx(n * (n - 3) * H + 2 * k[0],
+                                                   rel=1e-11)
+        assert np.allclose(np.linalg.eigvalsh(w.principal), k)
+
+
+def test_weight_tensor_takes_no_eigenvalues(monkeypatch):
+    # the reports' sample pass takes the positivity minima of T and T'
+    assert [f.name for f in dataclasses.fields(WeightTensorData)] == [
+        "T", "H", "H2", "principal"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mean_curvature_tensor took eigenvalues")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    h = np.random.default_rng(3).standard_normal((7, 2, 4, 4))
+    assert mean_curvature_tensor(h + np.swapaxes(h, -1, -2)).T.shape == (
+        7, 4, 4)
 
 
 def test_weight_tensor_requires_mean_curvature():
@@ -123,11 +147,11 @@ def test_constrained_minimum_bounds_weight_eigenvalue():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     for row in u:
         k = a / 4.0 + R * (B @ row)
-        h = SecondFundamentalForm.from_principal(k)
+        h = SecondFundamentalForm(np.diag(k))
         w = mean_curvature_tensor(h)
-        assert w.eigmin_Tprime >= val - 1e-10
-    wmin = mean_curvature_tensor(SecondFundamentalForm.from_principal(wit))
-    assert wmin.eigmin_Tprime == pytest.approx(val, rel=1e-11)
+        assert eigmin_tprime(w.T) >= val - 1e-10
+    wmin = mean_curvature_tensor(SecondFundamentalForm(np.diag(wit)))
+    assert eigmin_tprime(wmin.T) == pytest.approx(val, rel=1e-11)
 
 
 def test_positivity_sampling_matches_scalar_criteria():
@@ -139,20 +163,21 @@ def test_positivity_sampling_matches_scalar_criteria():
         H = k.mean()
         if abs(H) < 1e-8:
             continue
-        w = mean_curvature_tensor(SecondFundamentalForm.from_principal(k))
+        w = mean_curvature_tensor(SecondFundamentalForm(np.diag(k)))
         # the tensor is built along the unit mean vector, so the effective
         # spectrum is sign(H) * k with mean |H|
         ks = np.sign(H) * k
         Ha = abs(H)
-        assert (w.eigmin_T > 0) == (n * Ha - np.max(ks) > 0)
-        assert (w.eigmin_Tprime > 0) == (n * (n - 3) * Ha + 2 * np.min(ks) > 0)
+        assert (eigmin(w.T) > 0) == (n * Ha - np.max(ks) > 0)
+        assert (eigmin_tprime(w.T) > 0) == (n * (n - 3) * Ha
+                                            + 2 * np.min(ks) > 0)
 
 
 def test_convex_slack_positive_for_convex_spectra():
     rng = np.random.default_rng(13)
     for seed in range(20):
         k = rng.uniform(0.05, 3.0, size=5)
-        h = SecondFundamentalForm.from_principal(k)
+        h = SecondFundamentalForm(np.diag(k))
         for r in range(1, 5):
             _, emin = convex_slack(h, r)
             assert emin > -1e-12, (seed, r)

@@ -28,6 +28,13 @@ from reillylab.spectra import (SpectrumResult, _dissection_order,
                                _shift_factor, product_spectrum, solve_pencil)
 
 
+def multiplicity(res, value):
+    """How many of a solve's values lie within 1e-3 relative of value."""
+    vals = res.expanded()
+    ref = max(abs(value), 1e-30)
+    return int(np.sum(np.abs(vals - value) <= 1e-3 * ref))
+
+
 def diagonal(a, b):
     """Diagonal (..., 2, 2) weight matrices with entries a and b, which
     broadcast against each other."""
@@ -352,7 +359,7 @@ class TestSphereSpectrum:
         res = solve_pencil(*assemble_forms(geom), count=12)
         lam2 = res.lambda2()
         assert abs(lam2 - 2.0) < 0.02 * 2.0
-        assert res.multiplicity_of(lam2) == 3
+        assert multiplicity(res, lam2) == 3
 
     def test_galerkin_refinement_decreases(self):
         imm = sphere(2, 1.0, 1, 0.0)
@@ -413,7 +420,7 @@ class TestSphereSpectrum:
                                   subset_by_index=(0, 11))
         assert np.max(np.abs(res.values - dense)) < 1e-10
         # the round sphere's clusters: 1, 3 and 5 values near 0, 2 and 6
-        assert [res.multiplicity_of(res.values[i]) for i in (1, 4)] == [3, 5]
+        assert [multiplicity(res, res.values[i]) for i in (1, 4)] == [3, 5]
         assert abs(res.values[0]) < 1e-10 and abs(res.values[4] - 6.0) < 0.1
 
     def test_factor_is_symmetric_mode(self):
@@ -583,7 +590,7 @@ class TestBlockLanczos:
         res = solve_pencil(*sphere_forms(4))
         lam2 = res.lambda2()
         assert np.ptp(res.values[1:4]) <= 1e-12 * lam2
-        assert res.multiplicity_of(lam2) == 3
+        assert multiplicity(res, lam2) == 3
         # each copy carries a residual that met the stop rule
         assert res.residuals.shape == (4,) and np.all(res.residuals <= 1e-7)
 
@@ -592,7 +599,7 @@ class TestBlockLanczos:
         five = res.values[4:9]
         assert np.ptp(five) <= 1e-12 * five[0]
         assert abs(five[0] - 6.0) < 0.03 * 6.0
-        assert res.multiplicity_of(five[0]) == 5
+        assert multiplicity(res, five[0]) == 5
         assert res.solves <= 12
 
     @pytest.mark.parametrize("level", [0, 1, 2])
@@ -665,7 +672,7 @@ class TestOtherGeometries:
         res = solve_pencil(*assemble_forms(geom), count=12)
         lam2 = res.lambda2()
         assert abs(lam2 - 4 * math.pi**2) < 0.01 * 4 * math.pi**2
-        assert res.multiplicity_of(lam2) == 4
+        assert multiplicity(res, lam2) == 4
 
     def test_rectangular_torus_prefers_long_direction(self):
         r1 = 1.0 / (2 * math.pi)
@@ -679,14 +686,14 @@ class TestOtherGeometries:
         res = solve_pencil(K, M, count=8)
         lam2 = res.lambda2()
         assert abs(lam2 - 4 * math.pi**2) < 0.01 * 4 * math.pi**2
-        assert res.multiplicity_of(lam2) == 2
+        assert multiplicity(res, lam2) == 2
 
     def test_projective_plane_spectrum(self):
         geom = DiscreteGeometry(veronese_rp2(), projective_icosphere(3))
         res = solve_pencil(*assemble_forms(geom), count=14)
         lam2 = res.lambda2()
         assert abs(lam2 - 6.0) < 0.025 * 6.0
-        assert res.multiplicity_of(lam2) == 5
+        assert multiplicity(res, lam2) == 5
         assert abs(geom.volume - 2 * math.pi) < 0.02 * 2 * math.pi
 
     def test_hyperbolic_sphere_spectrum(self):

@@ -89,7 +89,7 @@ def test_umbilic_hypersurface_closed_form():
 def test_hypersurface_scalars_are_elementary_symmetric():
     rng = np.random.default_rng(7)
     k = rng.uniform(-2.0, 2.0, size=5)
-    h = SecondFundamentalForm.from_principal(k)
+    h = SecondFundamentalForm(np.diag(k))
     _, scalars, _ = newton_chain(h, 5)
     for r in range(6):
         assert scalars[r] == pytest.approx(esym(k, r), rel=1e-12, abs=1e-12)
@@ -99,7 +99,7 @@ def test_hypersurface_weighted_trace_raises_order():
     # tr(T_r h) = (r+1) S_{r+1} for hypersurfaces
     rng = np.random.default_rng(11)
     k = rng.uniform(-1.5, 1.5, size=6)
-    h = SecondFundamentalForm.from_principal(k)
+    h = SecondFundamentalForm(np.diag(k))
     tensors, _, _ = newton_chain(h, 5)
     for r in range(5):
         hw = weighted_mean_curvature(tensors[r], h)
@@ -220,7 +220,7 @@ def test_product_of_spheres_codim_two():
 def test_clifford_hypersurface_in_sphere():
     # minimal Clifford torus in S^5: principal curvatures (1,1,-1,-1),
     # classical T_2 = -I
-    h = SecondFundamentalForm.from_principal([1.0, 1.0, -1.0, -1.0])
+    h = SecondFundamentalForm(np.diag([1.0, 1.0, -1.0, -1.0]))
     T2 = newton_tensor(h, 2)
     assert np.allclose(T2.data, -np.eye(4), atol=1e-13)
 

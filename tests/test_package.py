@@ -23,3 +23,29 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_no_source_module_uses_scipy_optimize():
+    # the sampling oracle of the tilted-sum minimum, its one user, lives
+    # with the tests
+    package = Path(reillylab.__file__).resolve().parent
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if "scipy.optimize" in path.read_text()]
+    assert users == []
+
+
+def test_test_oracles_and_helpers_are_not_in_the_package():
+    from reillylab import curvature, secondform, spectra
+    gone = {reillylab: ["tilted_sum_minimum_sampled"],
+            reillylab.ellipticity: ["tilted_sum_minimum_sampled"],
+            curvature: ["curvature_from_tensor", "contraction_lhs",
+                        "_SYMMETRIES"],
+            curvature.CurvatureData: ["sectional"],
+            secondform.SecondFundamentalForm: ["from_principal"],
+            spectra.SpectrumResult: ["multiplicity_of"],
+            spectra: ["_MULT_REL_TOL"]}
+    left = [(getattr(owner, "__name__", owner), name)
+            for owner, names in gone.items() for name in names
+            if hasattr(owner, name)]
+    assert left == []
+    assert "tilted_sum_minimum_sampled" not in reillylab.__all__
