@@ -15,9 +15,12 @@ elementwise products over all points, so each row gets the bits of its
 one-point call whatever the batch.  Tangents and coeff = L^-1
 (g = L L^T) come from a Gram-Schmidt recurrence over the chart
 derivatives.  Normals and sphere-chart tangents come from masked
-Gram-Schmidt: a candidate is projected against the basis slots that can
-be filled (unfilled ones hold zeros), and a row takes it only while it
-still needs vectors and the candidate's norm passes the threshold.
+Gram-Schmidt: a candidate is projected, twice, against the fixed vectors
+(the point, or the radial and tangent vectors) and the basis slots that
+can be filled (unfilled ones hold zeros), and a row takes it only while
+it still needs vectors and the candidate's norm passes the threshold.
+The second pass leaves the charts and frames orthonormal to rounding
+even where a remainder is short.
 """
 
 from __future__ import annotations
@@ -215,14 +218,22 @@ def _coord_major(a) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
-def _take_candidate(v, k, basis, found, signs, tol) -> None:
+def _take_candidate(v, k, fixed, basis, found, signs, tol) -> None:
     """Step k of a masked Gram-Schmidt: the candidate v (C, K) is made
-    orthogonal to the slots of basis (m, C, K) that can be filled, then
+    orthogonal to the vectors u (C, K) of the (u, 1 / <u, u>) pairs in
+    fixed and to the slots of basis (m, C, K) that can be filled, then
     stored, unit, in slot found of each row still short of vectors whose
-    squared norm passes tol; basis and found are updated in place."""
+    squared norm passes tol; basis and found are updated in place.
+
+    The projection runs twice: after one pass a remainder of length s
+    keeps components of about eps / s along what it left, and a second
+    pass takes them to rounding ("twice is enough")."""
     slots = basis.shape[0]
-    for s in range(min(k, slots)):
-        v = v - _dot(v, basis[s], signs) * basis[s]
+    for _ in range(2):
+        for u, weight in fixed:
+            v = v - weight * _dot(v, u, signs) * u
+        for s in range(min(k, slots)):
+            v = v - _dot(v, basis[s], signs) * basis[s]
     norm2 = _dot(v, v, signs)
     take = (found < slots) & (norm2 > tol)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,9 +254,9 @@ def _sphere_tangents(w: np.ndarray) -> np.ndarray:
     for k in range(size):
         if np.all(found == size - 1):
             break
-        v = -at[k] * at
-        v[k] += 1.0
-        _take_candidate(v, k, basis, found, np.ones(size), 1e-14)
+        v = np.zeros(at.shape)
+        v[k] = 1.0
+        _take_candidate(v, k, [(at, 1.0)], basis, found, np.ones(size), 1e-14)
     if np.any(found != size - 1):
         raise ImmersionError("failed to span the sphere tangent plane")
     return _point_major(basis).reshape(w.shape[:-1] + (size - 1, size))
@@ -516,6 +527,9 @@ class ParametricImmersion:
 
         # normals: masked Gram-Schmidt on the coordinate axes in ascending
         # order, each without its radial and tangent parts first
+        # (<x, x> = 1 / c)
+        fixed = ([(xc, space.c)] if space.c != 0.0 else []) + [
+            (tangent[t], 1.0) for t in range(n)]
         normal = np.zeros((p, coords, count))
         found = np.zeros(count, dtype=int)
         for k in range(coords):
@@ -523,11 +537,7 @@ class ParametricImmersion:
                 break
             v = np.zeros((coords, count))
             v[k] = 1.0
-            if space.c != 0.0:
-                v = v - space.c * _dot(v, xc, diag) * xc
-            for t in range(n):
-                v = v - _dot(v, tangent[t], diag) * tangent[t]
-            _take_candidate(v, k, normal, found, diag, 1e-10)
+            _take_candidate(v, k, fixed, normal, found, diag, 1e-10)
         if np.any(found != p):
             raise ImmersionError("failed to complete the normal frame")
 

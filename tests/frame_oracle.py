@@ -19,9 +19,9 @@ def inner(diag, u, v):
 
 
 def sphere_tangents(w):
-    """Masked Gram-Schmidt on the coordinate axes over every row, with
-    the smallest norm (K,) of a candidate each row took: the rounding of
-    a row grows as its inverse."""
+    """Masked Gram-Schmidt on the coordinate axes over every row, each
+    candidate projected twice, with the smallest norm (K,) of a candidate
+    each row took: the rounding of a row grows as its inverse."""
     size = w.shape[-1]
     count = w.shape[0]
     basis = np.zeros((count, size - 1, size))
@@ -30,10 +30,11 @@ def sphere_tangents(w):
     for k in range(size):
         v = np.zeros((count, size))
         v[:, k] = 1.0
-        v = v - np.einsum("ki,ki->k", v, w)[:, None] * w
-        for slot in range(size - 1):
-            b = basis[:, slot]
-            v = v - np.einsum("ki,ki->k", v, b)[:, None] * b
+        for _ in range(2):
+            v = v - np.einsum("ki,ki->k", v, w)[:, None] * w
+            for slot in range(size - 1):
+                b = basis[:, slot]
+                v = v - np.einsum("ki,ki->k", v, b)[:, None] * b
         norm = np.sqrt(np.einsum("ki,ki->k", v, v))
         rows = np.flatnonzero((found < size - 1) & (norm > 1e-7))
         basis[rows, found[rows]] = v[rows] / norm[rows, None]
@@ -64,7 +65,8 @@ def jets(imm, w):
 def frames(imm, w):
     """dict of point, metric, tangent, normal, h and coeff (K, ...) at
     the points w (K, e): Cholesky factor and triangular solve for the
-    tangents, eigvalsh for the rank test, einsum for h."""
+    tangents, eigvalsh for the rank test, normals projected twice, einsum
+    for h."""
     space = imm.ambient
     diag = space.metric_diag
     x, d1, d2 = jets(imm, w)
@@ -83,12 +85,13 @@ def frames(imm, w):
     for k in range(coords):
         v = np.zeros((count, coords))
         v[:, k] = 1.0
-        if space.c != 0.0:
-            v = v - space.c * inner(diag, v, x)[:, None] * x
-        for t in range(n):
-            v = v - inner(diag, v, tangent[:, t])[:, None] * tangent[:, t]
-        for m in range(p):
-            v = v - inner(diag, v, normal[:, m])[:, None] * normal[:, m]
+        for _ in range(2):
+            if space.c != 0.0:
+                v = v - space.c * inner(diag, v, x)[:, None] * x
+            for t in range(n):
+                v = v - inner(diag, v, tangent[:, t])[:, None] * tangent[:, t]
+            for m in range(p):
+                v = v - inner(diag, v, normal[:, m])[:, None] * normal[:, m]
         norm2 = inner(diag, v, v)
         rows = np.flatnonzero((found < p) & (norm2 > 1e-10))
         normal[rows, found[rows]] = v[rows] / np.sqrt(norm2[rows])[:, None]
