@@ -27,9 +27,9 @@ sum_a T^a_1 h^a = Ric - (n-1) c I.  The coefficients implemented in
 contraction_rhs below are re-derived from scratch; the identity suite and
 the tests pin them against the independent antisymmetrized-sum evaluation
 of the left-hand side (newton_contraction of newton.newton_kronecker's
-T_{2k-1}) for k = 1..3 and all ambient curvatures.  In the same spirit the convention
-E2[0] = -I/2 (rather than -I) is what makes the trace relation
-sum_s P4[k][s,i,s,j] = -(n-2k+1) E2[k-1][i,j] hold at k = 1.
+T_{2k-1}) for k = 1..3 and all ambient curvatures.  In the same spirit
+the convention E2[0] = -I/2 (rather than -I) is what makes the trace
+relation sum_s P4[k][s,i,s,j] = -(n-2k+1) E2[k-1][i,j] hold at k = 1.
 """
 
 from __future__ import annotations

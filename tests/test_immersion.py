@@ -537,19 +537,6 @@ class TestFrameBatch:
             assert np.array_equal(getattr(sub, name),
                                   getattr(batch, name)[start:start + 4096])
 
-    def test_composed_map_batch_matches_points(self):
-        from reillylab.moebius import ConformalChain, MoebiusParam
-        base = sphere(2, 0.6, 1, 1.0)
-        chain = ConformalChain(1.0, MoebiusParam(np.array([0.2, -0.1, 0.3, 0.1])), 3)
-        moved = pushforward_under_map(base, chain.test_map(), AmbientSpace(1.0, 3))
-        rng = np.random.default_rng(4)
-        points = np.array([moved.domain.random_point(rng) for _ in range(6)])
-        batch = moved.frame_at(points)
-        for k, w in enumerate(points):
-            one = moved.frame_at(w)
-            assert np.array_equal(one.tangent, batch.tangent[k])
-            assert np.array_equal(one.h, batch.h[k])
-
     def test_bad_row_raises_like_one_point(self):
         regular, bad = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
         # x = (w, w0 w1) stays on S^3 only where w0 w1 = 0
