@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EllipticityError, TopologyError, UnsupportedConfiguration
 from .immersion import _dot
+from .secondform import rowdot
 
 _MASS_LOCAL = np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0
 
@@ -127,8 +128,8 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
             # norms as sqrt(dot) like the 1-D np.linalg.norm
             dif = corners[:, 1:] - corners[:, :1]
             tot = corners[:, 1:] + corners[:, :1]
-            flip = (np.sqrt(dif[..., None, :] @ dif[..., None])
-                    > np.sqrt(tot[..., None, :] @ tot[..., None]))[..., 0]
+            flip = (np.sqrt(rowdot(dif, dif))
+                    > np.sqrt(rowdot(tot, tot)))[..., None]
             corners[:, 1:] = np.where(flip, -corners[:, 1:], corners[:, 1:])
         centroids = imm.domain.centroid(corners)
         frames = imm.frame_at(centroids)

@@ -3,7 +3,8 @@
 Every item returns a ParametricImmersion whose `reference` dict maps an
 operator tag ("identity", "newton:2", "mean_curvature") to a
 ReferenceRecord holding the expected second eigenvalue, the expected
-right-hand side of the sharp bound, and equality-case data.  Values carry
+right-hand side of the sharp bound, equality-case data, and the factors
+of the operator's closed-form spectrum where one exists.  Values carry
 a `source` tag: "closed-form" for exact formulas, "derived" for values
 obtained by composing closed forms, "measured" when no exact value exists
 and the number must come out of the solver.
@@ -23,15 +24,23 @@ from .immersion import (AmbientSpace, ParametricImmersion, PolynomialMap,
 
 @dataclass(frozen=True)
 class ReferenceRecord:
+    """Reference values of one operator on one gallery item.
+
+    `radius` is the geodesic radius of a sphere that holds the item,
+    which the radius estimate of an equality case recovers.  `factors`
+    gives the operator as sum_f t_f Laplace_f on a product of round
+    spheres S^dim_f(radius_f), as (t, dim, radius) triples; it is None
+    where no closed form exists and lambda_2 comes from the mesh.
+    """
+
     operator: str
     lambda2: float = None
     rhs: float = None
     equality: bool = None
     source: str = "measured"
     center: np.ndarray = None
-    sphere_curvature: float = None
     radius: float = None
-    backend: dict = field(default_factory=dict)
+    factors: tuple = None
     extras: dict = field(default_factory=dict)
 
 
@@ -74,21 +83,15 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
     reference = {
         "identity": ReferenceRecord(
             operator="identity", lambda2=lam2, rhs=lam2, equality=True,
-            source="closed-form", center=center, sphere_curvature=1.0 / (a * a),
-            radius=_geodesic_radius(a, c),
-            backend={"kind": "product",
-                     "factors": [{"t": 1.0, "dim": n, "radius": a}]},
-            extras={"principal": {"curved": (k,) * n}, "k": k}),
+            source="closed-form", center=center, radius=_geodesic_radius(a, c),
+            factors=((1.0, n, a),)),
     }
     if n >= 4 and k > 0.0:
         scale = (n - 1) * k
         reference["mean_curvature"] = ReferenceRecord(
             operator="mean_curvature", lambda2=scale * lam2, rhs=scale * lam2,
             equality=True, source="closed-form", center=center,
-            sphere_curvature=1.0 / (a * a), radius=_geodesic_radius(a, c),
-            backend={"kind": "product",
-                     "factors": [{"t": scale, "dim": n, "radius": a}]},
-            extras={"trT": n * scale, "H2": k * k, "k": k})
+            radius=_geodesic_radius(a, c), factors=((scale, n, a),))
     return ParametricImmersion(
         domain=SphereProduct((n,)), mapping=PolynomialMap(a0, a1), ambient=space,
         name="sphere(n=%d,a=%g,codim=%d,c=%g)" % (n, a, codim, c),
@@ -149,23 +152,14 @@ def clifford_torus(m: int = 2, n: int = 4, a: float = math.sqrt(0.5),
         "newton:2": ReferenceRecord(
             operator="newton:2", lambda2=lam2_l2, rhs=rhs2,
             equality=abs(rhs2 - lam2_l2) <= 1e-9 * max(1.0, abs(rhs2)),
-            source="derived", center=center, sphere_curvature=1.0,
-            radius=_geodesic_radius(1.0, c),
-            backend={"kind": "product",
-                     "factors": [{"t": t, "dim": m, "radius": a},
-                                 {"t": s, "dim": n - m, "radius": b}]},
-            extras={"t": t, "s": s, "trT": tr2,
-                    "insphere_principal": (lam,) * m + (mu,) * (n - m),
-                    "S3prime": in_sphere / 3.0}),
+            source="derived", center=center, radius=_geodesic_radius(1.0, c),
+            factors=((t, m, a), (s, n - m, b)),
+            extras={"S3prime": in_sphere / 3.0}),
         "identity": ReferenceRecord(
             operator="identity", lambda2=lam2_id, rhs=rhs_id,
             equality=abs(rhs_id - lam2_id) <= 1e-9 * max(1.0, abs(rhs_id)),
-            source="derived", center=center, sphere_curvature=1.0,
-            radius=_geodesic_radius(1.0, c),
-            backend={"kind": "product",
-                     "factors": [{"t": 1.0, "dim": m, "radius": a},
-                                 {"t": 1.0, "dim": n - m, "radius": b}]},
-            extras={}),
+            source="derived", center=center, radius=_geodesic_radius(1.0, c),
+            factors=((1.0, m, a), (1.0, n - m, b))),
     }
     return ParametricImmersion(
         domain=SphereProduct((m, n - m)), mapping=PolynomialMap(a0, a1),
@@ -195,10 +189,7 @@ def veronese_rp2() -> ParametricImmersion:
     reference = {
         "identity": ReferenceRecord(
             operator="identity", lambda2=6.0, rhs=6.0, equality=True,
-            source="closed-form", center=np.zeros(5), sphere_curvature=3.0,
-            radius=1.0 / r3,
-            backend={"kind": "fem"},
-            extras={"ambient_radius": 1.0 / r3}),
+            source="closed-form", center=np.zeros(5), radius=1.0 / r3),
     }
     return ParametricImmersion(
         domain=SphereProduct((2,)),
@@ -219,8 +210,7 @@ def ellipsoid(axes=(1.0, 1.0, 1.3)) -> ParametricImmersion:
     reference = {
         "identity": ReferenceRecord(
             operator="identity", lambda2=None, rhs=None,
-            equality=(len(set(axes)) == 1), source="measured",
-            backend={"kind": "fem"}, extras={"axes": axes}),
+            equality=(len(set(axes)) == 1), source="measured"),
     }
     return ParametricImmersion(
         domain=SphereProduct((dim,)),
@@ -247,10 +237,7 @@ def hyperbolic_geodesic_sphere(r: float = 1.0) -> ParametricImmersion:
     reference = {
         "identity": ReferenceRecord(
             operator="identity", lambda2=lam2, rhs=lam2, equality=True,
-            source="closed-form", center=center,
-            sphere_curvature=1.0 / (sh * sh), radius=r,
-            backend={"kind": "fem"},
-            extras={"principal": {"curved": (ch / sh, ch / sh)}, "k": ch / sh}),
+            source="closed-form", center=center, radius=r),
     }
     return ParametricImmersion(
         domain=SphereProduct((2,)), mapping=PolynomialMap(a0, a1), ambient=space,
@@ -275,9 +262,7 @@ def flat_torus(r1: float = 1.0 / (2.0 * math.pi),
         "identity": ReferenceRecord(
             operator="identity", lambda2=lam2, rhs=rhs, equality=equality,
             source="closed-form", center=np.zeros(4),
-            sphere_curvature=1.0 / (r0 * r0) if equality else None,
-            radius=r0 if equality else None,
-            backend={"kind": "fem"}, extras={}),
+            radius=r0 if equality else None),
     }
     return ParametricImmersion(
         domain=SphereProduct((1, 1)), mapping=PolynomialMap(np.zeros(4), a1),
@@ -300,8 +285,7 @@ def ring_torus(R: float = 1.0, r: float = 0.4) -> ParametricImmersion:
     reference = {
         "identity": ReferenceRecord(
             operator="identity", lambda2=None, rhs=None, equality=False,
-            source="measured", backend={"kind": "fem"},
-            extras={"R": R, "r": r}),
+            source="measured"),
     }
     return ParametricImmersion(
         domain=SphereProduct((1, 1)), mapping=PolynomialMap(np.zeros(3), a1, a2),
@@ -342,27 +326,15 @@ def product_spheres(a: float = 1.0, b: float = 1.3) -> ParametricImmersion:
             operator="mean_curvature", lambda2=lam2_mc, rhs=rhs_mc,
             equality=abs(rhs_mc - lam2_mc) <= 1e-9 * max(1.0, rhs_mc),
             source="derived", center=np.zeros(6),
-            backend={"kind": "product",
-                     "factors": [{"t": t1, "dim": 2, "radius": a},
-                                 {"t": t2, "dim": 2, "radius": b}]},
-            extras={"t1": t1, "t2": t2, "H2": h2,
-                    "S": 2.0 / (a * a) + 2.0 / (b * b)}),
+            factors=((t1, 2, a), (t2, 2, b)), extras={"H2": h2}),
         "newton:2": ReferenceRecord(
             operator="newton:2", lambda2=lam2_n2, rhs=lam2_n2, equality=True,
-            source="derived", center=np.zeros(6),
-            sphere_curvature=1.0 / (rad * rad), radius=rad,
-            backend={"kind": "product",
-                     "factors": [{"t": tn, "dim": 2, "radius": a},
-                                 {"t": sn, "dim": 2, "radius": b}]},
-            extras={"t": tn, "s": sn, "trT": 2 * tn + 2 * sn}),
+            source="derived", center=np.zeros(6), radius=rad,
+            factors=((tn, 2, a), (sn, 2, b))),
         "identity": ReferenceRecord(
             operator="identity", lambda2=lam2_id, rhs=rhs_id,
             equality=abs(rhs_id - lam2_id) <= 1e-12, source="derived",
-            center=np.zeros(6),
-            backend={"kind": "product",
-                     "factors": [{"t": 1.0, "dim": 2, "radius": a},
-                                 {"t": 1.0, "dim": 2, "radius": b}]},
-            extras={}),
+            center=np.zeros(6), factors=((1.0, 2, a), (1.0, 2, b))),
     }
     return ParametricImmersion(
         domain=SphereProduct((2, 2)), mapping=PolynomialMap(np.zeros(6), a1),

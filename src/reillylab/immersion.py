@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ImmersionError, ShapeError
-from .secondform import symmetrized
+from .secondform import rowdot, symmetrized
 
 _CONSTRAINT_TOL = 1e-8
 _RANK_TOL = 1e-10
@@ -190,7 +190,7 @@ class SphereProduct(ParamDomain):
         for sl in self.slices:
             part = mean[..., sl]
             # sqrt(dot) per cluster, as the 1-D np.linalg.norm computes it
-            norm = np.sqrt(part[..., None, :] @ part[..., None])[..., 0]
+            norm = np.sqrt(rowdot(part, part))[..., None]
             if np.any(norm < 1e-12):
                 raise ArgumentError("point cluster spans a whole factor")
             mean[..., sl] = part / norm

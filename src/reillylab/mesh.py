@@ -6,11 +6,12 @@ owning immersion.  Ambient positions are derived, never stored.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, TopologyError
+from .secondform import rowdot
 
 _EULER = {"sphere": 2, "torus": 0, "projective_plane": 1}
 
@@ -43,8 +44,6 @@ class Mesh:
     triangles: np.ndarray
     topology: str = "sphere"
     oriented: bool = True
-    name: str = ""
-    metadata: dict = field(default_factory=dict)
 
     @property
     def vertex_count(self) -> int:
@@ -58,7 +57,7 @@ class Mesh:
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Each row of v over its length, bitwise as ``v / np.linalg.norm(v)``
     row by row: both take the square root of the BLAS dot ``v @ v``."""
-    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    return v / np.sqrt(rowdot(v, v))[:, None]
 
 
 def icosphere(level: int = 3) -> Mesh:
@@ -87,9 +86,7 @@ def icosphere(level: int = 3) -> Mesh:
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
     # a copy: at level 0, faces is the module's _ICO_FACES
-    return Mesh(points=verts, triangles=faces.astype(int),
-                topology="sphere", name="icosphere-%d" % level,
-                metadata={"level": level})
+    return Mesh(points=verts, triangles=faces.astype(int), topology="sphere")
 
 
 def projective_icosphere(level: int = 3) -> Mesh:
@@ -120,9 +117,7 @@ def projective_icosphere(level: int = 3) -> Mesh:
     if len(quotient) != base.triangle_count // 2:
         raise TopologyError("antipodal face pairing failed")
     return Mesh(points=base.points[kept], triangles=quotient,
-                topology="projective_plane", oriented=False,
-                name="projective-icosphere-%d" % level,
-                metadata={"level": level})
+                topology="projective_plane", oriented=False)
 
 
 def torus_grid(n1: int, n2: int = 0) -> Mesh:
@@ -148,9 +143,7 @@ def torus_grid(n1: int, n2: int = 0) -> Mesh:
     jnext = (j + 1) % n2
     v00, v10, v01, v11 = i + j, inext + j, i + jnext, inext + jnext
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
-    return Mesh(points=pts, triangles=tris,
-                topology="torus", name="torus-%dx%d" % (n1, n2),
-                metadata={"n1": n1, "n2": n2})
+    return Mesh(points=pts, triangles=tris, topology="torus")
 
 
 def check_mesh(mesh: Mesh) -> dict:

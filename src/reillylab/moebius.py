@@ -63,7 +63,7 @@ def _pole_check(param: MoebiusParam, x):
         f = low = float(x @ g)
     else:
         # one row dot per point, as the 1-D x @ g computes it; x @ g does not
-        f = (x[..., None, :] @ g[:, None])[..., 0]
+        f = rowdot(x, g)[..., None]
         low = float(np.min(f, initial=np.inf))
     if 1.0 + low <= _POLE_TOL:
         raise PoleProximityError("point at the Moebius pole: 1 + <x, g> = %g" % (1.0 + low))

@@ -318,10 +318,9 @@ def _mesh_forms(immersion, spec, level, mesh, potential=None):
     the potential's vertex values (None without a potential), from one
     potential call on the vertex frames.  A mesh passed in must pass
     `check_mesh`: the bound is about closed connected surfaces; an open
-    mesh would solve a Neumann problem, and one of several components has
-    lambda_2 = 0, which the first value above the zero threshold would not
-    report.  The gallery families are closed and connected by
-    construction."""
+    mesh would solve a Neumann problem, and a mesh of several components
+    has lambda_2 = 0 whatever its geometry.  The gallery families are
+    closed and connected by construction."""
     if mesh is None:
         mesh = mesh_for(immersion, level)
     else:
@@ -408,7 +407,7 @@ def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     # positive semidefinite, so min(q) bounds the spectrum below
     spectrum = solve_pencil(stiffness, mass,
                             floor=float(np.min(qvals)) if has_q else 0.0)
-    lam2 = spectrum.lambda2(has_potential=has_q)
+    lam2 = spectrum.lambda2()
     frames = geom.frames
     sample = _sample_pass(frames, spec.tensors(frames), immersion.ambient.c)
     trT, ht_ambient = sample[1], sample[2]
@@ -446,15 +445,14 @@ def ht_alignment_residual(frames, ht_ambient, trT, chain, space):
 
 def _exact_spectrum(immersion, label):
     """(record, lambda2, backend) of the reference record of `label`,
-    from its weighted per-factor product data."""
+    from the closed form its factors give."""
     record = immersion.reference.get(label)
-    if record is None or record.backend.get("kind") != "product":
+    if record is None or record.factors is None:
         raise UnsupportedConfiguration(
             "no closed-form spectral backend for %s on %s"
             % (label, immersion.name))
-    factors = record.backend["factors"]
-    spectrum = product_spectrum([(f["dim"], f["radius"]) for f in factors],
-                                weights=[f["t"] for f in factors])
+    spectrum = product_spectrum([(dim, a) for _, dim, a in record.factors],
+                                weights=[t for t, _, _ in record.factors])
     return record, spectrum.lambda2(), spectrum.backend
 
 
@@ -462,10 +460,9 @@ def closed_form_report(immersion, spec: OperatorSpec, samples: int = 32,
                        seed: int = 0, tol: float = TOL_EXACT) -> ReillyReport:
     """Bound report through an exact spectral backend (no mesh).
 
-    Requires a reference record for the operator label carrying weighted
-    per-factor product data (one factor for a round sphere), and a spec
-    without a potential.  The right side is still evaluated independently
-    from sampled frames.
+    Requires a reference record for the operator label with `factors`
+    (one factor for a round sphere), and a spec without a potential.  The
+    right side is still evaluated independently from sampled frames.
     """
     if spec.potential is not None:
         raise UnsupportedConfiguration(

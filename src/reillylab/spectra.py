@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ArgumentError, ConvergenceError
 
-_ZERO_REL_TOL = 1e-8
+_FLOOR_REL_TOL = 1e-8
 _ND_LEAF = 64
 _ND_LANDMARKS = 4
 # a linear potential q = a z on the sphere takes 16 blocks at levels 2-5
@@ -30,7 +30,8 @@ _KATO_TEMPLE_EPS = 1e-14
 
 @dataclass
 class SpectrumResult:
-    """Lowest eigenvalues of an operator, sorted ascending.
+    """Lowest eigenvalues of an operator, ascending, each repeated by its
+    multiplicity.
 
     From `solve_pencil`, `solves` is the number of block applications of
     (K - sigma M)^-1 M and `residuals` each value's Lanczos residual (see
@@ -39,41 +40,29 @@ class SpectrumResult:
 
     values: np.ndarray
     backend: str
-    tol_zero: float = 0.0
-    multiplicities: np.ndarray = field(default=None)
     solves: int = 0
     residuals: np.ndarray = field(default=None)
 
-    def lambda2(self, has_potential: bool = False) -> float:
-        """First nonzero eigenvalue, or the second one under a potential."""
-        vals = self.expanded()
-        if has_potential:
-            if len(vals) < 2:
-                raise ConvergenceError("need at least two eigenvalues")
-            return float(vals[1])
-        above = vals[vals > self.tol_zero]
-        if len(above) == 0:
-            raise ConvergenceError("no eigenvalue above the zero threshold")
-        return float(above[0])
-
-    def expanded(self) -> np.ndarray:
-        """Eigenvalues with multiplicity written out."""
-        if self.multiplicities is None:
-            return np.asarray(self.values)
-        return np.repeat(self.values, self.multiplicities)
+    def lambda2(self) -> float:
+        """lambda_2, the second value counted with multiplicity.  Without a
+        potential the lowest is 0, carried by the constants; a pencil of
+        several components has one 0 per component, and lambda_2 = 0."""
+        if len(self.values) < 2:
+            raise ConvergenceError("need at least two eigenvalues")
+        return float(self.values[1])
 
 
 def solve_pencil(stiffness, mass, count: int = 4,
                  floor: float = 0.0) -> SpectrumResult:
-    """Lowest `count` eigenvalues of K f = lambda M f.
+    """Lowest `count` eigenvalues of K f = lambda M f, ascending and
+    counted with multiplicity.
 
-    The default of 4 is what a report reads: lambda_2 is the first value
-    above zero, or the second under a potential, and 4 values hold
-    lambda_1 and the whole triple lambda_2 of a round sphere.  Losing a
-    member of a cluster past lambda_2 leaves lambda_2 as it is, and fewer
-    values take a narrower block.  `count` is capped at n - 1, n the
-    number of unknowns; a count below 1 or a pencil of fewer than 2
-    unknowns raises ArgumentError.
+    The default of 4 is what a report reads: lambda_2 is the second
+    value, and 4 values hold lambda_1 and the whole triple lambda_2 of a
+    round sphere.  Losing a member of a cluster past lambda_2 leaves
+    lambda_2 as it is, and fewer values take a narrower block.  `count`
+    is capped at n - 1, n the number of unknowns; a count below 1 or a
+    pencil of fewer than 2 unknowns raises ArgumentError.
 
     Every pencil takes one block shift-invert Lanczos run (see
     `_block_lanczos`) of block width `count`, from the deterministic
@@ -92,10 +81,9 @@ def solve_pencil(stiffness, mass, count: int = 4,
     the run would return values from above it.  Both the lowest returned
     value and the Rayleigh quotient of the constant vector,
     1^T K 1 / 1^T M 1, are upper bounds of lambda_1; if either lies below
-    the floor by more than the zero tolerance (taken at the larger of the
-    spectrum's scale and |floor|), the floor is not a lower bound and
-    ConvergenceError is raised.  A floor that passes this check can still
-    lie above lambda_1.
+    the floor by more than 1e-8 of the larger of tr K / tr M and |floor|,
+    the floor is not a lower bound and ConvergenceError is raised.  A
+    floor that passes this check can still lie above lambda_1.
 
     tr(K - floor M) / tr M grows like n, so sigma does not depend on the
     mesh size: about floor - 4 sqrt(3) / area for a near-equilateral
@@ -137,13 +125,12 @@ def solve_pencil(stiffness, mass, count: int = 4,
     vals, residuals = vals[rank], residuals[rank]
     # the sums of K and M are 1^T K 1 and 1^T M 1
     top = min(float(vals[0]), float(stiffness.sum()) / max(float(mass.sum()), 1e-300))
-    if top < floor - _ZERO_REL_TOL * max(abs(scale), abs(floor)):
+    if top < floor - _FLOOR_REL_TOL * max(abs(scale), abs(floor)):
         raise ConvergenceError(
             "floor %.17g is not a lower bound of the spectrum: lambda_1 <= "
             "%.17g" % (floor, top))
-    return SpectrumResult(values=vals, backend="fem-block",
-                          tol_zero=_ZERO_REL_TOL * abs(scale),
-                          solves=solves, residuals=residuals)
+    return SpectrumResult(values=vals, backend="fem-block", solves=solves,
+                          residuals=residuals)
 
 
 def _block_lanczos(solve, mass, count: int):
@@ -402,28 +389,31 @@ def sphere_multiplicity(n: int, k: int) -> int:
 
 
 def product_spectrum(factors, weights=None, count: int = 12) -> SpectrumResult:
-    """Spectrum of sum_f t_f Laplace_f on a product of round spheres.
+    """Lowest `count` eigenvalues of sum_f t_f Laplace_f on a product of
+    round spheres, each repeated by its multiplicity.
 
     factors: sequence of (n_f, a_f); weights: positive t_f, default 1.
     Levels per factor are enumerated far enough that the returned values
-    are provably the lowest `count`.  One factor is the weighted round
-    sphere t Laplace on S^n(a), labelled "sphere-exact"; more are
-    labelled "product-exact".
+    are provably the lowest `count`; a count below 1 raises ArgumentError.
+    One factor is the weighted round sphere t Laplace on S^n(a), labelled
+    "sphere-exact"; more are labelled "product-exact".
     """
     factors = [(int(n), float(a)) for n, a in factors]
     if weights is None:
         weights = [1.0] * len(factors)
     weights = [float(t) for t in weights]
+    if count < 1:
+        raise ArgumentError("need a count of at least 1, got %d" % count)
     if len(weights) != len(factors):
         raise ArgumentError("one weight per factor required")
     if any(t <= 0 for t in weights) or any(n < 1 or a <= 0 for n, a in factors):
         raise ArgumentError("weights and factor radii must be positive")
 
-    depth = count + 1
+    # levels k = 0..count of each factor: count + 1 values at least
     tables = []
     for (n, a), t in zip(factors, weights):
         tables.append([(t * sphere_eigenvalue(n, a, k), sphere_multiplicity(n, k))
-                       for k in range(depth)])
+                       for k in range(count + 1)])
 
     def recurse(idx):
         if idx == len(tables):
@@ -437,15 +427,10 @@ def product_spectrum(factors, weights=None, count: int = 12) -> SpectrumResult:
         return out
 
     combined = recurse(0)
-    values = np.array(sorted(combined))
-    mults = np.array([combined[v] for v in values], dtype=int)
-    keep = int(np.searchsorted(np.cumsum(mults), count) + 1)
-    keep = min(keep, len(values))
+    levels = sorted(combined)
+    values = np.repeat(levels, [combined[v] for v in levels])[:count]
     # enumeration depth guarantee: anything missed exceeds every kept value
-    floor_missed = min(tab[depth - 1][0] for tab in tables)
-    if values[keep - 1] > floor_missed:
+    if values[-1] > min(tab[-1][0] for tab in tables):
         raise ConvergenceError("product spectrum enumeration too shallow")
-    scale = min(t / a**2 for (n, a), t in zip(factors, weights))
     backend = "sphere-exact" if len(factors) == 1 else "product-exact"
-    return SpectrumResult(values=values[:keep], backend=backend,
-                          multiplicities=mults[:keep], tol_zero=1e-12 * scale)
+    return SpectrumResult(values=values, backend=backend)

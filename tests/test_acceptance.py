@@ -75,12 +75,12 @@ def test_criterion_02_clifford_torus_newton_equality():
         # the factor spheres carry the whole spectrum: weight times the
         # discretized factor eigenvalue reproduces 8 within two percent
         record = imm.reference["newton:2"]
-        factors = record.backend["factors"]
-        assert abs(factors[0]["radius"] - factors[1]["radius"]) <= 1e-12
+        factors = record.factors
+        assert abs(factors[0][2] - factors[1][2]) <= 1e-12
         factor = fem_report(sphere(2, math.sqrt(0.5), 1, 0.0), IDENTITY,
                             level=4)
-        for fac in factors:
-            assert abs(fac["t"] * factor.lambda2 - 8.0) <= 0.02 * 8.0
+        for t, _, _ in factors:
+            assert abs(t * factor.lambda2 - 8.0) <= 0.02 * 8.0
 
 
 def test_criterion_03_ellipsoid_strict_inequality():

@@ -192,8 +192,8 @@ class TestFrames:
         rec = imm.reference["newton:2"]
         fr = imm.frame_at(imm.domain.random_point(np.random.default_rng(8)))
         T2 = newton_kronecker(fr.h, 2).data
-        assert np.max(np.abs(np.diag(T2) - np.array(
-            [rec.extras["t"]] * 2 + [rec.extras["s"]] * 2))) < 1e-10
+        t, s = (f[0] for f in rec.factors)
+        assert np.max(np.abs(np.diag(T2) - np.array([t] * 2 + [s] * 2))) < 1e-10
         ht = fr.weighted_normal(T2)
         tr = float(np.trace(T2))
         rhs = imm.ambient.c * tr + float(ht @ ht) / tr
@@ -204,7 +204,8 @@ class TestFrames:
         rec = imm.reference["mean_curvature"]
         fr = imm.frame_at(imm.domain.random_point(np.random.default_rng(9)))
         data = mean_curvature_tensor(fr.h)
-        expected = np.diag([rec.extras["t1"]] * 2 + [rec.extras["t2"]] * 2)
+        t1, t2 = (f[0] for f in rec.factors)
+        expected = np.diag([t1] * 2 + [t2] * 2)
         assert np.max(np.abs(data.T - expected)) < 1e-10
         assert abs(data.H2 - rec.extras["H2"]) < 1e-12
 

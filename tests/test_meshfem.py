@@ -30,7 +30,7 @@ from reillylab.spectra import (SpectrumResult, _dissection_order,
 
 def multiplicity(res, value):
     """How many of a solve's values lie within 1e-3 relative of value."""
-    vals = res.expanded()
+    vals = res.values
     ref = max(abs(value), 1e-30)
     return int(np.sum(np.abs(vals - value) <= 1e-3 * ref))
 
@@ -398,7 +398,7 @@ class TestSphereSpectrum:
         Kq, _ = assemble_forms(geom, potential=np.full(K.shape[0], 3.0))
         plain = solve_pencil(K, M, count=4)
         shifted = solve_pencil(Kq, M, count=4)
-        assert abs(shifted.lambda2(has_potential=True) - plain.lambda2() - 3.0) < 1e-9
+        assert abs(shifted.lambda2() - plain.lambda2() - 3.0) < 1e-9
 
     def test_negative_potential_shift_is_exact_on_arpack(self):
         # a potential far below any mesh-scaled shift: the floor keeps the
@@ -409,8 +409,7 @@ class TestSphereSpectrum:
         plain = solve_pencil(K, M, count=4)
         shifted = solve_pencil(Kq, M, count=4, floor=-1000.0)
         assert shifted.backend == "fem-block"
-        assert abs(shifted.lambda2(has_potential=True)
-                   - (plain.lambda2() - 1000.0)) < 1e-8
+        assert abs(shifted.lambda2() - (plain.lambda2() - 1000.0)) < 1e-8
 
     def test_arpack_matches_dense_on_sphere(self):
         K, M = sphere_forms(4)
@@ -446,6 +445,8 @@ class TestSphereSpectrum:
         apart = np.sort(np.concatenate([solve_pencil(K1, M1, count=12).values,
                                         solve_pencil(K2, M2, count=12).values]))
         assert np.max(np.abs(merged.values - apart[:12])) < 1e-10
+        # each component carries a constant: lambda_2 of the pencil is 0
+        assert abs(merged.lambda2()) < 1e-10
 
     def test_failed_factor_names_the_shift(self):
         # an isolated unknown with no stiffness and no mass: K - sigma M
@@ -513,13 +514,12 @@ class TestFourValues:
             "potential-1000"])
     def test_lambda2_at_four_equals_twelve(self, imm, spec):
         _, K, M, qvals = reports._mesh_forms(imm, spec, 4, None, spec.potential)
-        has_q = qvals is not None
-        floor = float(np.min(qvals)) if has_q else 0.0
+        floor = 0.0 if qvals is None else float(np.min(qvals))
         four = solve_pencil(K, M, floor=floor)
         twelve = solve_pencil(K, M, count=12, floor=floor)
         assert four.backend == "fem-block" and len(four.values) == 4
-        want = twelve.lambda2(has_potential=has_q)
-        assert abs(four.lambda2(has_potential=has_q) - want) <= 1e-12 * abs(want)
+        want = twelve.lambda2()
+        assert abs(four.lambda2() - want) <= 1e-12 * abs(want)
 
 
 def tetrahedron():
@@ -527,7 +527,7 @@ def tetrahedron():
     points = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                       dtype=float) / math.sqrt(3.0)
     triangles = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    return Mesh(points, triangles, name="tetrahedron")
+    return Mesh(points, triangles)
 
 
 GALLERY_PENCILS = {
@@ -710,22 +710,26 @@ class TestOtherGeometries:
 
 class TestClosedFormSpectra:
     def test_sphere_spectrum_table(self):
-        res = product_spectrum([(2, 1.0)], count=12)
-        assert np.allclose(res.values[:4], [0.0, 2.0, 6.0, 12.0])
-        assert list(res.multiplicities[:4]) == [1, 3, 5, 7]
+        # 1 + 3 + 5 + 7 = 16 values hold the whole 7-fold level
+        res = product_spectrum([(2, 1.0)], count=16)
+        levels, mults = np.unique(res.values, return_counts=True)
+        assert np.allclose(levels[:4], [0.0, 2.0, 6.0, 12.0])
+        assert list(mults[:4]) == [1, 3, 5, 7]
         assert res.lambda2() == 2.0
         assert res.backend == "sphere-exact"
         res4 = product_spectrum([(4, 0.8)], count=8)
         assert abs(res4.lambda2() - 4.0 / 0.64) < 1e-12
-        assert res4.multiplicities[1] == 5
+        assert np.unique(res4.values, return_counts=True)[1][1] == 5
 
     def test_circle_multiplicities(self):
         res = product_spectrum([(1, 1.0)], count=7)
-        assert list(res.multiplicities[:4]) == [1, 2, 2, 2]
-        assert np.allclose(res.values[:3], [0.0, 1.0, 4.0])
+        levels, mults = np.unique(res.values, return_counts=True)
+        assert list(mults[:4]) == [1, 2, 2, 2]
+        assert np.allclose(levels[:3], [0.0, 1.0, 4.0])
 
     def test_product_matches_brute_force(self):
-        res = product_spectrum([(2, 1.0), (2, 1.3)], weights=[1.5, 3.0], count=20)
+        # 21 values: the whole level that the 20th value opens
+        res = product_spectrum([(2, 1.0), (2, 1.3)], weights=[1.5, 3.0], count=21)
         brute = []
         for j in range(8):
             for k in range(8):
@@ -734,7 +738,8 @@ class TestClosedFormSpectra:
                 mult = sphere_multiplicity_ref(2, j) * sphere_multiplicity_ref(2, k)
                 brute.extend([lamj + lamk] * mult)
         brute = np.sort(brute)
-        assert np.allclose(res.expanded(), brute[:len(res.expanded())], atol=1e-12)
+        assert len(res.values) == 21
+        assert np.allclose(res.values, brute[:21], atol=1e-12)
 
     def test_product_lambda2_picks_cheapest_factor(self):
         res = product_spectrum([(2, 0.5), (1, 1.0)], weights=[1.0, 4.0], count=10)
@@ -745,7 +750,7 @@ class TestClosedFormSpectra:
         b = math.sqrt(0.5)
         rec = clifford_torus(2, 4, a, 0.0).reference["newton:2"]
         res = product_spectrum([(2, a), (2, b)],
-                               weights=[rec.extras["t"], rec.extras["s"]], count=8)
+                               weights=[t for t, _, _ in rec.factors], count=8)
         assert abs(res.lambda2() - 8.0) < 1e-9
 
     def test_argument_validation(self):
@@ -755,6 +760,8 @@ class TestClosedFormSpectra:
             product_spectrum([(2, 1.0)], weights=[1.0, 2.0])
         with pytest.raises(ArgumentError):
             product_spectrum([(2, 1.0)], weights=[-1.0])
+        with pytest.raises(ArgumentError):
+            product_spectrum([(2, 1.0)], count=0)
 
 
 def sphere_multiplicity_ref(n, k):

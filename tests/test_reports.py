@@ -9,9 +9,10 @@ import pytest
 
 from reillylab.errors import (ArgumentError, InequalityViolation,
                               TopologyError, UnsupportedConfiguration)
-from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
-                               hyperbolic_geodesic_sphere, product_spheres,
-                               ring_torus, sphere, veronese_rp2)
+from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus, gallery,
+                               hyperbolic_geodesic_sphere, list_gallery,
+                               product_spheres, ring_torus, sphere,
+                               veronese_rp2)
 from reillylab.mesh import Mesh, icosphere
 from reillylab.moebius import ConformalChain, MoebiusParam
 from reillylab.reports import (OperatorSpec, check_inequality,
@@ -261,6 +262,22 @@ class TestClosedFormReports:
                                OperatorSpec(kind="mean_curvature"))
         assert rep.backend == "sphere-exact"
         assert "decomposition_agreement" in rep.equality
+
+
+EQUALITY_RECORDS = [(name, label) for name in list_gallery()
+                    for label, rec in sorted(gallery(name).reference.items())
+                    if rec.equality and rec.radius is not None]
+
+
+@pytest.mark.parametrize("name,label", EQUALITY_RECORDS)
+def test_equality_record_radius_is_recovered(name, label):
+    # a closed form recovers the record's radius to rounding, a level-4
+    # mesh to its discretization error
+    imm = gallery(name)
+    rep = check_inequality(imm, operator_from_label(label), level=4)
+    tol = 1e-2 if rep.backend == "fem-block" else 1e-12
+    assert rep.equality["radius_estimate"] == pytest.approx(
+        imm.reference[label].radius, rel=tol)
 
 
 class TestMeanTensorReports:
