@@ -333,6 +333,13 @@ def _mesh_forms(immersion, spec, level, mesh, potential=None):
     return geom, stiffness, mass, qvals
 
 
+def _start_guess(geom) -> np.ndarray:
+    """(V, 1 + N) start vectors of a mesh eigensolve: the constant and the
+    ambient coordinates x^A at the vertices, the test functions of the
+    bound, which are lambda_2 eigenfunctions in its equality case."""
+    return np.column_stack([np.ones(len(geom.positions)), geom.positions])
+
+
 def _mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex, cprime):
     """T-minimality residual about the estimated sphere center and, when
     cprime is given, the weak residual of L_T x = c'(trT) x."""
@@ -362,8 +369,8 @@ def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     _, trT_vertex, ht_ambient, ht, _ = _sample_pass(
         geom.frames, spec.tensors(geom.frames), immersion.ambient.c)
     if cprime is None:
-        cprime = solve_pencil(stiffness, mass).lambda2() / _average(
-            trT_vertex, geom)
+        cprime = solve_pencil(stiffness, mass, guess=_start_guess(geom)
+                              ).lambda2() / _average(trT_vertex, geom)
     out = {"HT_max": float(np.max(ht))}
     out.update(_mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex,
                                cprime))
@@ -406,7 +413,8 @@ def fem_report(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
     # the potential's form is >= min(q) M and the rest of the stiffness is
     # positive semidefinite, so min(q) bounds the spectrum below
     spectrum = solve_pencil(stiffness, mass,
-                            floor=float(np.min(qvals)) if has_q else 0.0)
+                            floor=float(np.min(qvals)) if has_q else 0.0,
+                            guess=_start_guess(geom))
     lam2 = spectrum.lambda2()
     frames = geom.frames
     sample = _sample_pass(frames, spec.tensors(frames), immersion.ambient.c)

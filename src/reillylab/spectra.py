@@ -52,8 +52,8 @@ class SpectrumResult:
         return float(self.values[1])
 
 
-def solve_pencil(stiffness, mass, count: int = 4,
-                 floor: float = 0.0) -> SpectrumResult:
+def solve_pencil(stiffness, mass, count: int = 4, floor: float = 0.0,
+                 guess=None) -> SpectrumResult:
     """Lowest `count` eigenvalues of K f = lambda M f, ascending and
     counted with multiplicity.
 
@@ -65,8 +65,8 @@ def solve_pencil(stiffness, mass, count: int = 4,
     pencil of fewer than 2 unknowns raises ArgumentError.
 
     Every pencil takes one block shift-invert Lanczos run (see
-    `_block_lanczos`) of block width `count`, from the deterministic
-    start block cos(j i), j = 1..count, and the shift
+    `_block_lanczos`) from the deterministic start block cos(j i),
+    j = 1..count, and the shift
 
         sigma = floor - |tr K / tr M - floor| / n.
 
@@ -100,14 +100,31 @@ def solve_pencil(stiffness, mass, count: int = 4,
     instance because a floor above lambda_1 made K - sigma M singular,
     raises ConvergenceError.
 
+    `guess`, an (n, k) array, holds k vectors expected near the wanted
+    eigenvectors, such as the constants and the ambient coordinates, the
+    test functions of a Reilly-type bound, which are lambda_2
+    eigenfunctions in its equality case.  They are put in front of the
+    cold start block, which stays whole: the run starts from the k + count
+    vectors [guess; cos(j i), j = 1..count], at most n of them.  Its
+    Krylov space then holds at every step the one the run without a
+    guess builds, so each Ritz value lies at least as close to its
+    eigenvalue, and no pencil of the test suite takes more block solves
+    (3 where the cold run takes 9 on the unit sphere).  Each solve
+    applies S to k more vectors, so a guess far from the wanted
+    eigenvectors costs time (the ring torus takes 10 solves of 8 vectors
+    where the cold run takes 12 of 4).  A guess that misses an
+    eigenspace, or whose columns are dependent, hides nothing the cold
+    columns reach.  Without a guess the run is the cold one, bit for
+    bit.  A guess of another row count raises ArgumentError.
+
     What the run checks: each returned theta = 1 / (lambda - sigma) meets
     the Kato-Temple bound r^2 / gap <= 1e-14 theta, r its residual
     (`residuals`) and gap its distance to the next Ritz value outside its
     cluster.  What it does not certify: that no eigenvalue was missed.
     A block of width `count` resolves a cluster of up to `count` copies,
     but the gap is taken to a Ritz value, not to a proven bound of the
-    rest of the spectrum, and no count or residual proves that a whole
-    eigenspace below lambda_2 was not missed.
+    rest of the spectrum, and no count, residual or guess proves that a
+    whole eigenspace below lambda_2 was not missed.
     """
     n = stiffness.shape[0]
     if n < 2 or count < 1:
@@ -115,11 +132,16 @@ def solve_pencil(stiffness, mass, count: int = 4,
                             "least 2 unknowns, got count %d and %d unknowns"
                             % (count, n))
     count = min(count, n - 1)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.ndim != 2 or guess.shape[0] != n:
+            raise ArgumentError("a guess needs one row per unknown, got shape "
+                                "%s for %d unknowns" % (guess.shape, n))
     scale = (stiffness.diagonal().sum()) / max(mass.diagonal().sum(), 1e-300)
     sigma = floor - abs(scale - floor) / n
     order, factor = _shift_factor(stiffness, mass, sigma)
     theta, residuals, solves = _block_lanczos(
-        lambda block: _shift_solve(order, factor, block), mass, count)
+        lambda block: _shift_solve(order, factor, block), mass, count, guess)
     vals = sigma + 1.0 / theta
     rank = np.argsort(vals)
     vals, residuals = vals[rank], residuals[rank]
@@ -133,12 +155,18 @@ def solve_pencil(stiffness, mass, count: int = 4,
                           residuals=residuals)
 
 
-def _block_lanczos(solve, mass, count: int):
+def _block_lanczos(solve, mass, count: int, guess=None):
     """(theta, residuals, solves): the `count` largest eigenvalues theta of
     S = (K - sigma M)^-1 M in descending order, their Lanczos residuals
     and the number of block applications of S, from a block Lanczos run
-    (Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 1994) of
-    width `count`.  `solve` applies (K - sigma M)^-1 to an (n, b) block.
+    (Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
+    `solve` applies (K - sigma M)^-1 to an (n, b) block.
+
+    The start block is the k columns of `guess` (none by default) as
+    rows, then cos(j i), j = 1..count, and the run's width is k + count,
+    capped at n.  Since K_m(S, [G; C]) contains K_m(S, C), the guess
+    only adds to the space the cold block spans; the stop still tests
+    the lowest `count` values alone.
 
     S is self-adjoint in the M inner product.  The Lanczos vectors are
     kept M-orthonormal, one (b, n) array of rows per block.  Each step
@@ -158,24 +186,33 @@ def _block_lanczos(solve, mass, count: int):
     that a cluster split by `count` is measured to the next value
     outside it.  theta_i is then within eps of an eigenvalue, relatively,
     if theta_g is at or below the next eigenvalue of S; residuals at
-    rounding level would take several more steps for no digits.
+    rounding level would take several more steps for no digits.  The
+    stop is tested only once the basis holds more than the start block:
+    guess columns that span an invariant space, such as eigenvectors of
+    a cluster above lambda_2, give Ritz pairs with zero residual on the
+    first block, before S has drawn anything out of the cold columns
+    (on icosphere(3) the run would return the cluster at 6 for lambda_2).
 
     A row that keeps no more than `_RANK_TOL` of its M-norm through the
     projections means that the Krylov space is invariant, as a cluster
     of more copies than the block is wide makes it on a symmetric mesh.
     Its remainder is dropped, and the block is completed with fresh
-    deterministic vectors cos(j i), j = count + 1, count + 2, and so on.
-    Once the basis holds all n vectors, T is exact.  Past `_BLOCK_STEPS`
-    blocks ConvergenceError is raised.
+    deterministic vectors cos(j i), j = count + 1, count + 2, and so on;
+    so is a start block whose guess columns are dependent.  Once the
+    basis holds all n vectors, T is exact.  Past `_BLOCK_STEPS` blocks
+    ConvergenceError is raised.
     """
     n = mass.shape[0]
-    rows = min(n, _BLOCK_STEPS * count)
+    block = _cosines(itertools.count(1), count, n)
+    if guess is not None:
+        block = np.concatenate([guess.T, block])
+    width = min(n, len(block))
+    rows = min(n, _BLOCK_STEPS * width)
     tri = np.zeros((rows, rows))  # the lower triangle of T
-    freqs = itertools.count(1)
-    block = _cosines(freqs, count, n)
-    blocks = [_orthonormalize([], block, *_project([], block, mass), count,
+    freqs = itertools.count(count + 1)
+    blocks = [_orthonormalize([], block, *_project([], block, mass), width,
                               mass, freqs)[0]]
-    end = count
+    end = width
     for solves in range(1, _BLOCK_STEPS + 1):
         start = end - len(blocks[-1])
         rhs = mass @ blocks[-1].T
@@ -186,10 +223,10 @@ def _block_lanczos(solve, mass, count: int):
         theta, last = theta[::-1], vecs[start:end, ::-1]
         resid = np.sqrt(np.maximum(np.einsum(
             "ij,ik,kj->j", last, block @ products.T, last), 0.0))
-        if end == n or (end > count and _kato_temple(theta, resid, count)):
+        if end == n or (end > width and _kato_temple(theta, resid, count)):
             return theta[:count], resid[:count], solves
-        new, tri[end:end + count, start:end] = _orthonormalize(
-            blocks, block, norms, products, min(count, rows - end), mass,
+        new, tri[end:end + width, start:end] = _orthonormalize(
+            blocks, block, norms, products, min(width, rows - end), mass,
             freqs)
         blocks.append(new)
         end += len(new)
@@ -326,7 +363,7 @@ def _dissection_order(matrix) -> np.ndarray:
         if len(verts) <= _ND_LEAF:
             parts.append(verts)
             continue
-        sub = graph[verts][:, verts]
+        sub = graph if count == 1 else graph[verts][:, verts]
         upper = np.zeros(len(verts), dtype=bool)
         parts.append(verts[_dissect(sub.indptr, sub.indices,
                                     _landmark_hops(sub), upper,
@@ -360,18 +397,26 @@ def _dissect(indptr, indices, hops, upper, verts) -> np.ndarray:
     if width.max() == 0:
         return verts
     key = coords[:, int(np.argmax(width))]
-    cut = np.median(key)
+    # the lower middle value splits the integer hop counts as the median
+    # does: for an even count, (a + b) / 2 with a < b lies in [a, b)
+    mid = (len(key) - 1) // 2
+    cut = np.partition(key, mid)[mid]
     lower = key <= cut
     if lower.all():
         lower = key < cut
     low, high = verts[lower], verts[~lower]
-    # the neighbours of every lower vertex, row by row
-    starts, sizes = indptr[low], indptr[low + 1] - indptr[low]
-    row = np.repeat(np.arange(len(low)), sizes)
+    # a hop count grows by at most 1 along an edge, and the upper keys
+    # exceed the highest lower one, so only lower vertices within 1 of it
+    # can touch the upper half; their neighbours, row by row
+    low_key = key[lower]
+    near = np.flatnonzero(low_key >= low_key.max() - 1)
+    edge = low[near]
+    starts, sizes = indptr[edge], indptr[edge + 1] - indptr[edge]
+    row = np.repeat(np.arange(len(edge)), sizes)
     slot = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     upper[high] = True
     touches = np.zeros(len(low), dtype=bool)
-    touches[row[upper[indices[starts[row] + slot]]]] = True
+    touches[near[row[upper[indices[starts[row] + slot]]]]] = True
     upper[high] = False
     return np.concatenate([_dissect(indptr, indices, hops, upper, low[~touches]),
                            _dissect(indptr, indices, hops, upper, high),

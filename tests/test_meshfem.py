@@ -490,19 +490,22 @@ class TestFourValues:
     values is lambda_2 at twelve."""
 
     def test_reports_request_four_values(self, monkeypatch):
+        # each from a guess of 1 + N columns: the constant and the
+        # coordinates of R^3 at the 162 vertices
         requested = []
 
         def spy(*args, **kw):
             call = inspect.signature(solve_pencil).bind(*args, **kw)
             call.apply_defaults()
-            requested.append(call.arguments["count"])
+            requested.append((call.arguments["count"],
+                              call.arguments["guess"].shape))
             return solve_pencil(*args, **kw)
 
         monkeypatch.setattr(reports, "solve_pencil", spy)
         imm = sphere(2, 1.0, 1, 0.0)
         reports.fem_report(imm, OperatorSpec(), level=2)
         reports.t_minimality(imm, OperatorSpec(), level=2)
-        assert requested == [4, 4]
+        assert requested == [(4, (162, 4)), (4, (162, 4))]
 
     @pytest.mark.parametrize("imm,spec", [
         (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
@@ -664,6 +667,99 @@ class TestBlockLanczos:
         res = solve_pencil(K, M)
         assert blocks == [(K.shape[0], 4)] * len(blocks)
         assert res.solves == len(blocks) <= 12
+
+
+def assert_cold_values(res, K, M, floor=0.0):
+    """res holds the values of the solve without a guess, to 1e-12 of
+    their largest magnitude, in no more block solves."""
+    cold = solve_pencil(K, M, floor=floor)
+    err = np.max(np.abs(res.values - cold.values))
+    assert err <= 1e-12 * np.max(np.abs(cold.values)), err
+    assert res.solves <= cold.solves
+
+
+class TestGuessedStart:
+    """A guess goes in front of the cold start block: the values stay
+    those of the cold run, whatever the guess spans."""
+
+    @pytest.mark.parametrize("imm,spec", [
+        (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
+        (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0)),
+        (ring_torus(), OperatorSpec()),
+        (hyperbolic_geodesic_sphere(1.0), OperatorSpec()),
+        (veronese_rp2(), OperatorSpec()),
+        (sphere(2, 1.0, 1, 0.0),
+         OperatorSpec(potential=lambda fr: 3.0 * fr.point[..., 0])),
+    ], ids=["sphere", "ellipsoid-newton0", "ring-torus", "hyperbolic-sphere",
+            "veronese", "tilted-potential"])
+    def test_report_guess_gives_the_cold_values(self, monkeypatch, imm, spec):
+        blocks = []
+        solve = spectra._shift_solve
+
+        def counting(order, factor, rhs):
+            blocks.append(rhs.shape)
+            return solve(order, factor, rhs)
+
+        geom, K, M, qvals = reports._mesh_forms(imm, spec, 4, None,
+                                                spec.potential)
+        floor = 0.0 if qvals is None else float(np.min(qvals))
+        guess = reports._start_guess(geom)
+        monkeypatch.setattr(spectra, "_shift_solve", counting)
+        res = solve_pencil(K, M, floor=floor, guess=guess)
+        monkeypatch.undo()
+        # one column per guess vector, on top of the four cold ones
+        assert blocks == [(K.shape[0], 4 + guess.shape[1])] * res.solves
+        assert_cold_values(res, K, M, floor)
+
+    @pytest.mark.parametrize("kind", ["harmonics", "eigenvectors"])
+    def test_misleading_guess_cannot_hide_lambda2(self, kind):
+        # the constant and the fivefold cluster at 6 span a sector without
+        # lambda_2; exact eigenvectors span an invariant space, on which
+        # the first block's Ritz pairs have converged before S has acted
+        # on anything else
+        K, M = sphere_forms(3)
+        if kind == "harmonics":
+            x, y, z = icosphere(3).points.T
+            guess = np.column_stack([np.ones_like(x), x * y, y * z, x * z,
+                                     x * x - y * y, 2 * z * z - x * x - y * y])
+        else:
+            vecs = scipy.linalg.eigh(K.toarray(), M.toarray())[1]
+            guess = vecs[:, [0, 4, 5, 6, 7, 8]]
+        res = solve_pencil(K, M, guess=guess)
+        lam2 = res.lambda2()
+        assert abs(lam2 - 2.0) < 0.01 * 2.0
+        assert np.ptp(res.values[1:4]) <= 1e-12 * lam2
+        assert_cold_values(res, K, M)
+
+    @pytest.mark.parametrize("kind", ["repeated", "zero", "hyperbolic-x0"])
+    def test_dependent_guess_is_refilled(self, kind):
+        if kind == "hyperbolic-x0":
+            # the last coordinate is cosh(1) at every vertex: the constant
+            imm = hyperbolic_geodesic_sphere(1.0)
+            geom, K, M, _ = reports._mesh_forms(imm, OperatorSpec(), 3, None)
+            guess = reports._start_guess(geom)
+        else:
+            K, M = sphere_forms(3)
+            x, y, z = icosphere(3).points.T
+            guess = (np.column_stack([np.ones_like(x), x, x, y, z])
+                     if kind == "repeated" else np.zeros((len(x), 2)))
+        assert_cold_values(solve_pencil(K, M, guess=guess), K, M)
+
+    def test_guess_wider_than_the_pencil(self):
+        # count 3 and a guess of 3 on 4 unknowns: one block of all 4
+        # vectors, on which T is exact
+        _, K, M, _ = reports._mesh_forms(sphere(2, 1.0, 1, 0.0), OperatorSpec(),
+                                         None, tetrahedron())
+        res = solve_pencil(K, M, count=12, guess=np.eye(4)[:, :3])
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        assert res.solves == 1 and len(res.values) == 3
+        assert np.max(np.abs(res.values - dense[:3])) <= 1e-12 * dense[2]
+
+    @pytest.mark.parametrize("shape", [(10,), (9, 2), (10, 2, 1)])
+    def test_guess_of_another_shape_is_an_argument_error(self, shape):
+        K = path_graph(10).tocsr()
+        with pytest.raises(ArgumentError, match="one row per unknown"):
+            solve_pencil(K, sp.identity(10, format="csr"), guess=np.ones(shape))
 
 
 class TestOtherGeometries:
