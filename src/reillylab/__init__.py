@@ -22,8 +22,7 @@ from .moebius import ConformalChain, MoebiusParam, gamma_map, plane_to_sphere
 from .newton import NewtonTensor, newton_tensor
 from .reports import (OperatorSpec, ReillyReport, check_inequality,
                       closed_form_report, fem_report, mean_tensor_report,
-                      operator_from_label, rhs_integral, schrodinger_report,
-                      t_minimality, write_report_csv)
+                      operator_from_label, t_minimality, write_report_csv)
 from .secondform import SecondFundamentalForm
 from .spectra import product_spectrum, solve_pencil
 
@@ -46,8 +45,7 @@ __all__ = [
     "load_off", "mean_curvature_tensor", "mean_tensor_report",
     "newton_tensor", "operator_from_label", "plane_to_sphere",
     "product_spectrum", "product_spheres", "projective_icosphere",
-    "pushforward_under_map", "rhs_integral", "ring_torus", "save_off",
-    "schrodinger_report", "solve_pencil", "sphere",
-    "t_minimality", "tilted_sum_minimum", "torus_grid", "veronese_rp2",
-    "write_report_csv",
+    "pushforward_under_map", "ring_torus", "save_off", "solve_pencil",
+    "sphere", "t_minimality", "tilted_sum_minimum", "torus_grid",
+    "veronese_rp2", "write_report_csv",
 ]

@@ -118,9 +118,7 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     mesh = geom.mesh
     tri = mesh.triangles
     nf = tri.shape[0]
-    if tensor_field is None:
-        t_local = np.tile(np.eye(2), (nf, 1, 1))
-    else:
+    if tensor_field is not None:
         imm = geom.immersion
         corners = mesh.points[tri]  # (F, 3, embed_dim)
         if mesh.topology == "projective_plane":
@@ -155,8 +153,10 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
                 % (f, np.array_str(centroids[f], precision=6), eig[f]))
     # the area scales the gradients first: as area * (grads^T T grads),
     # the zero eigenvalue of the level-3 flat torus rounds 2e-12 from 0
-    k_loc = np.swapaxes(geom.grads, 1, 2) @ (
-        t_local @ (geom.areas[:, None, None] * geom.grads))
+    k_loc = geom.areas[:, None, None] * geom.grads
+    if tensor_field is not None:
+        k_loc = t_local @ k_loc
+    k_loc = np.swapaxes(geom.grads, 1, 2) @ k_loc
     m_loc = geom.areas[:, None, None] * _MASS_LOCAL
     if potential is not None:
         qv = np.asarray(potential, dtype=float)[tri]  # (F, 3)

@@ -33,7 +33,6 @@ class ReferenceRecord:
     where no closed form exists and lambda_2 comes from the mesh.
     """
 
-    operator: str
     lambda2: float = None
     rhs: float = None
     equality: bool = None
@@ -82,14 +81,14 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
         center[-1] = 1.0
     reference = {
         "identity": ReferenceRecord(
-            operator="identity", lambda2=lam2, rhs=lam2, equality=True,
+            lambda2=lam2, rhs=lam2, equality=True,
             source="closed-form", center=center, radius=_geodesic_radius(a, c),
             factors=((1.0, n, a),)),
     }
     if n >= 4 and k > 0.0:
         scale = (n - 1) * k
         reference["mean_curvature"] = ReferenceRecord(
-            operator="mean_curvature", lambda2=scale * lam2, rhs=scale * lam2,
+            lambda2=scale * lam2, rhs=scale * lam2,
             equality=True, source="closed-form", center=center,
             radius=_geodesic_radius(a, c), factors=((scale, n, a),))
     return ParametricImmersion(
@@ -150,13 +149,13 @@ def clifford_torus(m: int = 2, n: int = 4, a: float = math.sqrt(0.5),
 
     reference = {
         "newton:2": ReferenceRecord(
-            operator="newton:2", lambda2=lam2_l2, rhs=rhs2,
+            lambda2=lam2_l2, rhs=rhs2,
             equality=abs(rhs2 - lam2_l2) <= 1e-9 * max(1.0, abs(rhs2)),
             source="derived", center=center, radius=_geodesic_radius(1.0, c),
             factors=((t, m, a), (s, n - m, b)),
             extras={"S3prime": in_sphere / 3.0}),
         "identity": ReferenceRecord(
-            operator="identity", lambda2=lam2_id, rhs=rhs_id,
+            lambda2=lam2_id, rhs=rhs_id,
             equality=abs(rhs_id - lam2_id) <= 1e-9 * max(1.0, abs(rhs_id)),
             source="derived", center=center, radius=_geodesic_radius(1.0, c),
             factors=((1.0, m, a), (1.0, n - m, b))),
@@ -188,7 +187,7 @@ def veronese_rp2() -> ParametricImmersion:
     space = AmbientSpace(c=0.0, dim=5)
     reference = {
         "identity": ReferenceRecord(
-            operator="identity", lambda2=6.0, rhs=6.0, equality=True,
+            lambda2=6.0, rhs=6.0, equality=True,
             source="closed-form", center=np.zeros(5), radius=1.0 / r3),
     }
     return ParametricImmersion(
@@ -209,7 +208,7 @@ def ellipsoid(axes=(1.0, 1.0, 1.3)) -> ParametricImmersion:
     space = AmbientSpace(c=0.0, dim=len(axes))
     reference = {
         "identity": ReferenceRecord(
-            operator="identity", lambda2=None, rhs=None,
+            lambda2=None, rhs=None,
             equality=(len(set(axes)) == 1), source="measured"),
     }
     return ParametricImmersion(
@@ -236,7 +235,7 @@ def hyperbolic_geodesic_sphere(r: float = 1.0) -> ParametricImmersion:
     center = np.array([0.0, 0.0, 0.0, 1.0])
     reference = {
         "identity": ReferenceRecord(
-            operator="identity", lambda2=lam2, rhs=lam2, equality=True,
+            lambda2=lam2, rhs=lam2, equality=True,
             source="closed-form", center=center, radius=r),
     }
     return ParametricImmersion(
@@ -260,7 +259,7 @@ def flat_torus(r1: float = 1.0 / (2.0 * math.pi),
     r0 = math.sqrt(r1 * r1 + r2 * r2)
     reference = {
         "identity": ReferenceRecord(
-            operator="identity", lambda2=lam2, rhs=rhs, equality=equality,
+            lambda2=lam2, rhs=rhs, equality=equality,
             source="closed-form", center=np.zeros(4),
             radius=r0 if equality else None),
     }
@@ -284,8 +283,7 @@ def ring_torus(R: float = 1.0, r: float = 0.4) -> ParametricImmersion:
     a2[1][1, 2] = a2[1][2, 1] = 0.5 * r
     reference = {
         "identity": ReferenceRecord(
-            operator="identity", lambda2=None, rhs=None, equality=False,
-            source="measured"),
+            lambda2=None, rhs=None, equality=False, source="measured"),
     }
     return ParametricImmersion(
         domain=SphereProduct((1, 1)), mapping=PolynomialMap(np.zeros(3), a1, a2),
@@ -323,16 +321,16 @@ def product_spheres(a: float = 1.0, b: float = 1.3) -> ParametricImmersion:
 
     reference = {
         "mean_curvature": ReferenceRecord(
-            operator="mean_curvature", lambda2=lam2_mc, rhs=rhs_mc,
+            lambda2=lam2_mc, rhs=rhs_mc,
             equality=abs(rhs_mc - lam2_mc) <= 1e-9 * max(1.0, rhs_mc),
             source="derived", center=np.zeros(6),
             factors=((t1, 2, a), (t2, 2, b)), extras={"H2": h2}),
         "newton:2": ReferenceRecord(
-            operator="newton:2", lambda2=lam2_n2, rhs=lam2_n2, equality=True,
+            lambda2=lam2_n2, rhs=lam2_n2, equality=True,
             source="derived", center=np.zeros(6), radius=rad,
             factors=((tn, 2, a), (sn, 2, b))),
         "identity": ReferenceRecord(
-            operator="identity", lambda2=lam2_id, rhs=rhs_id,
+            lambda2=lam2_id, rhs=rhs_id,
             equality=abs(rhs_id - lam2_id) <= 1e-12, source="derived",
             center=np.zeros(6), factors=((1.0, 2, a), (1.0, 2, b))),
     }

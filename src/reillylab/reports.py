@@ -288,24 +288,6 @@ def _average(values, geom=None):
     return geom.integrate(values) / geom.volume
 
 
-def rhs_integral(geom_or_immersion, spec: OperatorSpec, samples: int = 32,
-                 seed: int = 0):
-    """Mean of c trT + |H_T|^2/trT, by P1 quadrature or by frame sampling.
-
-    Accepts a DiscreteGeometry (mesh quadrature, exact for the interpolant)
-    or a ParametricImmersion (sample mean; intended for homogeneous
-    geometries where the integrand is constant).  Returns (value, stddev).
-    """
-    if isinstance(geom_or_immersion, DiscreteGeometry):
-        geom = geom_or_immersion
-        imm, frames = geom.immersion, geom.frames
-    else:
-        geom, imm = None, geom_or_immersion
-        frames = _sample_frames(imm, samples, seed)
-    vals = _sample_pass(frames, spec.tensors(frames), imm.ambient.c)[0]
-    return _average(vals, geom), float(np.std(vals))
-
-
 def _sample_frames(immersion, samples, seed):
     """FrameBatch at `samples` seeded random domain points."""
     if samples < 1:
@@ -355,26 +337,24 @@ def _mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex, cprime):
     return out
 
 
-def t_minimality(immersion, spec: OperatorSpec, level: int = 4, mesh=None,
-                 cprime: float = None) -> dict:
-    """T-minimality diagnostics for a hypothesized containing sphere.
+def t_minimality(immersion, spec: OperatorSpec, cprime: float, level: int = 4,
+                 mesh=None) -> dict:
+    """T-minimality diagnostics at a stated c', without an eigensolve.
 
-    Returns the largest |H_T| over vertices, the largest non-radial
-    fraction of H_T relative to the estimated sphere center, and the weak
-    residual of L_T x = c'(trT) x.  When cprime is omitted it is estimated
-    from the computed second eigenvalue via c' = lambda2 / mean(trT).
-    The potential of spec, if any, is not assembled.
+    The equality case of the bound is Takahashi's: M is T-minimal in a
+    geodesic sphere and L_T x = c' (tr T) x.  Returns the largest |H_T|
+    over vertices, the largest non-radial fraction of H_T relative to the
+    estimated sphere center, and the weak residual of L_T x = c'(trT) x
+    at the given cprime.  `fem_report` gives the same residuals at the c'
+    it reads off lambda_2.  The potential of spec, if any, is not
+    assembled.
     """
     geom, stiffness, mass, _ = _mesh_forms(immersion, spec, level, mesh)
     _, trT_vertex, ht_ambient, ht, _ = _sample_pass(
         geom.frames, spec.tensors(geom.frames), immersion.ambient.c)
-    if cprime is None:
-        cprime = solve_pencil(stiffness, mass, guess=_start_guess(geom)
-                              ).lambda2() / _average(trT_vertex, geom)
     out = {"HT_max": float(np.max(ht))}
     out.update(_mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex,
                                cprime))
-    out["cprime"] = float(cprime)
     return out
 
 
@@ -523,14 +503,6 @@ def _assert_bound(report: ReillyReport, tol: float):
             "second eigenvalue %.12g exceeds the bound %.12g by more than "
             "tolerance %.3g on %s" % (report.lambda2, report.rhs, tol,
                                       report.name))
-
-
-def schrodinger_report(immersion, spec: OperatorSpec, level: int = 4,
-                       **kw) -> ReillyReport:
-    """Potential-carrying variant; the bound gains the potential's mean."""
-    if spec.potential is None:
-        raise ArgumentError("schrodinger report needs a potential")
-    return fem_report(immersion, spec, level=level, **kw)
 
 
 def mean_tensor_report(immersion, samples: int = 64, seed: int = 0,

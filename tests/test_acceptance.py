@@ -28,8 +28,7 @@ from reillylab.moebius import (ConformalChain, MoebiusParam,
                                sphere_to_plane)
 from reillylab.newton import newton_tensor
 from reillylab.reports import (OperatorSpec, closed_form_report, fem_report,
-                               mean_tensor_report, schrodinger_report,
-                               t_minimality)
+                               mean_tensor_report, t_minimality)
 from tilted_sum_oracle import tilted_sum_minimum_sampled
 
 IDENTITY = OperatorSpec()
@@ -235,7 +234,7 @@ def test_criterion_10_schrodinger_bound():
     with budget(30):
         # constant potential shifts both sides equally: equality survives
         flat = OperatorSpec(potential=lambda fr: 3.0)
-        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0), flat, level=4)
+        rep = fem_report(sphere(2, 1.0, 1, 0.0), flat, level=4)
         assert abs(rep.qbar - 3.0) <= 1e-12
         assert abs(rep.lambda2 - 5.0) <= 0.02 * 5.0
         assert abs(rep.rhs - 5.0) <= 0.02 * 5.0
@@ -243,7 +242,7 @@ def test_criterion_10_schrodinger_bound():
 
         # a coordinate potential of the same mean breaks the equality
         tilted = OperatorSpec(potential=lambda fr: 3.0 * fr.point[..., 0])
-        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0), tilted, level=4)
+        rep = fem_report(sphere(2, 1.0, 1, 0.0), tilted, level=4)
         assert rep.gap > 0.1
 
 

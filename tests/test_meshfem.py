@@ -490,8 +490,8 @@ class TestFourValues:
     values is lambda_2 at twelve."""
 
     def test_reports_request_four_values(self, monkeypatch):
-        # each from a guess of 1 + N columns: the constant and the
-        # coordinates of R^3 at the 162 vertices
+        # from a guess of 1 + N columns: the constant and the coordinates
+        # of R^3 at the 162 vertices
         requested = []
 
         def spy(*args, **kw):
@@ -504,8 +504,9 @@ class TestFourValues:
         monkeypatch.setattr(reports, "solve_pencil", spy)
         imm = sphere(2, 1.0, 1, 0.0)
         reports.fem_report(imm, OperatorSpec(), level=2)
-        reports.t_minimality(imm, OperatorSpec(), level=2)
-        assert requested == [(4, (162, 4)), (4, (162, 4))]
+        # t_minimality takes c' as stated and solves nothing
+        reports.t_minimality(imm, OperatorSpec(), level=2, cprime=1.0)
+        assert requested == [(4, (162, 4))]
 
     @pytest.mark.parametrize("imm,spec", [
         (sphere(2, 1.0, 1, 0.0), OperatorSpec()),

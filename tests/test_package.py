@@ -49,3 +49,22 @@ def test_test_oracles_and_helpers_are_not_in_the_package():
             if hasattr(owner, name)]
     assert left == []
     assert "tilted_sum_minimum_sampled" not in reillylab.__all__
+
+
+def test_duplicate_report_paths_stay_gone():
+    # fem_report and closed_form_report already compute the right side
+    # and take a potential; the convergence table fixes its own tolerance
+    import inspect
+
+    from reillylab import cli, reports
+    from reillylab.gallery import ReferenceRecord
+    for name in ("rhs_integral", "schrodinger_report"):
+        assert not hasattr(reillylab, name)
+        assert not hasattr(reports, name)
+        assert name not in reillylab.__all__
+    # a field without a default is no class attribute, so read the fields
+    assert "operator" not in ReferenceRecord.__dataclass_fields__
+    assert "tol" not in inspect.signature(cli.convergence_rows).parameters
+    # t_minimality solves nothing: its c' is stated, not read off lambda_2
+    assert inspect.signature(reports.t_minimality).parameters[
+        "cprime"].default is inspect.Parameter.empty

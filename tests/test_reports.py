@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from reillylab.reports import (OperatorSpec, check_inequality,
                                closed_form_report, fem_report,
                                mean_tensor_report, mesh_for,
                                operator_from_label, reports_json,
-                               rhs_integral, schrodinger_report, t_minimality,
-                               write_report_csv)
+                               t_minimality, write_report_csv)
 
 
 class TestOperatorSpec:
@@ -51,34 +51,21 @@ class TestOperatorSpec:
 
 class TestRhsIntegral:
     def test_unit_sphere_quadrature_exact(self):
-        from reillylab.fem import DiscreteGeometry
-        from reillylab.mesh import icosphere
-        geom = DiscreteGeometry(sphere(2, 1.0, 1, 0.0), icosphere(2))
-        val, std = rhs_integral(geom, OperatorSpec())
-        assert abs(val - 2.0) < 1e-12
-        assert std < 1e-12
+        from reillylab.reports import _sample_pass
+        imm = sphere(2, 1.0, 1, 0.0)
+        assert abs(fem_report(imm, OperatorSpec(), level=2).rhs - 2.0) < 1e-12
+        frames = imm.frame_at(icosphere(2).points)
+        vals = _sample_pass(frames, OperatorSpec().tensors(frames), 0.0)[0]
+        assert np.std(vals) < 1e-12
 
     def test_sampled_homogeneous(self):
-        val, std = rhs_integral(clifford_torus(),
-                                OperatorSpec(kind="newton", degree=2))
-        assert abs(val - 8.0) < 1e-9
-        assert std < 1e-9
-
-    @pytest.mark.parametrize("imm, label, level", [
-        (sphere(2, 1.0, 1, 0.0), "identity", 3),
-        (ellipsoid(), "newton:0", 2),
-    ], ids=["sphere-identity-L3", "ellipsoid-newton0-L2"])
-    def test_mesh_value_is_the_fem_report_rhs(self, imm, label, level):
-        from reillylab.fem import DiscreteGeometry
-        spec = operator_from_label(label)
-        geom = DiscreteGeometry(imm, mesh_for(imm, level))
-        assert rhs_integral(geom, spec)[0] == \
-            fem_report(imm, spec, level=level).rhs
-
-    def test_sampled_value_is_the_closed_form_rhs(self):
+        from reillylab.reports import _sample_frames, _sample_pass
         spec = OperatorSpec(kind="newton", degree=2)
-        assert rhs_integral(clifford_torus(), spec, 9, 4)[0] == \
-            closed_form_report(clifford_torus(), spec, 9, 4).rhs
+        rep = closed_form_report(clifford_torus(), spec)
+        assert abs(rep.rhs - 8.0) < 1e-9
+        frames = _sample_frames(clifford_torus(), 32, 0)
+        vals = _sample_pass(frames, spec.tensors(frames), 0.0)[0]
+        assert np.std(vals) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["fem", "closed_form", "mean_tensor"])
@@ -203,14 +190,18 @@ def disjoint_icospheres(copies):
                 (base.triangles + shift).reshape(-1, 3))
 
 
-@pytest.mark.parametrize("entry", [fem_report, t_minimality])
+@pytest.mark.parametrize("entry", [fem_report,
+                                   partial(t_minimality, cprime=1.0)],
+                         ids=["fem_report", "t_minimality"])
 def test_disconnected_mesh_is_refused(entry):
     with pytest.raises(TopologyError, match="4 connected components"):
         entry(sphere(2, 1.0, 1, 0.0), OperatorSpec(),
               mesh=disjoint_icospheres(4))
 
 
-@pytest.mark.parametrize("entry", [fem_report, t_minimality])
+@pytest.mark.parametrize("entry", [fem_report,
+                                   partial(t_minimality, cprime=1.0)],
+                         ids=["fem_report", "t_minimality"])
 def test_open_mesh_is_refused(entry):
     """An icosphere with the cap around one vertex removed is open: its
     boundary edges lie in one triangle each."""
@@ -338,9 +329,8 @@ class TestMeanTensorReports:
 
 class TestSchrodinger:
     def test_constant_potential_shifts_equality(self):
-        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0),
-                                 OperatorSpec(potential=lambda fr: 3.0),
-                                 level=3)
+        rep = fem_report(sphere(2, 1.0, 1, 0.0),
+                         OperatorSpec(potential=lambda fr: 3.0), level=3)
         assert abs(rep.lambda2 - 5.0) < 0.02 * 5.0
         assert rep.qbar == pytest.approx(3.0, abs=1e-12)
         assert rep.rhs == pytest.approx(5.0, abs=1e-10)
@@ -349,16 +339,15 @@ class TestSchrodinger:
     def test_negative_potential_on_arpack_mesh(self):
         # level 4 takes the shift-invert path; a shift above the potential's
         # minimum makes it return other eigenvalues and a false violation
-        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0),
-                                 OperatorSpec(potential=lambda fr: -1000.0),
-                                 level=4)
+        rep = fem_report(sphere(2, 1.0, 1, 0.0),
+                         OperatorSpec(potential=lambda fr: -1000.0), level=4)
         assert rep.backend == "fem-block"
         assert rep.asserted and rep.passed
         assert rep.lambda2 == pytest.approx(-997.99711, abs=1e-5)
         assert rep.rhs == pytest.approx(-998.0, abs=1e-10)
 
     def test_nonconstant_potential_strict(self):
-        rep = schrodinger_report(
+        rep = fem_report(
             sphere(2, 1.0, 1, 0.0),
             OperatorSpec(potential=lambda fr: 3.0 * fr.point[..., 0]), level=3)
         assert rep.gap > 0.3
@@ -371,30 +360,25 @@ class TestSchrodinger:
             calls.append(fr.point.shape[:-1])
             return 3.0 * fr.point[..., 0]
 
-        rep = schrodinger_report(sphere(2, 1.0, 1, 0.0),
-                                 OperatorSpec(potential=potential), level=2)
+        rep = fem_report(sphere(2, 1.0, 1, 0.0),
+                         OperatorSpec(potential=potential), level=2)
         # one call, on the batch of all vertex frames
         assert calls == [(mesh_for(sphere(2, 1.0, 1, 0.0), 2).vertex_count,)]
         assert rep.qbar == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_potential_reduces_to_plain(self):
         base = fem_report(flat_torus(), OperatorSpec(), level=3)
-        shifted = schrodinger_report(flat_torus(),
-                                     OperatorSpec(potential=lambda fr: 0.0),
-                                     level=3)
+        shifted = fem_report(flat_torus(),
+                             OperatorSpec(potential=lambda fr: 0.0), level=3)
         assert shifted.lambda2 == pytest.approx(base.lambda2, rel=1e-12)
         assert shifted.rhs == pytest.approx(base.rhs, rel=1e-12)
 
     def test_undefined_radius_is_noted(self):
-        rep = schrodinger_report(
+        rep = fem_report(
             sphere(2, 1.0, 1, 0.0),
             OperatorSpec(potential=lambda fr: 40 * fr.point[..., 2]), level=2)
         assert rep.equality["radius_estimate"] is None
         assert any("radius estimate undefined" in note for note in rep.notes)
-
-    def test_potential_required(self):
-        with pytest.raises(ArgumentError):
-            schrodinger_report(flat_torus(), OperatorSpec())
 
 
 class TestSerialization:
