@@ -196,19 +196,16 @@ def convergence_rows(immersion, spec, levels, done=None):
     return rows
 
 
-def write_convergence_csv(rows, path):
-    write_csv(("level", "vertices", "lambda2", "rhs", "gap"),
-              [(lvl, nv, "%.17g" % lam, "%.17g" % rhs, "%.17g" % gap)
-               for lvl, nv, lam, rhs, gap in rows], path)
-
-
 def _convergence_artifact(sc, levels, outdir, done=None):
     """Write convergence.csv and, when the scenario's operator has a
     reference eigenvalue and there are two or more levels, plot.svg; the
     reports in `done` are reused as in `convergence_rows`.  Returns (rows,
     fitted slope or None)."""
     rows = convergence_rows(sc["immersion"], sc["spec"], levels, done=done)
-    write_convergence_csv(rows, os.path.join(outdir, "convergence.csv"))
+    write_csv(("level", "vertices", "lambda2", "rhs", "gap"),
+              [(lvl, nv, "%.17g" % lam, "%.17g" % rhs, "%.17g" % gap)
+               for lvl, nv, lam, rhs, gap in rows],
+              os.path.join(outdir, "convergence.csv"))
     record = sc["immersion"].reference.get(sc["spec"].label)
     if len(rows) < 2 or record is None or not record.lambda2:
         return rows, None
@@ -225,9 +222,8 @@ def convergence_plot(rows, reference, title):
     if min(errs) <= 0.0:
         raise UnsupportedConfiguration("zero error; nothing to plot on log axes")
     slope = fit_loglog_slope(hs, errs)
-    series = [{"label": "slope %.2f" % slope, "x": hs, "y": errs}]
-    return line_plot(series, title=title, xlabel="mesh size h",
-                     ylabel="|lambda2 - reference|"), slope
+    return line_plot(hs, errs, "slope %.2f" % slope, title, "mesh size h",
+                     "|lambda2 - reference|"), slope
 
 
 def _balance_artifact(sc, outdir):

@@ -43,14 +43,6 @@ class ReferenceRecord:
     extras: dict = field(default_factory=dict)
 
 
-def _geodesic_radius(r0: float, c: float) -> float:
-    if c == 0.0:
-        return r0
-    if c == 1.0:
-        return math.asin(r0)
-    return math.asinh(r0)
-
-
 def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> ParametricImmersion:
     """Round n-sphere of intrinsic radius a in an ambient of curvature c.
 
@@ -82,7 +74,7 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
     reference = {
         "identity": ReferenceRecord(
             lambda2=lam2, rhs=lam2, equality=True,
-            source="closed-form", center=center, radius=_geodesic_radius(a, c),
+            source="closed-form", center=center, radius=space.geodesic_radius(a),
             factors=((1.0, n, a),)),
     }
     if n >= 4 and k > 0.0:
@@ -90,7 +82,7 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
         reference["mean_curvature"] = ReferenceRecord(
             lambda2=scale * lam2, rhs=scale * lam2,
             equality=True, source="closed-form", center=center,
-            radius=_geodesic_radius(a, c), factors=((scale, n, a),))
+            radius=space.geodesic_radius(a), factors=((scale, n, a),))
     return ParametricImmersion(
         domain=SphereProduct((n,)), mapping=PolynomialMap(a0, a1), ambient=space,
         name="sphere(n=%d,a=%g,codim=%d,c=%g)" % (n, a, codim, c),
@@ -151,13 +143,13 @@ def clifford_torus(m: int = 2, n: int = 4, a: float = math.sqrt(0.5),
         "newton:2": ReferenceRecord(
             lambda2=lam2_l2, rhs=rhs2,
             equality=abs(rhs2 - lam2_l2) <= 1e-9 * max(1.0, abs(rhs2)),
-            source="derived", center=center, radius=_geodesic_radius(1.0, c),
+            source="derived", center=center, radius=space.geodesic_radius(1.0),
             factors=((t, m, a), (s, n - m, b)),
             extras={"S3prime": in_sphere / 3.0}),
         "identity": ReferenceRecord(
             lambda2=lam2_id, rhs=rhs_id,
             equality=abs(rhs_id - lam2_id) <= 1e-9 * max(1.0, abs(rhs_id)),
-            source="derived", center=center, radius=_geodesic_radius(1.0, c),
+            source="derived", center=center, radius=space.geodesic_radius(1.0),
             factors=((1.0, m, a), (1.0, n - m, b))),
     }
     return ParametricImmersion(

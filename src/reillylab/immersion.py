@@ -25,6 +25,7 @@ even where a remainder is short.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,15 @@ class AmbientSpace:
         """Ambient inner product (Lorentz-aware); broadcasts over leading axes."""
         return _dot(np.moveaxis(np.asarray(u), -1, 0),
                     np.moveaxis(np.asarray(v), -1, 0), self.metric_diag)
+
+    def geodesic_radius(self, r0: float) -> float:
+        """Geodesic radius of the sphere of this space whose Euclidean
+        radius parameter is r0: r0, asin r0 or asinh r0 for c = 0, 1, -1."""
+        if self.c == 0.0:
+            return r0
+        if self.c == 1.0:
+            return math.asin(min(r0, 1.0))
+        return math.asinh(r0)
 
     def constraint_residual(self, x):
         """Deviation of x (..., coords) from the model constraint (0 for

@@ -9,7 +9,7 @@ as does its tangential gradient.  gamma_g and its derivatives take one
 point (N,) or a batch (..., N) and share one evaluation of gamma_g(x).
 The chain and the chart values and Jacobians take a point or a batch
 through one code path, and a batch row has the bits of the one-point
-call; the ball_to_hyperboloid references take one point.
+call; ball_to_hyperboloid_value is a one-point reference.
 """
 
 import math
@@ -173,32 +173,6 @@ def ball_to_hyperboloid_value(w: np.ndarray) -> np.ndarray:
     if s <= _POLE_TOL:
         raise PoleProximityError("point on the ball boundary")
     return np.concatenate([2.0 * w, [1.0 + float(w @ w)]]) / s
-
-
-def ball_to_hyperboloid_jacobian(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    n = w.size
-    s = 1.0 - float(w @ w)
-    if s <= _POLE_TOL:
-        raise PoleProximityError("point on the ball boundary")
-    jac = np.empty((n + 1, n))
-    jac[:n] = 2.0 * np.eye(n) / s + 4.0 * np.outer(w, w) / s**2
-    jac[n] = 4.0 * w / s**2
-    return jac
-
-
-def ball_to_hyperboloid_hessian(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    n = w.size
-    s = 1.0 - float(w @ w)
-    eye = np.eye(n)
-    hess = np.empty((n + 1, n, n))
-    hess[:n] = (4.0 * (np.einsum("ij,k->ijk", eye, w)
-                       + np.einsum("ik,j->ijk", eye, w)
-                       + np.einsum("i,jk->ijk", w, eye)) / s**2
-                + 16.0 * np.einsum("i,j,k->ijk", w, w, w) / s**3)
-    hess[n] = 4.0 * eye / s**2 + 16.0 * np.outer(w, w) / s**3
-    return hess
 
 
 def hyperboloid_to_ball(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -125,16 +125,7 @@ class ReillyReport:
         return self.rhs - self.lambda2
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name, "c": self.c, "operator": self.operator,
-            "lambda2": self.lambda2, "rhs": self.rhs, "gap": self.gap,
-            "qbar": self.qbar, "volume": self.volume, "backend": self.backend,
-            "tolerance": self.tolerance, "asserted": self.asserted,
-            "passed": self.passed, "notes": list(self.notes),
-            "preconditions": dict(self.preconditions),
-            "equality": dict(self.equality),
-        }
-        return out
+        return {**asdict(self), "gap": self.gap}
 
     def csv_cells(self) -> list:
         radius = self.equality.get("radius_estimate")
@@ -198,19 +189,15 @@ def _sample_pass(frames, tensors, c):
     return integrand, trT, ht_ambient, np.sqrt(ht2), pre
 
 
-def _radius_estimate(trT_mean, lam2, c):
-    """Geodesic radius from r0 = (trT / lambda2)^(1/2), branch per c."""
+def _radius_estimate(trT_mean, lam2, space):
+    """Geodesic radius in space from r0 = (trT / lambda2)^(1/2)."""
     if lam2 <= 0.0 or trT_mean <= 0.0:
         return None, ["radius estimate undefined for nonpositive data"]
     r0 = math.sqrt(trT_mean / lam2)
-    if c == 0.0:
-        return r0, []
-    if c == 1.0:
-        if r0 > 1.0 + 1e-12:
-            return None, ["radius parameter %.6g exceeds 1; no geodesic "
-                          "sphere of curvature 1 fits the equality case" % r0]
-        return math.asin(min(r0, 1.0)), []
-    return math.asinh(r0), []
+    if space.c == 1.0 and r0 > 1.0 + 1e-12:
+        return None, ["radius parameter %.6g exceeds 1; no geodesic "
+                      "sphere of curvature 1 fits the equality case" % r0]
+    return space.geodesic_radius(r0), []
 
 
 def mesh_for(immersion, level: int):
@@ -371,7 +358,7 @@ def _report(immersion, label, lam2, backend, tol, sample, diagnose,
     qbar = 0.0 if qvals is None else _average(qvals, geom)
     rhs = _average(integrand, geom) + qbar
     trT_mean = _average(trT, geom)
-    radius, notes = _radius_estimate(trT_mean, lam2 - qbar, c)
+    radius, notes = _radius_estimate(trT_mean, lam2 - qbar, immersion.ambient)
     equality = {"trT_mean": trT_mean, "trT_stddev": float(np.std(trT)),
                 "radius_estimate": radius}
     equality.update(diagnose((lam2 - qbar) / trT_mean))

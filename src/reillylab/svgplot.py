@@ -1,8 +1,8 @@
 """Minimal SVG line plots, written directly as path elements.
 
-Enough for convergence studies: logarithmic axes, one polyline with
-markers per series, a legend, and an optional fitted-slope readout.
-No plotting dependency; output is deterministic for identical input.
+Enough for convergence studies: one series drawn as a polyline with
+markers on logarithmic axes, with its label as the legend.  No plotting
+dependency; output is deterministic for identical input.
 """
 
 import math
@@ -13,7 +13,7 @@ _MARGIN_L = 70.0
 _MARGIN_R = 20.0
 _MARGIN_T = 40.0
 _MARGIN_B = 55.0
-_COLORS = ("#1f6fb2", "#c24d2c", "#3a7d44", "#7a4fa3", "#b0892b")
+_COLOR = "#1f6fb2"
 
 
 def fit_loglog_slope(x, y):
@@ -44,20 +44,19 @@ def _esc(text):
             .replace(">", "&gt;"))
 
 
-def line_plot(series, title="", xlabel="", ylabel=""):
-    """Render series = [{label, x, y}] on log-log axes to an SVG document
+def line_plot(xs, ys, label, title, xlabel, ylabel):
+    """Render the series (xs, ys) on log-log axes to an SVG document
     string."""
-    pts_all = [(float(px), float(py)) for s in series
-               for px, py in zip(s["x"], s["y"])]
-    if not pts_all:
+    pts = [(float(px), float(py)) for px, py in zip(xs, ys)]
+    if not pts:
         raise ValueError("nothing to plot")
-    if any(fx <= 0 or fy <= 0 for fx, fy in pts_all):
+    if any(fx <= 0 or fy <= 0 for fx, fy in pts):
         raise ValueError("log axes need positive data")
 
-    xs = [math.log(px) for px, _ in pts_all]
-    ys = [math.log(py) for _, py in pts_all]
-    xlo, xhi = min(xs), max(xs)
-    ylo, yhi = min(ys), max(ys)
+    lxs = [math.log(px) for px, _ in pts]
+    lys = [math.log(py) for _, py in pts]
+    xlo, xhi = min(lxs), max(lxs)
+    ylo, yhi = min(lys), max(lys)
     if xhi == xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi == ylo:
@@ -83,9 +82,8 @@ def line_plot(series, title="", xlabel="", ylabel=""):
     out.append('<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" '
                'fill="none" stroke="#444"/>'
                % (_MARGIN_L, _MARGIN_T, plot_w, plot_h))
-    if title:
-        out.append('<text x="%.1f" y="22" text-anchor="middle" '
-                   'font-size="14">%s</text>' % (_WIDTH / 2, _esc(title)))
+    out.append('<text x="%.1f" y="22" text-anchor="middle" '
+               'font-size="14">%s</text>' % (_WIDTH / 2, _esc(title)))
 
     for v in _ticks(math.exp(xlo), math.exp(xhi)):
         x = px_of(v)
@@ -101,31 +99,24 @@ def line_plot(series, title="", xlabel="", ylabel=""):
                    % (_MARGIN_L, y, _MARGIN_L + plot_w, y))
         out.append('<text x="%.1f" y="%.1f" text-anchor="end">%s</text>'
                    % (_MARGIN_L - 6, y + 4, _esc("%.3g" % v)))
-    if xlabel:
-        out.append('<text x="%.1f" y="%.1f" text-anchor="middle">%s</text>'
-                   % (_MARGIN_L + plot_w / 2, _HEIGHT - 12, _esc(xlabel)))
-    if ylabel:
-        out.append('<text x="16" y="%.1f" text-anchor="middle" '
-                   'transform="rotate(-90 16 %.1f)">%s</text>'
-                   % (_MARGIN_T + plot_h / 2, _MARGIN_T + plot_h / 2,
-                      _esc(ylabel)))
+    out.append('<text x="%.1f" y="%.1f" text-anchor="middle">%s</text>'
+               % (_MARGIN_L + plot_w / 2, _HEIGHT - 12, _esc(xlabel)))
+    out.append('<text x="16" y="%.1f" text-anchor="middle" '
+               'transform="rotate(-90 16 %.1f)">%s</text>'
+               % (_MARGIN_T + plot_h / 2, _MARGIN_T + plot_h / 2, _esc(ylabel)))
 
-    for i, s in enumerate(series):
-        color = _COLORS[i % len(_COLORS)]
-        coords = ["%.2f,%.2f" % (px_of(px), py_of(py))
-                  for px, py in zip(s["x"], s["y"])]
-        out.append('<polyline points="%s" fill="none" stroke="%s" '
-                   'stroke-width="1.6"/>' % (" ".join(coords), color))
-        for px, py in zip(s["x"], s["y"]):
-            out.append('<circle cx="%.2f" cy="%.2f" r="3" fill="%s"/>'
-                       % (px_of(px), py_of(py), color))
-        label = s.get("label", "series %d" % i)
-        ly = _MARGIN_T + 16 + 16 * i
-        out.append('<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" '
-                   'stroke="%s" stroke-width="1.6"/>'
-                   % (_MARGIN_L + plot_w - 150, ly - 4,
-                      _MARGIN_L + plot_w - 126, ly - 4, color))
-        out.append('<text x="%.1f" y="%.1f">%s</text>'
-                   % (_MARGIN_L + plot_w - 120, ly, _esc(label)))
+    coords = ["%.2f,%.2f" % (px_of(px), py_of(py)) for px, py in pts]
+    out.append('<polyline points="%s" fill="none" stroke="%s" '
+               'stroke-width="1.6"/>' % (" ".join(coords), _COLOR))
+    for px, py in pts:
+        out.append('<circle cx="%.2f" cy="%.2f" r="3" fill="%s"/>'
+                   % (px_of(px), py_of(py), _COLOR))
+    ly = _MARGIN_T + 16
+    out.append('<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" '
+               'stroke="%s" stroke-width="1.6"/>'
+               % (_MARGIN_L + plot_w - 150, ly - 4,
+                  _MARGIN_L + plot_w - 126, ly - 4, _COLOR))
+    out.append('<text x="%.1f" y="%.1f">%s</text>'
+               % (_MARGIN_L + plot_w - 120, ly, _esc(label)))
     out.append("</svg>")
     return "\n".join(out) + "\n"

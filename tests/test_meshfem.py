@@ -669,6 +669,13 @@ class TestBlockLanczos:
         assert blocks == [(K.shape[0], 4)] * len(blocks)
         assert res.solves == len(blocks) <= 12
 
+    def test_block_cap_is_refused(self, monkeypatch):
+        # one block solve never reaches the stop rule, which needs a second
+        monkeypatch.setattr(spectra, "_BLOCK_STEPS", 1)
+        with pytest.raises(ConvergenceError,
+                           match="no 4 converged values in 1 block solves"):
+            solve_pencil(*sphere_forms(3))
+
 
 def assert_cold_values(res, K, M, floor=0.0):
     """res holds the values of the solve without a guess, to 1e-12 of
@@ -837,6 +844,10 @@ class TestClosedFormSpectra:
         brute = np.sort(brute)
         assert len(res.values) == 21
         assert np.allclose(res.values, brute[:21], atol=1e-12)
+
+    def test_lambda2_needs_two_values(self):
+        with pytest.raises(ConvergenceError, match="at least two"):
+            product_spectrum([(2, 1.0)], count=1).lambda2()
 
     def test_product_lambda2_picks_cheapest_factor(self):
         res = product_spectrum([(2, 0.5), (1, 1.0)], weights=[1.0, 4.0], count=10)

@@ -68,3 +68,20 @@ def test_duplicate_report_paths_stay_gone():
     # t_minimality solves nothing: its c' is stated, not read off lambda_2
     assert inspect.signature(reports.t_minimality).parameters[
         "cprime"].default is inspect.Parameter.empty
+
+
+def test_unused_helpers_stay_gone():
+    # the hyperboloid chart's own jets are what the conformal chain
+    # composes; the radius rule lives on AmbientSpace; the plot draws the
+    # one series the convergence artifact passes
+    import inspect
+
+    from reillylab import cli, gallery, moebius, svgplot
+    gone = {moebius: ["ball_to_hyperboloid_jacobian",
+                      "ball_to_hyperboloid_hessian"],
+            gallery: ["_geodesic_radius"],
+            cli: ["write_convergence_csv"]}
+    left = [(owner.__name__, name) for owner, names in gone.items()
+            for name in names if hasattr(owner, name)]
+    assert left == []
+    assert "series" not in inspect.signature(svgplot.line_plot).parameters

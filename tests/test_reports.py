@@ -14,9 +14,10 @@ from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus, gallery,
                                hyperbolic_geodesic_sphere, list_gallery,
                                product_spheres, ring_torus, sphere,
                                veronese_rp2)
+from reillylab.immersion import AmbientSpace
 from reillylab.mesh import Mesh, icosphere
 from reillylab.moebius import ConformalChain, MoebiusParam
-from reillylab.reports import (OperatorSpec, check_inequality,
+from reillylab.reports import (OperatorSpec, _radius_estimate, check_inequality,
                                closed_form_report, fem_report,
                                mean_tensor_report, mesh_for,
                                operator_from_label, reports_json,
@@ -83,7 +84,7 @@ def test_every_kind_carries_trT_and_radius(kind, monkeypatch):
     assert rep.equality["radius_estimate"] > 0
     # the radius notes reach the report of every kind
     monkeypatch.setattr(reports, "_radius_estimate",
-                        lambda trT_mean, lam2, c: (None, ["radius probe"]))
+                        lambda trT_mean, lam2, space: (None, ["radius probe"]))
     rep = make[kind]()
     assert rep.equality["radius_estimate"] is None
     assert rep.notes == ["radius probe"]
@@ -230,6 +231,21 @@ class TestClosedFormReports:
             assert abs(rep.gap) < 1e-9 * max(1.0, rep.rhs)
             assert rep.equality["radius_estimate"] == pytest.approx(
                 math.hypot(a, b), rel=1e-9)
+
+    def test_curvature_one_radius(self):
+        rep = closed_form_report(sphere(2, 0.8, 1, 1.0), OperatorSpec())
+        assert rep.equality["radius_estimate"] == math.asin(0.8)
+        radius, notes = _radius_estimate(2.0, 1.0, AmbientSpace(1.0, 3))
+        assert radius is None
+        assert len(notes) == 1 and "exceeds 1" in notes[0]
+
+    def test_mean_curvature_sphere(self):
+        # (n - 1) k n / a^2 with n = 4, a = 0.8, k = 1 / a
+        rep = closed_form_report(sphere(4, 0.8, 1, 0.0),
+                                 OperatorSpec(kind="mean_curvature"))
+        assert rep.lambda2 == pytest.approx(23.4375, abs=1e-9)
+        assert rep.rhs == pytest.approx(23.4375, abs=1e-9)
+        assert rep.equality["radius_estimate"] == pytest.approx(0.8, rel=1e-12)
 
     def test_missing_backend_rejected(self):
         with pytest.raises(UnsupportedConfiguration):
