@@ -54,6 +54,20 @@ def _field(cfg, key, default, convert, where):
         raise ConfigError("%s: malformed %r: %r" % (where, key, value))
 
 
+def _nonfinite(value, path=""):
+    """The key path of the first NaN or infinity in parsed JSON, which
+    json reads but a configuration may not hold, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path or "value"
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _nonfinite(item, "%s[%s]" % (path, json.dumps(key)))
+        if found:
+            return found
+    return None
+
+
 def _finite_tol(tol, where):
     """A report tolerance from outside the program: None or finite.  A
     negative one stays allowed; it forces a failure."""
@@ -128,6 +142,9 @@ def load_scenarios(path) -> list:
         if name in names:
             raise ConfigError("%s: duplicate name" % where)
         names.add(name)
+        bad = _nonfinite(sc)
+        if bad:
+            raise ConfigError("%s: %s is not a finite number" % (where, bad))
         geo = sc.get("geometry")
         if not isinstance(geo, dict) or "gallery" not in geo:
             raise ConfigError("%s: geometry needs a 'gallery' field" % where)
@@ -455,7 +472,11 @@ def cmd_gallery(args) -> int:
             print(name)
         return 0
     try:
-        imm = gallery(args.name, **json.loads(args.params or "{}"))
+        params = json.loads(args.params or "{}")
+        bad = _nonfinite(params)
+        if bad:
+            raise ConfigError("%s is not a finite number" % bad)
+        imm = gallery(args.name, **params)
         mesh = mesh_for(imm, args.level) if args.off and imm.n == 2 else None
     except (ReillyLabError, TypeError, ValueError) as exc:
         raise ConfigError("gallery %s rejected: %s" % (args.name, exc))

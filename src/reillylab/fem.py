@@ -37,6 +37,15 @@ def _orthogonal_polar(a):
     return (a + sign * cof) / norm[:, None, None]
 
 
+def symmetric_eigvals_2x2(a) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) of symmetric 2x2 matrices a (..., 2, 2)
+    from their lower triangles, as eigvalsh reads them, in closed form:
+    mean -+ hypot(half difference, off-diagonal)."""
+    mean = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    radius = np.hypot(0.5 * (a[..., 0, 0] - a[..., 1, 1]), a[..., 1, 0])
+    return np.stack([mean - radius, mean + radius], axis=-1)
+
+
 def element_metric(positions, triangles, metric_diag):
     """Per triangle of `triangles` over the vertex `positions` (V, C):
     the edges e1, e2 (F, C) from corner 0 to corners 1 and 2, their
@@ -108,7 +117,8 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
     broadcasts against (F, 2, 2), so a constant (2, 2) matrix serves every
     element.  potential: the values (V,) of q at the vertices, added to K
     through the quadratic form integral of q f g.  Raises EllipticityError
-    at the first element whose weight matrix is not positive definite.
+    at the first element whose weight matrix is not finite or not
+    positive definite.
     The tensor reaches each element's local axes by the orthogonal polar
     factor of the map from the centroid frame, a reflection where that map
     reverses orientation (on the projective plane's quotient meshes).
@@ -138,13 +148,16 @@ def assemble_forms(geom: DiscreteGeometry, tensor_field=None, potential=None):
         tmats = np.broadcast_to(np.asarray(tensor_field(frames), dtype=float),
                                 frames.metric.shape)
         t_local = rot @ tmats @ np.swapaxes(rot, 1, 2)
-        # ascending eigenvalues, from the lower triangle as eigvalsh reads it
-        mean = 0.5 * (t_local[:, 0, 0] + t_local[:, 1, 1])
-        radius = np.hypot(0.5 * (t_local[:, 0, 0] - t_local[:, 1, 1]),
-                          t_local[:, 1, 0])
-        eig = np.stack([mean - radius, mean + radius], axis=1)
+        # a NaN or an infinity in T gives NaN eigenvalues (inf - inf, not
+        # worth a warning) and a NaN scale for every later element: the
+        # test is written so that NaN fails it, and no later element fails
+        # before the first bad one
+        with np.errstate(invalid="ignore"):
+            eig = symmetric_eigvals_2x2(t_local)
         scale = np.maximum.accumulate(np.abs(eig[:, -1]))
-        bad = np.flatnonzero(eig[:, 0] <= _ELLIPTIC_REL_TOL * scale)
+        good = (np.isfinite(t_local).all(axis=(1, 2))
+                & (eig[:, 0] > _ELLIPTIC_REL_TOL * scale))
+        bad = np.flatnonzero(~good)
         if bad.size:
             f = bad[0]
             raise EllipticityError(

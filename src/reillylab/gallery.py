@@ -43,6 +43,11 @@ class ReferenceRecord:
     extras: dict = field(default_factory=dict)
 
 
+def _positive(*values) -> bool:
+    """Whether every value is a finite positive number; NaN is not."""
+    return all(0.0 < v < math.inf for v in values)
+
+
 def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> ParametricImmersion:
     """Round n-sphere of intrinsic radius a in an ambient of curvature c.
 
@@ -53,7 +58,7 @@ def sphere(n: int = 2, a: float = 1.0, codim: int = 1, c: float = 0.0) -> Parame
     """
     if n < 1 or codim < 1:
         raise ArgumentError("need n >= 1 and codim >= 1")
-    if a <= 0:
+    if not _positive(a):
         raise ArgumentError("radius must be positive")
     if c == 1.0 and a > 1.0:
         raise ArgumentError("a sphere of curvature 1 admits intrinsic radius <= 1 only")
@@ -194,7 +199,7 @@ def ellipsoid(axes=(1.0, 1.0, 1.3)) -> ParametricImmersion:
     axes = tuple(float(v) for v in axes)
     if len(axes) < 3:
         raise ArgumentError("need at least three semi-axes")
-    if any(v <= 0 for v in axes):
+    if not _positive(*axes):
         raise ArgumentError("semi-axes must be positive")
     dim = len(axes) - 1
     space = AmbientSpace(c=0.0, dim=len(axes))
@@ -216,7 +221,7 @@ def hyperbolic_geodesic_sphere(r: float = 1.0) -> ParametricImmersion:
     Intrinsically a round sphere of radius sinh(r); umbilic with principal
     curvature coth(r), so the Laplacian bound is attained exactly.
     """
-    if r <= 0:
+    if not _positive(r):
         raise ArgumentError("geodesic radius must be positive")
     sh, ch = math.sinh(r), math.cosh(r)
     space = AmbientSpace(c=-1.0, dim=3)
@@ -239,7 +244,7 @@ def hyperbolic_geodesic_sphere(r: float = 1.0) -> ParametricImmersion:
 def flat_torus(r1: float = 1.0 / (2.0 * math.pi),
                r2: float = 1.0 / (2.0 * math.pi)) -> ParametricImmersion:
     """Flat product of two circles in R^4."""
-    if r1 <= 0 or r2 <= 0:
+    if not _positive(r1, r2):
         raise ArgumentError("circle radii must be positive")
     space = AmbientSpace(c=0.0, dim=4)
     a1 = np.zeros((4, 4))
@@ -263,7 +268,7 @@ def flat_torus(r1: float = 1.0 / (2.0 * math.pi),
 
 def ring_torus(R: float = 1.0, r: float = 0.4) -> ParametricImmersion:
     """Torus of revolution in R^3; a strict-inequality surface."""
-    if not R > r > 0:
+    if not (_positive(R, r) and R > r):
         raise ArgumentError("need R > r > 0")
     space = AmbientSpace(c=0.0, dim=3)
     a1 = np.zeros((3, 4))
@@ -290,7 +295,7 @@ def product_spheres(a: float = 1.0, b: float = 1.3) -> ParametricImmersion:
     block constant with closed-form weights, strict for a != b, while the
     rank-2 Newton tensor attains its bound for every (a, b).
     """
-    if a <= 0 or b <= 0:
+    if not _positive(a, b):
         raise ArgumentError("radii must be positive")
     space = AmbientSpace(c=0.0, dim=6)
     a1 = np.zeros((6, 6))

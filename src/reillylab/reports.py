@@ -29,7 +29,7 @@ import numpy as np
 from .ellipticity import _mean_scalars, mean_curvature_tensor
 from .errors import (ArgumentError, EllipticityError, InequalityViolation,
                      UnsupportedConfiguration)
-from .fem import DiscreteGeometry, assemble_forms
+from .fem import DiscreteGeometry, assemble_forms, symmetric_eigvals_2x2
 from .mesh import check_mesh, icosphere, projective_icosphere, torus_grid
 from .newton import newton_tensor
 from .secondform import rowdot
@@ -179,9 +179,12 @@ def _sample_pass(frames, tensors, c):
     ht2 = (wn[:, None, :] @ wn[:, :, None])[:, 0, 0]
     integrand = c * trT + ht2 / trT
     ht_ambient = (wn[:, None, :] @ frames.normal)[:, 0]
-    # T and T' = (tr T) I - 2 T of every sample in one eigvalsh call
+    # T and T' = (tr T) I - 2 T of every sample in one eigenvalue call,
+    # in closed form on a surface
     tprime = trT[:, None, None] * np.eye(frames.n) - 2.0 * tensors
-    eig = np.linalg.eigvalsh(np.concatenate([tensors, tprime]))[:, 0]
+    both = np.concatenate([tensors, tprime])
+    eig = (symmetric_eigvals_2x2(both) if frames.n == 2
+           else np.linalg.eigvalsh(both))[:, 0]
     count = len(trT)
     pre = {"T_posdef_min": float(np.min(eig[:count])),
            "Tprime_min": float(np.min(eig[count:])),
@@ -285,28 +288,37 @@ def _sample_frames(immersion, samples, seed):
 def _mesh_forms(immersion, spec, level, mesh, potential=None):
     """Geometry and assembled stiffness and mass of a mesh report, plus
     the potential's vertex values (None without a potential), from one
-    potential call on the vertex frames.  A mesh passed in must pass
-    `check_mesh`: the bound is about closed connected surfaces; an open
-    mesh would solve a Neumann problem, and a mesh of several components
-    has lambda_2 = 0 whatever its geometry.  The gallery families are
-    closed and connected by construction."""
+    potential call on the vertex frames; a value that is not finite raises
+    ArgumentError.  A mesh passed in must pass `check_mesh`: the bound is
+    about closed connected surfaces; an open mesh would solve a Neumann
+    problem, and a mesh of several components has lambda_2 = 0 whatever
+    its geometry.  The gallery families are closed and connected by
+    construction."""
     if mesh is None:
         mesh = mesh_for(immersion, level)
     else:
         check_mesh(mesh)
     geom = DiscreteGeometry(immersion, mesh)
     tensor_field = None if spec.kind == "identity" else spec.tensors
-    qvals = None if potential is None else np.broadcast_to(
-        np.asarray(potential(geom.frames), dtype=float), geom.frames.point.shape[:-1])
+    qvals = None
+    if potential is not None:
+        qvals = np.broadcast_to(np.asarray(potential(geom.frames), dtype=float),
+                                geom.frames.point.shape[:-1])
+        bad = np.flatnonzero(~np.isfinite(qvals))
+        if bad.size:
+            raise ArgumentError("potential value %r at vertex %d is not finite"
+                                % (float(qvals[bad[0]]), bad[0]))
     stiffness, mass = assemble_forms(geom, tensor_field, potential=qvals)
     return geom, stiffness, mass, qvals
 
 
 def _start_guess(geom) -> np.ndarray:
-    """(V, 1 + N) start vectors of a mesh eigensolve: the constant and the
-    ambient coordinates x^A at the vertices, the test functions of the
-    bound, which are lambda_2 eigenfunctions in its equality case."""
-    return np.column_stack([np.ones(len(geom.positions)), geom.positions])
+    """(V, N) start vectors of a mesh eigensolve: the ambient coordinates
+    x^A at the vertices, the test functions of the bound, which are
+    lambda_2 eigenfunctions in its equality case.  The constant, the
+    lambda_1 eigenfunction, is not among them: `solve_pencil` deflates it
+    without a potential, and the cold columns find it under one."""
+    return geom.positions
 
 
 def _mesh_residuals(geom, stiffness, mass, ht_ambient, trT_vertex, cprime):

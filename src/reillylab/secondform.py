@@ -32,8 +32,11 @@ def symmetrized(h) -> np.ndarray:
 
 def _form_max(a) -> np.ndarray:
     """Largest entry of each set of forms a (..., p, n, n), entry by entry
-    (a reduction over short trailing axes costs far more per row)."""
+    (a reduction over short trailing axes costs far more per row); one
+    set of forms is one reduction."""
     flat = a.reshape(a.shape[:-3] + (-1,))
+    if flat.ndim == 1:
+        return flat.max()
     top = flat[..., 0]
     for i in range(1, flat.shape[-1]):
         top = np.maximum(top, flat[..., i])

@@ -26,6 +26,10 @@ _RANK_TOL = 1e-10
 # a cluster split by the count (ring torus L4: 14 against 12) for digits
 # below the rounding of T itself
 _KATO_TEMPLE_EPS = 1e-14
+# row sums of K against its largest diagonal entry below which the
+# constants are an exact eigenvector (an assembled Laplacian-type
+# stiffness reaches about 4e-16)
+_CONSTANT_REL_TOL = 1e-12
 
 
 @dataclass
@@ -52,21 +56,35 @@ class SpectrumResult:
         return float(self.values[1])
 
 
-def solve_pencil(stiffness, mass, count: int = 4, floor: float = 0.0,
+def solve_pencil(stiffness, mass, count: int = 2, floor: float = 0.0,
                  guess=None) -> SpectrumResult:
     """Lowest `count` eigenvalues of K f = lambda M f, ascending and
     counted with multiplicity.
 
-    The default of 4 is what a report reads: lambda_2 is the second
-    value, and 4 values hold lambda_1 and the whole triple lambda_2 of a
-    round sphere.  Losing a member of a cluster past lambda_2 leaves
-    lambda_2 as it is, and fewer values take a narrower block.  `count`
-    is capped at n - 1, n the number of unknowns; a count below 1 or a
-    pencil of fewer than 2 unknowns raises ArgumentError.
+    The default of 2 is what a report reads: lambda_1 and lambda_2, the
+    second value counted with multiplicity, so one copy of a cluster such
+    as a round sphere's triple lambda_2 is enough, and fewer values take
+    a narrower block.  `count` is capped at n - 1, n the number of
+    unknowns; a count below 1 or a pencil of fewer than 2 unknowns raises
+    ArgumentError.
 
-    Every pencil takes one block shift-invert Lanczos run (see
-    `_block_lanczos`) from the deterministic start block cos(j i),
-    j = 1..count, and the shift
+    Without a potential, L_T 1 = 0: the constants are an eigenvector of
+    lambda_1 = 0, exactly.  Where every row of K sums to at most
+    `_CONSTANT_REL_TOL` (1e-12) of its largest diagonal entry, as those
+    of an assembled stiffness without a potential do to about 4e-16, the
+    constants are deflated: `values[0]` is exactly 0.0, with residual 0,
+    and the run finds the other `count - 1` values in the M-orthogonal
+    complement of 1, where lambda_2 is the minimum of the Rayleigh
+    quotient.  A potential q adds the integrals of q times the hat
+    functions to the row sums, far above the threshold (q = 3x gives
+    O(h^2)), and such a pencil is solved whole.  A pencil of several
+    components still gives lambda_2 = 0, from the other components'
+    indicator vectors in the complement.
+
+    Every other pencil, and the complement of a deflated one, takes one
+    block shift-invert Lanczos run (see `_block_lanczos`) from the
+    deterministic start block cos(j i), j = 1..b, b the number of values
+    it seeks (`count`, or `count - 1` after deflation), and the shift
 
         sigma = floor - |tr K / tr M - floor| / n.
 
@@ -98,33 +116,35 @@ def solve_pencil(stiffness, mass, count: int = 4, floor: float = 0.0,
     less fill than SuperLU's default COLAMD ordering, so both the factor
     and every solve through it are cheaper.  A factor that fails, for
     instance because a floor above lambda_1 made K - sigma M singular,
-    raises ConvergenceError.
+    raises ConvergenceError.  A deflated count of 1 needs no run and
+    makes no factor.
 
     `guess`, an (n, k) array, holds k vectors expected near the wanted
-    eigenvectors, such as the constants and the ambient coordinates, the
-    test functions of a Reilly-type bound, which are lambda_2
-    eigenfunctions in its equality case.  They are put in front of the
-    cold start block, which stays whole: the run starts from the k + count
-    vectors [guess; cos(j i), j = 1..count], at most n of them.  Its
-    Krylov space then holds at every step the one the run without a
+    eigenvectors, such as the ambient coordinates, the test functions of
+    a Reilly-type bound, which are lambda_2 eigenfunctions in its
+    equality case.  They are put in front of the cold start block, which
+    stays whole: the run starts from the k + b vectors [guess; cos(j i),
+    j = 1..b], at most as many as the space it runs in has dimensions.
+    Its Krylov space then holds at every step the one the run without a
     guess builds, so each Ritz value lies at least as close to its
-    eigenvalue, and no pencil of the test suite takes more block solves
-    (3 where the cold run takes 9 on the unit sphere).  Each solve
-    applies S to k more vectors, so a guess far from the wanted
-    eigenvectors costs time (the ring torus takes 10 solves of 8 vectors
-    where the cold run takes 12 of 4).  A guess that misses an
-    eigenspace, or whose columns are dependent, hides nothing the cold
-    columns reach.  Without a guess the run is the cold one, bit for
-    bit.  A guess of another row count raises ArgumentError.
+    eigenvalue: at level 4, a report's solve takes 3 blocks of 4 vectors
+    on the unit sphere and 5 on the ring torus, where their cold runs
+    take 9 and 10 blocks of 1.  Each solve applies S to k more vectors,
+    so a guess far from the wanted eigenvectors costs time.  A guess
+    that misses an eigenspace, or whose columns are dependent, hides
+    nothing the cold columns reach; after deflation its constant part is
+    taken out, and a constant column drops as dependent.  Without a guess
+    the run is the cold one, bit for bit.  A guess of another row count
+    raises ArgumentError.
 
     What the run checks: each returned theta = 1 / (lambda - sigma) meets
     the Kato-Temple bound r^2 / gap <= 1e-14 theta, r its residual
     (`residuals`) and gap its distance to the next Ritz value outside its
     cluster.  What it does not certify: that no eigenvalue was missed.
-    A block of width `count` resolves a cluster of up to `count` copies,
-    but the gap is taken to a Ritz value, not to a proven bound of the
-    rest of the spectrum, and no count, residual or guess proves that a
-    whole eigenspace below lambda_2 was not missed.
+    A block of width b resolves a cluster of up to b copies, but the gap
+    is taken to a Ritz value, not to a proven bound of the rest of the
+    spectrum, and no count, residual or guess proves that a whole
+    eigenspace below lambda_2 was not missed.
     """
     n = stiffness.shape[0]
     if n < 2 or count < 1:
@@ -137,12 +157,22 @@ def solve_pencil(stiffness, mass, count: int = 4, floor: float = 0.0,
         if guess.ndim != 2 or guess.shape[0] != n:
             raise ArgumentError("a guess needs one row per unknown, got shape "
                                 "%s for %d unknowns" % (guess.shape, n))
+    ones = np.ones(n)
+    deflate = int(np.max(np.abs(stiffness @ ones))
+                  <= _CONSTANT_REL_TOL * stiffness.diagonal().max())
     scale = (stiffness.diagonal().sum()) / max(mass.diagonal().sum(), 1e-300)
     sigma = floor - abs(scale - floor) / n
-    order, factor = _shift_factor(stiffness, mass, sigma)
-    theta, residuals, solves = _block_lanczos(
-        lambda block: _shift_solve(order, factor, block), mass, count, guess)
-    vals = sigma + 1.0 / theta
+    # the deflated lambda_1 = 0 and its residual, then the run's values
+    vals, residuals, solves = np.zeros(deflate), np.zeros(deflate), 0
+    if count > deflate:
+        # the sum of M is 1^T M 1
+        locked = ones[None] / math.sqrt(mass.sum()) if deflate else None
+        order, factor = _shift_factor(stiffness, mass, sigma)
+        theta, resid, solves = _block_lanczos(
+            lambda block: _shift_solve(order, factor, block), mass,
+            count - deflate, guess, locked)
+        vals = np.concatenate([vals, sigma + 1.0 / theta])
+        residuals = np.concatenate([residuals, resid])
     rank = np.argsort(vals)
     vals, residuals = vals[rank], residuals[rank]
     # the sums of K and M are 1^T K 1 and 1^T M 1
@@ -155,16 +185,21 @@ def solve_pencil(stiffness, mass, count: int = 4, floor: float = 0.0,
                           residuals=residuals)
 
 
-def _block_lanczos(solve, mass, count: int, guess=None):
+def _block_lanczos(solve, mass, count: int, guess=None, locked=None):
     """(theta, residuals, solves): the `count` largest eigenvalues theta of
     S = (K - sigma M)^-1 M in descending order, their Lanczos residuals
     and the number of block applications of S, from a block Lanczos run
     (Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 1994).
     `solve` applies (K - sigma M)^-1 to an (n, b) block.
 
+    `locked`, a (l, n) array of M-orthonormal rows spanning an invariant
+    space of S (none by default), is kept out of the run: every vector it
+    makes is taken out of them with the rest of the basis, and the run
+    works in their M-orthogonal complement of n - l dimensions.
+
     The start block is the k columns of `guess` (none by default) as
     rows, then cos(j i), j = 1..count, and the run's width is k + count,
-    capped at n.  Since K_m(S, [G; C]) contains K_m(S, C), the guess
+    capped at n - l.  Since K_m(S, [G; C]) contains K_m(S, C), the guess
     only adds to the space the cold block spans; the stop still tests
     the lowest `count` values alone.
 
@@ -199,19 +234,22 @@ def _block_lanczos(solve, mass, count: int, guess=None):
     Its remainder is dropped, and the block is completed with fresh
     deterministic vectors cos(j i), j = count + 1, count + 2, and so on;
     so is a start block whose guess columns are dependent.  Once the
-    basis holds all n vectors, T is exact.  Past `_BLOCK_STEPS` blocks
-    ConvergenceError is raised.
+    basis fills the n - l dimensions, T is exact.  Past `_BLOCK_STEPS`
+    blocks ConvergenceError is raised.
     """
     n = mass.shape[0]
+    # the locked rows head the basis list and stay out of T
+    blocks = [] if locked is None else [locked]
+    dim = n - sum(len(b) for b in blocks)
     block = _cosines(itertools.count(1), count, n)
     if guess is not None:
         block = np.concatenate([guess.T, block])
-    width = min(n, len(block))
-    rows = min(n, _BLOCK_STEPS * width)
+    width = min(dim, len(block))
+    rows = min(dim, _BLOCK_STEPS * width)
     tri = np.zeros((rows, rows))  # the lower triangle of T
     freqs = itertools.count(count + 1)
-    blocks = [_orthonormalize([], block, *_project([], block, mass), width,
-                              mass, freqs)[0]]
+    blocks.append(_orthonormalize(blocks, block, *_project(blocks, block, mass),
+                                  width, mass, freqs)[0])
     end = width
     for solves in range(1, _BLOCK_STEPS + 1):
         start = end - len(blocks[-1])
@@ -223,7 +261,7 @@ def _block_lanczos(solve, mass, count: int, guess=None):
         theta, last = theta[::-1], vecs[start:end, ::-1]
         resid = np.sqrt(np.maximum(np.einsum(
             "ij,ik,kj->j", last, block @ products.T, last), 0.0))
-        if end == n or (end > width and _kato_temple(theta, resid, count)):
+        if end == dim or (end > width and _kato_temple(theta, resid, count)):
             return theta[:count], resid[:count], solves
         new, tri[end:end + width, start:end] = _orthonormalize(
             blocks, block, norms, products, min(width, rows - end), mass,

@@ -15,10 +15,12 @@ import reillylab
 from reillylab import cli
 from reillylab.cli import (_parse_levels, identity_table, load_scenarios,
                            main)
-from reillylab.errors import ConfigError
+from reillylab.errors import ArgumentError, ConfigError
+from reillylab.gallery import gallery
 from reillylab.mesh import icosphere, load_off, save_off
 from reillylab.reports import fem_report
 
+NAN, INF = float("nan"), float("inf")
 BUNDLED = os.path.join(os.path.dirname(reillylab.__file__), "configs",
                        "equality_cases.json")
 
@@ -116,6 +118,35 @@ class TestLoadScenarios:
         with pytest.raises(ConfigError, match="round_sphere"):
             load_scenarios(cfg)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("extra", [
+        {"geometry": {"gallery": "sphere", "params": {"a": NAN}}},
+        {"geometry": {"gallery": "ellipsoid",
+                      "params": {"axes": [1.0, NAN, 1.3]}}},
+        {"geometry": {"gallery": "hyperbolic_geodesic_sphere",
+                      "params": {"r": NAN}}},
+        {"geometry": {"gallery": "flat_torus", "params": {"r1": NAN}}},
+        {"geometry": {"gallery": "flat_torus", "params": {"r2": -INF}}},
+        {"geometry": {"gallery": "product_spheres", "params": {"a": NAN}}},
+        {"operator": {"kind": "identity",
+                      "potential": {"kind": "constant", "value": NAN}}},
+        {"operator": {"kind": "identity",
+                      "potential": {"kind": "coordinate", "scale": INF}}},
+    ], ids=["sphere-a", "ellipsoid-axes", "hyperbolic-r", "flat-torus-r1",
+            "flat-torus-r2", "product-a", "potential-value", "potential-scale"])
+    def test_nonfinite_number_is_config_error(self, tmp_path, capsys, extra):
+        # json reads NaN and Infinity, which pass a "<= 0" check
+        cfg = write_config(tmp_path, {"scenarios": [sphere_scenario(**extra)]})
+        with pytest.raises(ConfigError,
+                           match="round_sphere.*is not a finite number"):
+            load_scenarios(cfg)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+        if "geometry" in extra:
+            name, params = extra["geometry"]["gallery"], extra["geometry"]["params"]
+            assert main(["gallery", name, "--params", json.dumps(params)]) == 1
+            assert "not a finite number" in capsys.readouterr().err
+            with pytest.raises(ArgumentError, match="positive"):
+                gallery(name, **params)
 
     @pytest.mark.parametrize("extra", [
         {"outputs": None},

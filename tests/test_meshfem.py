@@ -16,7 +16,8 @@ from reillylab import reports, spectra
 from reillylab.errors import (ArgumentError, ConvergenceError,
                               EllipticityError, TopologyError,
                               UnsupportedConfiguration)
-from reillylab.fem import DiscreteGeometry, assemble_forms
+from reillylab.fem import (DiscreteGeometry, assemble_forms,
+                           symmetric_eigvals_2x2)
 from reillylab.gallery import (clifford_torus, ellipsoid, flat_torus,
                                hyperbolic_geodesic_sphere, ring_torus, sphere,
                                veronese_rp2)
@@ -317,6 +318,51 @@ class TestAssembly:
         assert ("at element %d (domain point %s)"
                 % (f, np.array_str(w, precision=6))) in str(err.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_weight_names_first_element(self, bad):
+        # no comparison holds for NaN, so a check that a small eigenvalue
+        # fails lets it through; the cap elements follow elliptic ones
+        def field(fr):
+            return diagonal(np.where(fr.point[..., 2] > 0.8, bad, 1.0), 1.0)
+
+        corners = self.geom.mesh.points[self.geom.mesh.triangles]
+        f = next(f for f, c in enumerate(corners) if self.imm.frame_at(
+            self.imm.domain.centroid(c)).point[2] > 0.8)
+        assert f > 0
+        with pytest.raises(EllipticityError, match="at element %d " % f):
+            assemble_forms(self.geom, tensor_field=field)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_nonfinite_potential_is_refused(self, bad):
+        spec = OperatorSpec(potential=lambda fr: np.where(
+            fr.point[..., 2] > 0.8, bad, 1.0))
+        with pytest.raises(ArgumentError, match="is not finite"):
+            reports._mesh_forms(self.imm, spec, 2, None, spec.potential)
+
+    def test_closed_form_2x2_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((500, 2, 2)) * 10.0 ** rng.uniform(
+            -3, 3, (500, 1, 1))
+        a[:, 0, 1] = a[:, 1, 0]
+        want = np.linalg.eigvalsh(a)
+        got = symmetric_eigvals_2x2(a)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+        # the lower triangle is read, as eigvalsh reads it
+        a[:, 0, 1] = 7.0
+        assert np.array_equal(symmetric_eigvals_2x2(a), got)
+        assert symmetric_eigvals_2x2(np.eye(2)).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("imm,spec", [
+        (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
+        (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0)),
+    ], ids=["identity", "newton0"])
+    def test_identity_preconditions_are_exact(self, imm, spec):
+        # T = I and T' = (tr T) I - 2 T = 0 at every vertex
+        frames = DiscreteGeometry(imm, mesh_for(imm, 2)).frames
+        pre = reports._sample_pass(frames, spec.tensors(frames), 0.0)[4]
+        assert pre["T_posdef_min"] == 1.0 and pre["Tprime_min"] == 0.0
+
     def test_degenerate_triangle_names_first_index(self):
         tris = self.geom.mesh.triangles.copy()
         tris[7] = [tris[7, 0], tris[7, 1], tris[7, 1]]  # zero determinant
@@ -486,12 +532,12 @@ class TestSphereSpectrum:
 
 
 class TestFourValues:
-    """Reports solve for the four lowest values, and lambda_2 at four
-    values is lambda_2 at twelve."""
+    """Reports solve for the two lowest values, and lambda_2 at two or
+    four values is lambda_2 at twelve."""
 
-    def test_reports_request_four_values(self, monkeypatch):
-        # from a guess of 1 + N columns: the constant and the coordinates
-        # of R^3 at the 162 vertices
+    def test_reports_request_two_values(self, monkeypatch):
+        # from a guess of N columns: the coordinates of R^3 at the 162
+        # vertices; the constant is deflated
         requested = []
 
         def spy(*args, **kw):
@@ -506,7 +552,7 @@ class TestFourValues:
         reports.fem_report(imm, OperatorSpec(), level=2)
         # t_minimality takes c' as stated and solves nothing
         reports.t_minimality(imm, OperatorSpec(), level=2, cprime=1.0)
-        assert requested == [(4, (162, 4))]
+        assert requested == [(2, (162, 3))]
 
     @pytest.mark.parametrize("imm,spec", [
         (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
@@ -519,11 +565,11 @@ class TestFourValues:
     def test_lambda2_at_four_equals_twelve(self, imm, spec):
         _, K, M, qvals = reports._mesh_forms(imm, spec, 4, None, spec.potential)
         floor = 0.0 if qvals is None else float(np.min(qvals))
-        four = solve_pencil(K, M, floor=floor)
-        twelve = solve_pencil(K, M, count=12, floor=floor)
-        assert four.backend == "fem-block" and len(four.values) == 4
-        want = twelve.lambda2()
-        assert abs(four.lambda2() - want) <= 1e-12 * abs(want)
+        want = solve_pencil(K, M, count=12, floor=floor).lambda2()
+        for count in (2, 4):
+            few = solve_pencil(K, M, count=count, floor=floor)
+            assert few.backend == "fem-block" and len(few.values) == count
+            assert abs(few.lambda2() - want) <= 1e-12 * abs(want)
 
 
 def tetrahedron():
@@ -545,6 +591,9 @@ GALLERY_PENCILS = {
     "flat-torus": (flat_torus(), OperatorSpec()),
     "potential-1000": (sphere(2, 1.0, 1, 0.0),
                        OperatorSpec(potential=lambda fr: -1000.0)),
+    # its row sums are O(h^2), far above the threshold of the deflation
+    "tilted-potential": (sphere(2, 1.0, 1, 0.0),
+                         OperatorSpec(potential=lambda fr: 3.0 * fr.point[..., 0])),
 }
 
 
@@ -561,17 +610,26 @@ class TestOneSolvePath:
         _, K, M, qvals = reports._mesh_forms(imm, spec, level, mesh,
                                              spec.potential)
         floor = 0.0 if qvals is None else float(np.min(qvals))
-        res = solve_pencil(K, M, floor=floor)
+        res = solve_pencil(K, M, count=4, floor=floor)
         assert res.backend == "fem-block"
         assert len(res.values) == min(4, K.shape[0] - 1)
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                                   subset_by_index=(0, len(res.values) - 1))
         if qvals is None:
-            # constants span the kernel, so lambda_1 is exactly 0; the dense
+            # the constants are deflated, so lambda_1 is exactly 0; the dense
             # solve rounds it at about 1e-12 (tr K / tr M reaches 4.6e3)
+            assert res.values[0] == 0.0 and res.residuals[0] == 0.0
             dense[0] = 0.0
         err = np.abs(res.values - dense)
         assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(dense))), err
+
+    def test_deflated_single_value_needs_no_factor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no factor is needed")
+
+        monkeypatch.setattr(spectra, "_shift_factor", refuse)
+        res = solve_pencil(*sphere_forms(2), count=1)
+        assert res.values.tolist() == [0.0] and res.solves == 0
 
     def test_count_is_capped_below_the_unknowns(self):
         _, K, M, _ = reports._mesh_forms(sphere(2, 1.0, 1, 0.0), OperatorSpec(),
@@ -591,7 +649,7 @@ class TestBlockLanczos:
     count."""
 
     def test_sphere_triple_comes_whole(self):
-        res = solve_pencil(*sphere_forms(4))
+        res = solve_pencil(*sphere_forms(4), count=4)
         lam2 = res.lambda2()
         assert np.ptp(res.values[1:4]) <= 1e-12 * lam2
         assert multiplicity(res, lam2) == 3
@@ -642,20 +700,23 @@ class TestBlockLanczos:
         spec = OperatorSpec(potential=lambda fr: 160.0 * fr.point[..., 2])
         _, K, M, qvals = reports._mesh_forms(sphere(2, 1.0, 1, 0.0), spec, 3,
                                              None, spec.potential)
-        res = solve_pencil(K, M, floor=float(np.min(qvals)))
+        res = solve_pencil(K, M, count=4, floor=float(np.min(qvals)))
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                                   subset_by_index=(0, 3))
         err = np.abs(res.values - dense)
         assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(dense))), err
 
-    @pytest.mark.parametrize("imm,spec", [
-        (sphere(2, 1.0, 1, 0.0), OperatorSpec()),
-        (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0)),
-        (ring_torus(), OperatorSpec()),
-        (hyperbolic_geodesic_sphere(1.0), OperatorSpec()),
+    @pytest.mark.parametrize("imm,spec,most", [
+        (sphere(2, 1.0, 1, 0.0), OperatorSpec(), 3),
+        (ellipsoid((1.0, 1.0, 1.3)), OperatorSpec(kind="newton", degree=0), 4),
+        (ring_torus(), OperatorSpec(), 5),
+        (hyperbolic_geodesic_sphere(1.0), OperatorSpec(), 3),
     ], ids=["sphere", "ellipsoid-newton0", "ring-torus", "hyperbolic-sphere"])
-    def test_few_block_solves(self, monkeypatch, imm, spec):
-        # ARPACK took 49 one-vector solves on the sphere at this level
+    def test_few_block_solves(self, monkeypatch, imm, spec, most):
+        # as a report solves: the constant deflated, and one cold column
+        # behind the coordinates.  ARPACK took 49 one-vector solves on the
+        # sphere at this level, the cold block of 4 took 9, and with the
+        # constant in the guess the ring torus took 10 solves of 8
         blocks = []
         solve = spectra._shift_solve
 
@@ -664,16 +725,17 @@ class TestBlockLanczos:
             return solve(order, factor, rhs)
 
         monkeypatch.setattr(spectra, "_shift_solve", counting)
-        _, K, M, _ = reports._mesh_forms(imm, spec, 4, None)
-        res = solve_pencil(K, M)
-        assert blocks == [(K.shape[0], 4)] * len(blocks)
-        assert res.solves == len(blocks) <= 12
+        geom, K, M, _ = reports._mesh_forms(imm, spec, 4, None)
+        guess = reports._start_guess(geom)
+        res = solve_pencil(K, M, guess=guess)
+        assert blocks == [(K.shape[0], 1 + guess.shape[1])] * len(blocks)
+        assert res.solves == len(blocks) <= most
 
     def test_block_cap_is_refused(self, monkeypatch):
         # one block solve never reaches the stop rule, which needs a second
         monkeypatch.setattr(spectra, "_BLOCK_STEPS", 1)
         with pytest.raises(ConvergenceError,
-                           match="no 4 converged values in 1 block solves"):
+                           match="no 1 converged values in 1 block solves"):
             solve_pencil(*sphere_forms(3))
 
 
@@ -715,8 +777,10 @@ class TestGuessedStart:
         monkeypatch.setattr(spectra, "_shift_solve", counting)
         res = solve_pencil(K, M, floor=floor, guess=guess)
         monkeypatch.undo()
-        # one column per guess vector, on top of the four cold ones
-        assert blocks == [(K.shape[0], 4 + guess.shape[1])] * res.solves
+        # one column per guess vector, on top of one cold column per value
+        # sought: two, less the deflated constant without a potential
+        cold = 1 if qvals is None else 2
+        assert blocks == [(K.shape[0], cold + guess.shape[1])] * res.solves
         assert_cold_values(res, K, M, floor)
 
     @pytest.mark.parametrize("kind", ["harmonics", "eigenvectors"])
